@@ -16,6 +16,7 @@ __version__ = "0.1.0"
 from .words import WordError, format_word, free_reduce, inverse_word, parse_word
 from .diagrams import (
     EPSILON,
+    GENERATOR_LETTERS,
     Diagram,
     NormalForm,
     NormalFormError,
@@ -27,6 +28,7 @@ from .diagrams import (
     from_word,
     invert,
     leaf_count,
+    mul_letter,
     normal_form_word,
     to_normal_form,
     validate_normal_form,

@@ -13,15 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .diagrams import EPSILON, Diagram, atomic, canonical_key, compose, invert
+from .diagrams import EPSILON, GENERATOR_LETTERS, Diagram, canonical_key, mul_letter
 from .metric import is_dead
-
-_GENERATOR_DIAGRAMS = (
-    atomic(0),
-    invert(atomic(0)),
-    atomic(1),
-    invert(atomic(1)),
-)
 
 DEFAULT_CAP = 10_000_000
 
@@ -39,13 +32,12 @@ class ResourceCapError(RuntimeError):
 
 def neighbors(d: Diagram) -> Tuple[Diagram, Diagram, Diagram, Diagram]:
     """Right multiplications by x0, x0^-1, x1, x1^-1, in that order."""
-    return tuple(compose(d, a) for a in _GENERATOR_DIAGRAMS)
+    return tuple(mul_letter(d, k, s) for k, s in GENERATOR_LETTERS)
 
 
 @dataclass
 class BallTable:
     radius: int
-    entries: Dict[str, Tuple[Diagram, int]] = field(repr=False)
     sphere_sizes: List[int] = field(default_factory=list)
     ball_sizes: List[int] = field(default_factory=list)
     _by_diagram: Dict[Diagram, int] = field(default_factory=dict, repr=False)
@@ -89,10 +81,8 @@ def enumerate_ball(
     for s in sphere_sizes:
         total += s
         ball_sizes.append(total)
-    entries = {canonical_key(d): (d, r) for d, r in dist.items()}
     return BallTable(
         radius=radius,
-        entries=entries,
         sphere_sizes=sphere_sizes,
         ball_sizes=ball_sizes,
         _by_diagram=dist,

@@ -436,8 +436,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gamma", help="density witness family reports")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--report", action="store_true", default=True,
-                   help="emit the JSON report (default)")
     p.add_argument("--emit-words", action="store_true",
                    help="dump concrete vertex words, one per line")
     p.add_argument("--threads", type=int, default=1, help="reserved; single process")
@@ -445,8 +443,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("subgraph", help="density diagnostics for a set of words")
     p.add_argument("--input", required=True, help="UTF-8 file, one word per line")
-    p.add_argument("--report", action="store_true", default=True,
-                   help="emit the JSON report (default)")
     p.set_defaults(func=_cmd_subgraph)
 
     return parser

@@ -12,7 +12,10 @@ structural equality decides the word problem.
 
 Multiplication glues the bottom forest of the left factor to the top
 forest of the right factor along their least common refinement, then
-cancels dipoles and strips trailing leaf pairs.
+cancels dipoles and strips trailing leaf pairs.  Right multiplication by
+a single generator letter, the step of every Cayley-graph walk, is a
+local edit instead (mul_letter): it adds or removes one caret and
+cancels at most one dipole.
 """
 
 from __future__ import annotations
@@ -201,23 +204,104 @@ def compose(d1: Diagram, d2: Diagram) -> Diagram:
     return _canonicalize(top, bottom)
 
 
-_ATOMIC_CACHE: dict = {}
+GENERATOR_LETTERS: Tuple[Tuple[int, int], ...] = ((0, 1), (0, -1), (1, 1), (1, -1))
 
 
-def letter_diagram(k: int, s: int) -> Diagram:
-    """Cached diagram of the single letter x_k^s."""
-    d = _ATOMIC_CACHE.get((k, s))
-    if d is None:
-        d = atomic(k) if s == 1 else invert(atomic(k))
-        _ATOMIC_CACHE[(k, s)] = d
-    return d
+def _leaves(trees) -> int:
+    # leaf count of a sequence of trees, without recursion
+    n = 0
+    stack = list(trees)
+    while stack:
+        t = stack.pop()
+        if t is None:
+            n += 1
+        else:
+            stack.extend(t)
+    return n
+
+
+def _find_leaf(f: Forest, p: int) -> Tuple[int, list, list]:
+    # index of the tree of f holding leaf p, and the carets on the way down
+    # to that leaf with the side taken at each (0 left, 1 right); visits
+    # only the nodes left of the leaf and the path itself
+    for i, node in enumerate(f):
+        carets: list = []
+        sides: list = []
+        while True:
+            while node is not None:
+                carets.append(node)
+                sides.append(0)
+                node = node[0]
+            if p == 0:
+                return i, carets, sides
+            p -= 1
+            while sides and sides[-1]:
+                carets.pop()
+                sides.pop()
+            if not sides:
+                break
+            sides[-1] = 1
+            node = carets[-1][1]
+    raise IndexError("leaf position beyond the forest")
+
+
+def _replace_at(f: Forest, i: int, carets: list, sides: list, new: Tree) -> Forest:
+    # f with the node at the end of the path (tree i, carets, sides) set to new
+    for caret, side in zip(reversed(carets), reversed(sides)):
+        new = (caret[0], new) if side else (new, caret[1])
+    return f[:i] + (new,) + f[i + 1:]
+
+
+def mul_letter(d: Diagram, k: int, s: int) -> Diagram:
+    """Product d * x_k^s (s = 1 or -1) as a canonical diagram.
+
+    Equal to compose(d, atomic(k)) or compose(d, invert(atomic(k))), but
+    computed as a local edit: exactly one caret is added to or removed
+    from one of the two forests.  The cost is one walk to leaf
+    p = leaves of bottom[:k], O(p + depth), where compose walks both
+    whole forests.
+    """
+    if k < 0:
+        raise ValueError(f"generator subscript must be nonnegative, got {k}")
+    if s not in (1, -1):
+        raise ValueError(f"letter exponent must be 1 or -1, got {s}")
+    top, bottom = d
+    need = k + 1 if s == 1 else k + 2
+    if len(bottom) < need:
+        pad = (LEAF,) * (need - len(bottom))
+        top += pad
+        bottom += pad
+    if s == 1:
+        t = bottom[k]
+        if t is not None:
+            # the caret of x_k matches the root caret of bottom[k]
+            bottom = bottom[:k] + t + bottom[k + 1:]
+        else:
+            i, carets, sides = _find_leaf(top, _leaves(bottom[:k]))
+            top = _replace_at(top, i, carets, sides, CARET)
+            bottom = bottom[:k] + (LEAF, LEAF) + bottom[k + 1:]
+    else:
+        left, right = bottom[k], bottom[k + 1]
+        merged: Tree = (left, right)
+        if left is None and right is None:
+            i, carets, sides = _find_leaf(top, _leaves(bottom[:k]))
+            if sides and not sides[-1] and carets[-1][1] is None:
+                # dipole: the top caret over leaves p, p+1 meets the new
+                # root caret; the bottom side is a root, so no cascade
+                top = _replace_at(top, i, carets[:-1], sides[:-1], LEAF)
+                merged = LEAF
+        bottom = bottom[:k] + (merged,) + bottom[k + 2:]
+    while len(top) > 1 and len(bottom) > 1 and top[-1] is None and bottom[-1] is None:
+        top = top[:-1]
+        bottom = bottom[:-1]
+    return Diagram(top, bottom)
 
 
 def from_word(w: GenWord) -> Diagram:
     """Fold the letters of w into a canonical diagram; () gives EPSILON."""
     d = EPSILON
     for k, s in w:
-        d = compose(d, letter_diagram(k, s))
+        d = mul_letter(d, k, s)
     return d
 
 

@@ -27,15 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Tuple
 
-from .diagrams import (
-    Diagram,
-    atomic,
-    canonical_key,
-    compose,
-    from_word,
-    invert,
-    to_normal_form,
-)
+from .diagrams import Diagram, canonical_key, from_word, mul_letter, to_normal_form
 from .subgraphs import Subgraph
 
 LabeledEdge = Tuple[int, int, int]  # (u, v, label); u == v is a loop
@@ -273,7 +265,6 @@ def _concrete_apply_A(
         ranks[v] = max(ranks.get(v, -1), label)
     if set(ranks) != set(vertices) or min(ranks.values()) <= i:
         raise ConstructionError(f"apply_A({i}) precondition violated")
-    x_i_inverse = invert(atomic(i))
     columns: Dict[str, List[str]] = {}
     new_vertices: Dict[str, Diagram] = {}
     new_origin: Dict[str, int] = {}
@@ -284,7 +275,7 @@ def _concrete_apply_A(
         new_origin[uk] = origin[uk]
         current = d
         for _ in range(ranks[uk] - i - 1):
-            current = compose(current, x_i_inverse)
+            current = mul_letter(current, i, -1)
             ck = canonical_key(current)
             if ck in new_vertices:
                 raise ConstructionError(f"column vertex collision at {ck}")
@@ -298,7 +289,7 @@ def _concrete_apply_A(
             raise ConstructionError(f"edge labelled {j} under apply_A({i})")
         for k in range(j - i):
             a, b = columns[uk][k], columns[vk][k]
-            if compose(new_vertices[a], atomic(j - k)) != new_vertices[b]:
+            if mul_letter(new_vertices[a], j - k, 1) != new_vertices[b]:
                 raise ConstructionError(
                     f"spawned edge {a} -x{j - k}-> {b} failed verification"
                 )
@@ -315,7 +306,6 @@ def gamma_nm_concrete(n: int, m: int) -> ConcreteGamma:
     """
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
-    x_n_inverse = invert(atomic(n))
     vertices: Dict[str, Diagram] = {}
     origin: Dict[str, int] = {}
     edges: List[Tuple[str, str, int]] = []
@@ -324,7 +314,7 @@ def gamma_nm_concrete(n: int, m: int) -> ConcreteGamma:
     vertices[previous_key] = current
     origin[previous_key] = 0
     for k in range(1, m + 1):
-        current = compose(current, x_n_inverse)
+        current = mul_letter(current, n, -1)
         ck = canonical_key(current)
         vertices[ck] = current
         origin[ck] = k
@@ -353,13 +343,13 @@ def fullness_check(g: ConcreteGamma, extra_labels: int = 2) -> bool:
     recorded = set(g.edges)
     for uk, d in g.vertices.items():
         for k in range(g.n + 1):
-            vk = canonical_key(compose(d, atomic(k)))
+            vk = canonical_key(mul_letter(d, k, 1))
             if (vk in g.vertices) != ((uk, vk, k) in recorded):
                 raise ConstructionError(
                     f"fullness violated at {uk} under x{k}"
                 )
         for k in range(g.n + 1, g.n + 1 + extra_labels):
-            if canonical_key(compose(d, atomic(k))) in g.vertices:
+            if canonical_key(mul_letter(d, k, 1)) in g.vertices:
                 raise ConstructionError(
                     f"unexpected x{k} edge inside the vertex set at {uk}"
                 )

@@ -26,10 +26,9 @@ from __future__ import annotations
 import re
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .diagrams import canonical_key, compose, from_word, letter_diagram
+from .diagrams import GENERATOR_LETTERS, Diagram, from_word, mul_letter
 from .words import GenWord, Letter, format_word
 
-ALPHABET: Tuple[Letter, ...] = ((0, 1), (0, -1), (1, 1), (1, -1))
 _CHAR = {(0, 1): "a", (0, -1): "A", (1, 1): "b", (1, -1): "B"}
 _FORBIDDEN = re.compile(r"aA|Aa|bB|Bb|[bB]a+b|[bB]aa+B")
 
@@ -176,7 +175,7 @@ def collision_check(max_n: int) -> CollisionReport:
             f"collision check capped at length {_COLLISION_LIMIT}, asked {max_n}"
         )
     root = from_word(())
-    seen: Dict[str, GenWord] = {canonical_key(root): ()}
+    seen: Dict[Diagram, GenWord] = {root: ()}
     collisions: List[Tuple[str, str]] = []
     words = 1
 
@@ -184,19 +183,18 @@ def collision_check(max_n: int) -> CollisionReport:
         nonlocal words
         if depth == max_n:
             return
-        for letter in ALPHABET:
+        for letter in GENERATOR_LETTERS:
             candidate = encoded + _CHAR[letter]
             if _FORBIDDEN.search(candidate) is None:
                 next_word = word + (letter,)
-                next_diagram = compose(diagram, letter_diagram(*letter))
+                next_diagram = mul_letter(diagram, *letter)
                 words += 1
-                key = canonical_key(next_diagram)
-                if key in seen:
+                if next_diagram in seen:
                     collisions.append(
-                        (format_word(seen[key]), format_word(next_word))
+                        (format_word(seen[next_diagram]), format_word(next_word))
                     )
                 else:
-                    seen[key] = next_word
+                    seen[next_diagram] = next_word
                 extend(next_word, next_diagram, candidate, depth + 1)
 
     extend((), root, "", 0)

@@ -15,17 +15,16 @@ The x0,x1 word length of the element is then
 from __future__ import annotations
 
 from collections import deque
-from typing import NamedTuple, Set, Tuple
+from typing import NamedTuple, Set
 
 from .diagrams import (
     EPSILON,
+    GENERATOR_LETTERS,
     Diagram,
     Forest,
     Tree,
-    atomic,
     cell_count,
-    compose,
-    invert,
+    mul_letter,
     tree_leaves,
 )
 from .words import GenWord
@@ -126,15 +125,6 @@ def norm(d: Diagram) -> int:
     return cell_count(d) + 2 * len(special_vertices(d))
 
 
-GENERATOR_LETTERS: Tuple[Tuple[int, int], ...] = ((0, 1), (0, -1), (1, 1), (1, -1))
-_GENERATOR_DIAGRAMS = (
-    atomic(0),
-    invert(atomic(0)),
-    atomic(1),
-    invert(atomic(1)),
-)
-
-
 def is_dead(d: Diagram) -> bool:
     """True when right multiplication by every generator letter lowers the norm.
 
@@ -143,7 +133,7 @@ def is_dead(d: Diagram) -> bool:
     if d == EPSILON:
         raise ValueError("the identity diagram is not in the domain of is_dead")
     n = norm(d)
-    return all(norm(compose(d, a)) < n for a in _GENERATOR_DIAGRAMS)
+    return all(norm(mul_letter(d, k, s)) < n for k, s in GENERATOR_LETTERS)
 
 
 def greedy_descent(d: Diagram) -> GenWord:
@@ -157,8 +147,8 @@ def greedy_descent(d: Diagram) -> GenWord:
     current = d
     while current != EPSILON:
         n = norm(current)
-        for letter, a in zip(GENERATOR_LETTERS, _GENERATOR_DIAGRAMS):
-            candidate = compose(current, a)
+        for letter in GENERATOR_LETTERS:
+            candidate = mul_letter(current, *letter)
             if norm(candidate) < n:
                 steps.append(letter)
                 current = candidate

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
-from .diagrams import Diagram, atomic, canonical_key, compose, invert
+from .diagrams import Diagram, canonical_key, mul_letter
 
 Edge = Tuple[str, str, int]  # (u, v, k) meaning v = u * x_k
 
@@ -36,6 +37,17 @@ class Subgraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def _neighbour_keys(self) -> Dict[str, Tuple[str, ...]]:
+        # per vertex u, the keys of u * x_k^s for k in gens and s = 1, -1;
+        # boundary and the matching both read this, so it is built once
+        return {
+            uk: tuple(
+                canonical_key(mul_letter(d, k, s)) for k in self.gens for s in (1, -1)
+            )
+            for uk, d in self.vertices.items()
+        }
+
 
 def full_subgraph(elems: Iterable[Diagram], gens: Tuple[int, ...] = (0, 1)) -> Subgraph:
     """The induced subgraph on elems: every generator edge inside the set.
@@ -45,11 +57,12 @@ def full_subgraph(elems: Iterable[Diagram], gens: Tuple[int, ...] = (0, 1)) -> S
     places), so the graph is simple.
     """
     vertices = {canonical_key(d): d for d in elems}
+    key_of = {d: uk for uk, d in vertices.items()}
     edges = set()
     for uk, d in vertices.items():
         for k in gens:
-            vk = canonical_key(compose(d, atomic(k)))
-            if vk in vertices:
+            vk = key_of.get(mul_letter(d, k, 1))
+            if vk is not None:
                 if vk == uk:
                     raise AssertionError(f"loop at {uk} under x{k}")
                 edges.add((uk, vk, k))
@@ -87,21 +100,11 @@ def q_value(y: Subgraph) -> int:
     return 3 * q0 + 2 * q1 + q2 - q4
 
 
-def _outside_neighbours(y: Subgraph) -> Dict[str, Diagram]:
-    out: Dict[str, Diagram] = {}
-    for d in y.vertices.values():
-        for k in y.gens:
-            for step in (atomic(k), invert(atomic(k))):
-                nb = compose(d, step)
-                nk = canonical_key(nb)
-                if nk not in y.vertices:
-                    out[nk] = nb
-    return out
-
-
 def boundary(y: Subgraph) -> Set[str]:
     """Canonical keys of B1(Y) \\ Y."""
-    return set(_outside_neighbours(y))
+    return {
+        nk for near in y._neighbour_keys.values() for nk in near if nk not in y.vertices
+    }
 
 
 class DoublingReport(NamedTuple):
@@ -211,15 +214,8 @@ class _Dinic:
 
 def _b1_adjacency(y: Subgraph) -> Dict[str, List[str]]:
     """For each Y-vertex, the keys of B1(Y) at distance <= 1 (itself included)."""
-    adjacency: Dict[str, List[str]] = {}
-    for uk, d in y.vertices.items():
-        near = [uk]
-        for k in y.gens:
-            for step in (atomic(k), invert(atomic(k))):
-                near.append(canonical_key(compose(d, step)))
-        # distinct by simplicity of the Cayley graph, but dedupe defensively
-        adjacency[uk] = sorted(set(near))
-    return adjacency
+    # distinct by simplicity of the Cayley graph, but dedupe defensively
+    return {uk: sorted({uk, *near}) for uk, near in y._neighbour_keys.items()}
 
 
 def two_one_matching(y: Subgraph) -> MatchingResult:

@@ -30,10 +30,12 @@ def test_small_spheres():
 
 def test_ball_distances_match_norm():
     table = enumerate_ball(4)
-    for key, (d, r) in table.entries.items():
-        assert canonical_key(d) == key
+    keys = set()
+    for d, r in table._by_diagram.items():
+        keys.add(canonical_key(d))
         assert table.distance(d) == r
         assert norm(d) == r  # length formula against BFS on the whole ball
+    assert len(keys) == len(table._by_diagram)  # keys separate the ball
 
 
 def test_distance_outside_ball():

@@ -179,6 +179,16 @@ def test_bad_flag_exit(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("gamma", "--n", "3", "--report"), ("subgraph", "--input", "words.txt", "--report")],
+)
+def test_report_flag_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "unrecognized arguments: --report" in err
+
+
 def test_resource_cap_exit(capsys):
     code, out, err = run(capsys, "spheres", "--radius", "9", "--cap", "100")
     assert code == 2

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thompsonf.cayley import enumerate_ball
 from thompsonf.diagrams import (
     EPSILON,
     Diagram,
@@ -14,6 +15,7 @@ from thompsonf.diagrams import (
     from_word,
     invert,
     leaf_count,
+    mul_letter,
     normal_form_word,
     to_normal_form,
     validate_normal_form,
@@ -24,6 +26,10 @@ CARET = (None, None)
 
 letters = st.tuples(st.integers(min_value=0, max_value=4), st.sampled_from((1, -1)))
 words = st.lists(letters, max_size=12).map(tuple)
+long_words = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=12), st.sampled_from((1, -1))),
+    max_size=300,
+)
 
 
 def test_atomic_shape():
@@ -79,6 +85,40 @@ def test_compose_associative(u, v, w):
 def test_inverse_word_gives_inverse_diagram(w):
     assert from_word(inverse_word(w)) == invert(from_word(w))
     assert compose(from_word(w), invert(from_word(w))) == EPSILON
+
+
+def _letter(k, s):
+    return atomic(k) if s == 1 else invert(atomic(k))
+
+
+def test_mul_letter_matches_compose_on_ball():
+    for d in enumerate_ball(6)._by_diagram:
+        for k in range(4):
+            for s in (1, -1):
+                assert mul_letter(d, k, s) == compose(d, _letter(k, s))
+
+
+@given(long_words)
+@settings(max_examples=50, deadline=None)
+def test_mul_letter_matches_compose_along_words(w):
+    d = EPSILON
+    for k, s in w:
+        expected = compose(d, _letter(k, s))
+        d = mul_letter(d, k, s)
+        assert d == expected
+
+
+def test_mul_letter_rejects_bad_letters():
+    with pytest.raises(ValueError):
+        mul_letter(EPSILON, -1, 1)
+    with pytest.raises(ValueError):
+        mul_letter(EPSILON, 0, 2)
+
+
+def test_long_powers_cancel():
+    # deeper than the interpreter's recursion limit
+    for k in (0, 1):
+        assert from_word(((k, 1),) * 1000 + ((k, -1),) * 1000) == EPSILON
 
 
 def test_rewriting_relation():

@@ -61,7 +61,7 @@ def test_degree_profile_requires_standard_gens():
 
 def test_q_is_three_v_minus_two_e():
     rng = random.Random(7)
-    pool = [d for d, _ in enumerate_ball(3).entries.values()]
+    pool = list(enumerate_ball(3)._by_diagram)
     for _ in range(30):
         size = rng.randint(1, 20)
         y = sg.full_subgraph(rng.sample(pool, size))
@@ -71,7 +71,7 @@ def test_q_is_three_v_minus_two_e():
 
 def test_folner_sandwich_random():
     rng = random.Random(11)
-    pool = [d for d, _ in enumerate_ball(3).entries.values()]
+    pool = list(enumerate_ball(3)._by_diagram)
     for _ in range(20):
         y = sg.full_subgraph(rng.sample(pool, rng.randint(1, 25)))
         lower, middle, upper = sg.folner_inequalities(y)  # asserts internally
@@ -90,7 +90,7 @@ def test_boundary_by_hand():
 
 def test_doubling_and_matching_on_random_sets():
     rng = random.Random(23)
-    pool = [d for d, _ in enumerate_ball(3).entries.values()]
+    pool = list(enumerate_ball(3)._by_diagram)
     for _ in range(15):
         y = sg.full_subgraph(rng.sample(pool, rng.randint(1, 25)))
         report = sg.doubling_check(y)
