@@ -12,8 +12,8 @@ and exact_values maps the same field paths to decimal strings (truncated
 at 12 places; exact whenever the expansion terminates).  Tabular
 subcommands (spheres, series) switch to plain CSV under --format csv.
 
-Exit codes: 0 success, 1 validation error, 2 resource cap exceeded,
-64 unknown subcommand.
+Exit codes: 0 success, 1 validation error, 2 resource cap exceeded
+(including recursion depth or memory exhausted), 64 unknown subcommand.
 """
 
 from __future__ import annotations
@@ -474,6 +474,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except (cayley.ResourceCapError, growth.ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input too large: recursion depth exhausted", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: input too large: out of memory", file=sys.stderr)
         return 2
 
 

@@ -12,10 +12,19 @@ with it.
 Dyadic numbers are kept as num / 2^exp with exp >= 0 and num odd unless
 exp = 0.  Deliberately not Fraction: a non-dyadic intermediate value is
 a bug and must be impossible to represent, not silently handled.
+
+from_word_pl builds the map of a word one letter at a time on integer
+breakpoints over a common power of two: f_k^+-1 changes y only on a
+window starting at k, so each letter inserts at most two breakpoints,
+rescales y inside the window, shifts it beyond, and merges slopes only
+at the window's ends.  The result is validated once by plmap().
+compose_pl is the general product, and the tests hold from_word_pl
+against the left fold of compose_pl over the generator maps.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -79,14 +88,19 @@ class Dyadic:
         return self.num
 
 
+def _trailing_zeros(n: int) -> int:
+    """The exponent of 2 in n != 0 (negative n works too)."""
+    return (n & -n).bit_length() - 1
+
+
 def dyadic(num: int, exp: int = 0) -> Dyadic:
     """Normalized dyadic num / 2**exp; negative exp multiplies out."""
     if exp < 0:
         return Dyadic(num << (-exp), 0)
-    while exp > 0 and num % 2 == 0:
-        num //= 2
-        exp -= 1
-    return Dyadic(num, exp)
+    if num == 0:
+        return Dyadic(0, 0)
+    shift = min(exp, _trailing_zeros(num))
+    return Dyadic(num >> shift, exp - shift)
 
 
 ZERO = dyadic(0)
@@ -98,7 +112,7 @@ Point = Tuple[Dyadic, Dyadic]
 def _odd_part_and_exp(n: int) -> Tuple[int, int]:
     if n == 0:
         raise ValueError("zero has no odd part")
-    e = (n & -n).bit_length() - 1
+    e = _trailing_zeros(n)
     return n >> e, e
 
 
@@ -211,13 +225,102 @@ def compose_pl(f: PLMap, g: PLMap) -> PLMap:
     return result
 
 
+class _Chain:
+    """A PL map under construction: breakpoints (xs[i], ys[i] + base) / 2^e.
+
+    Every coordinate is an integer over one common 2^e, and the map has
+    slope 1 beyond its last point.  The offset base is shared by all the
+    ys, so a letter can move either the points above its window or the
+    points below it, whichever are fewer.
+    """
+
+    def __init__(self) -> None:
+        self.xs: List[int] = [0]
+        self.ys: List[int] = [0]
+        self.e = 0
+        self.base = 0
+
+    def rescale(self, bits: int) -> None:
+        """Raise e by at least bits, and by at least e/2 so that words which
+        need one more bit per letter, like x0^n, rescale O(log n) times."""
+        bits = max(bits, self.e // 2)
+        self.xs = [x << bits for x in self.xs]
+        self.ys = [y << bits for y in self.ys]
+        self.e += bits
+        self.base <<= bits
+
+    def split_at(self, k: int) -> int:
+        """Make the integer k a breakpoint value; return the point's index."""
+        xs, ys = self.xs, self.ys
+        y = (k << self.e) - self.base
+        i = bisect_left(ys, y)
+        if i == len(ys):  # on the slope-1 tail
+            xs.append(xs[-1] + y - ys[-1])
+            ys.append(y)
+        elif ys[i] != y:  # inside the segment from point i-1 to point i
+            dy = ys[i] - ys[i - 1]
+            num = (y - ys[i - 1]) * (xs[i] - xs[i - 1])
+            if _trailing_zeros(num) < _trailing_zeros(dy):
+                self.rescale(_trailing_zeros(dy) - _trailing_zeros(num))
+                return self.split_at(k)
+            xs.insert(i, xs[i - 1] + num // dy)
+            ys.insert(i, y)
+        return i
+
+    def apply(self, k: int, s: int) -> None:
+        """Follow the map by f_k^s, which moves y only on the window
+        [k, k+1] (s = 1) or [k, k+2] (s = -1): slopes double or halve
+        inside it and y shifts by s beyond it."""
+        if k < 0:
+            raise ValueError("generator subscript must be nonnegative")
+        a = self.split_at(k)
+        b = self.split_at(k + (1 if s == 1 else 2))
+        window = self.ys[a + 1 : b + 1]
+        if s != 1 and any((y + self.base + (k << self.e)) & 1 for y in window):
+            self.rescale(1)  # halving needs one more bit
+            window = self.ys[a + 1 : b + 1]
+        xs, ys, base, lo = self.xs, self.ys, self.base, k << self.e
+        shift = (1 if s == 1 else -1) << self.e
+        move_prefix = a + 1 < len(ys) - b - 1
+        if move_prefix:  # base takes the shift; the points below move back
+            self.base += shift
+        if s == 1:
+            c = 2 * base - lo - self.base
+            window = [2 * y + c for y in window]
+        else:
+            c = base + lo
+            window = [((y + c) >> 1) - self.base for y in window]
+        if move_prefix:
+            ys[: b + 1] = [y - shift for y in ys[: a + 1]] + window
+        else:
+            ys[a + 1 :] = window + [y + shift for y in ys[b + 1 :]]
+        # slopes change by 2^s across the window ends only
+        for j in (b, a):
+            if 0 < j < len(ys) - 1 and (ys[j] - ys[j - 1]) * (xs[j + 1] - xs[j]) == (
+                ys[j + 1] - ys[j]
+            ) * (xs[j] - xs[j - 1]):
+                del xs[j], ys[j]
+        while len(ys) > 1 and ys[-1] - ys[-2] == xs[-1] - xs[-2]:
+            del xs[-1], ys[-1]
+
+    def points(self) -> List[Point]:
+        e, base = self.e, self.base
+        return [(dyadic(x, e), dyadic(y + base, e)) for x, y in zip(self.xs, self.ys)]
+
+
 def from_word_pl(w: GenWord) -> PLMap:
-    """Fold the letters left to right; the empty word is the identity."""
-    acc = pl_identity()
+    """The map of a word, letters applied left to right; () is the identity.
+
+    Equal to the left fold of compose_pl over generator_map(k) and its
+    inverse, but each letter is a local edit of integer breakpoints (see
+    _Chain.apply), and plmap() validates the result once at the end.
+    """
+    chain = _Chain()
     for k, s in w:
-        step = generator_map(k) if s == 1 else invert_pl(generator_map(k))
-        acc = compose_pl(acc, step)
-    return acc
+        chain.apply(k, s)
+    result = plmap(chain.points())
+    assert result.tail_offset == sum(s for _, s in w)
+    return result
 
 
 def pl_equal(f: PLMap, g: PLMap) -> bool:

@@ -1,14 +1,17 @@
 import json
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
 
+from thompsonf import plmaps
 from thompsonf.cli import main
 from thompsonf.diagrams import from_word
-from thompsonf.words import parse_word
+from thompsonf.plmaps import dyadic, plmap
+from thompsonf.words import format_word, parse_word
 
 WORKED = "x0 x0 x1 x6 x3^-1 x0^-1 x0^-1"
 
@@ -106,6 +109,20 @@ def test_pl(capsys):
     assert envelope["results"]["tail_offset"] == 1
 
 
+def test_pl_long_word(capsys):
+    rng = random.Random(300)
+    w = tuple((rng.randint(0, 5), rng.choice((1, -1))) for _ in range(300))
+    results = run_json(capsys, "pl", format_word(w))["results"]
+    assert results["tail_offset"] == sum(s for _, s in w)
+    points = [
+        tuple(dyadic(*map(int, p[c].split("/2^"))) for c in ("x", "y"))
+        for p in results["breakpoints"]
+    ]
+    rebuilt = plmap(points)
+    assert list(rebuilt.points) == points
+    assert rebuilt.tail_offset == results["tail_offset"]
+
+
 def test_dead_search(capsys):
     envelope = run_json(capsys, "dead-search", "--max-norm", "1")
     assert envelope["results"] == {"max_norm": 1, "count": 0, "elements": []}
@@ -193,6 +210,25 @@ def test_resource_cap_exit(capsys):
     code, out, err = run(capsys, "spheres", "--radius", "9", "--cap", "100")
     assert code == 2
     assert "cap" in err
+
+
+@pytest.mark.parametrize("argv", [("norm",), ("nf",), ("mul", "x0"), ("geodesic",)])
+def test_recursion_exhausted_exit(capsys, argv):
+    # the diagram traversals behind these still recurse on deep trees
+    code, out, err = run(capsys, argv[0], " ".join(["x0"] * 1000), *argv[1:])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_memory_exhausted_exit(capsys, monkeypatch):
+    def exhausted(word):
+        raise MemoryError
+
+    monkeypatch.setattr(plmaps, "from_word_pl", exhausted)
+    code, out, err = run(capsys, "pl", "x0")
+    assert (code, out) == (2, "")
+    assert err == "error: input too large: out of memory\n"
 
 
 def test_help_exits_zero(capsys):

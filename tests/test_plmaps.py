@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,10 @@ from thompsonf.words import inverse_word, parse_word
 
 letters = st.tuples(st.integers(min_value=0, max_value=3), st.sampled_from((1, -1)))
 words = st.lists(letters, max_size=8).map(tuple)
+long_words = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=12), st.sampled_from((1, -1))),
+    max_size=60,
+).map(tuple)
 dyadics = st.builds(
     dyadic,
     st.integers(min_value=-64, max_value=64),
@@ -36,6 +42,11 @@ class TestDyadic:
         assert dyadic(3, 2) == Dyadic(3, 2)
         assert dyadic(0, 7) == Dyadic(0, 0)
         assert dyadic(3, -2) == Dyadic(12, 0)  # negative exp multiplies out
+
+    def test_normalization_large_exponent(self):
+        assert dyadic(1 << 4000, 4000) == ONE
+        assert dyadic(-12, 2) == dyadic(-3)
+        assert dyadic(0, 7) == ZERO
 
     def test_constructor_guards(self):
         with pytest.raises(ValueError):
@@ -170,6 +181,37 @@ class TestGroupStructure:
     def test_tail_offset_counts_x_exponents(self, w):
         # every letter shifts the far tail by one
         assert from_word_pl(w).tail_offset == sum(s for _, s in w)
+
+
+def fold_compose(w):
+    """The definition from_word_pl must match: one compose_pl per letter."""
+    acc = pl_identity()
+    for k, s in w:
+        step = generator_map(k) if s == 1 else invert_pl(generator_map(k))
+        acc = compose_pl(acc, step)
+    return acc
+
+
+class TestLetterFold:
+    @given(long_words)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_compose_fold(self, w):
+        assert from_word_pl(w) == fold_compose(w)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_long_power_cancels(self, k):
+        w = ((k, 1),) * 2000 + ((k, -1),) * 2000
+        assert from_word_pl(w) == pl_identity()
+
+    def test_long_homomorphism(self):
+        rng = random.Random(2002)
+        w = tuple((rng.randint(0, 3), rng.choice((1, -1))) for _ in range(1000))
+        u, v = w[:500], w[500:]
+        assert from_word_pl(u + v) == compose_pl(from_word_pl(u), from_word_pl(v))
+
+    def test_negative_subscript(self):
+        with pytest.raises(ValueError):
+            from_word_pl(((-1, 1),))
 
 
 class TestCrossRepresentation:
