@@ -56,8 +56,11 @@ def enumerate_ball(
     keep_adjacency retains the four neighbour diagrams of every expanded
     element (all elements of distance < radius); dead_search uses this to
     avoid recomposing.  Raises ResourceCapError if the element count
-    would exceed cap, reporting the last completed radius.
+    would exceed cap, reporting the last completed radius, and ValueError
+    for a negative radius.
     """
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
     dist: Dict[Diagram, int] = {EPSILON: 0}
     adjacency: Optional[Dict[Diagram, tuple]] = {} if keep_adjacency else None
     frontier = [EPSILON]

@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 validation error, 2 resource cap exceeded
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -352,7 +353,13 @@ def _cmd_subgraph(args) -> int:
     except OSError as exc:
         raise _CLIError(f"cannot read {args.input}: {exc}") from exc
     # one word per line; a blank line is the empty word, i.e. the identity
-    elems = [from_word(parse_word(line)) for line in lines]
+    elems = []
+    for number, line in enumerate(lines, start=1):
+        try:
+            w = parse_word(line)
+        except WordError as exc:
+            raise _CLIError(f"line {number}: {exc}") from exc
+        elems.append(from_word(w))
     if not elems:
         raise _CLIError(f"no words in {args.input}")
     y = subgraphs.full_subgraph(elems)
@@ -386,7 +393,10 @@ def _cmd_subgraph(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built on first use, once per process: importing the module stays
+    # cheap, and repeated main() calls skip rebuilding eleven subparsers
     parser = _Parser(prog="thompsonf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -16,6 +16,14 @@ cancels dipoles and strips trailing leaf pairs.  Right multiplication by
 a single generator letter, the step of every Cayley-graph walk, is a
 local edit instead (mul_letter): it adds or removes one caret and
 cancels at most one dipole.
+
+The readers of forest structure are iterative, so trees far deeper than
+the interpreter's recursion limit (x0^1000 builds one of depth 1000) are
+read without error.  _spans lists the leaf span of every node in
+preorder, and metric reads the norm from it; to_normal_form and
+cell_count use a leaner caret-start loop, and canonical_key its own
+encoder.  Only compose's helpers recurse: compose is the general product
+and the test oracle for mul_letter.
 """
 
 from __future__ import annotations
@@ -48,32 +56,37 @@ class NormalFormError(ValueError):
     """A sequence pair that is not a valid normal form."""
 
 
-def tree_leaves(t: Tree) -> int:
-    if t is None:
-        return 1
-    return tree_leaves(t[0]) + tree_leaves(t[1])
-
-
-def forest_leaves(f: Forest) -> int:
-    return sum(tree_leaves(t) for t in f)
+def _spans(f: Forest) -> list:
+    # (first leaf, one past the last leaf) of every node of f, leaves
+    # included, in preorder with the trees left to right.  A caret's entry
+    # holds its first leaf until the int marker pushed under its right
+    # child comes back off the stack; the marker is the entry's index.
+    out: list = []
+    n = 0
+    stack = list(reversed(f))
+    while stack:
+        t = stack.pop()
+        if t.__class__ is int:
+            out[t] = (out[t], n)
+            continue
+        while t is not None:
+            stack.append(len(out))
+            stack.append(t[1])
+            out.append(n)
+            t = t[0]
+        out.append((n, n + 1))
+        n += 1
+    return out
 
 
 def leaf_count(d: Diagram) -> int:
     """The shared leaf count L of the two forests."""
-    return forest_leaves(d.top)
-
-
-def _tree_carets(t: Tree) -> int:
-    if t is None:
-        return 0
-    return 1 + _tree_carets(t[0]) + _tree_carets(t[1])
+    return _leaves(d.top)
 
 
 def cell_count(d: Diagram) -> int:
     """Total number of carets over both forests."""
-    return sum(_tree_carets(t) for t in d.top) + sum(
-        _tree_carets(t) for t in d.bottom
-    )
+    return len(_caret_starts(d.top)) + len(_caret_starts(d.bottom))
 
 
 def atomic(i: int) -> Diagram:
@@ -117,23 +130,9 @@ def _graft(t: Tree, it: Iterator[Tree]) -> Tree:
 
 
 def _exposed(f: Forest) -> set:
-    # leaf positions k such that a caret (None, None) spans leaves k, k+1
-    found: set = set()
-
-    def walk(t: Tree, base: int) -> int:
-        if t is None:
-            return 1
-        l, r = t
-        if l is None and r is None:
-            found.add(base)
-            return 2
-        n = walk(l, base)
-        return n + walk(r, base + n)
-
-    base = 0
-    for t in f:
-        base += walk(t, base)
-    return found
+    # leaf positions k such that a caret (None, None) spans leaves k, k+1;
+    # only such a caret spans exactly two leaves
+    return {a for a, b in _spans(f) if b - a == 2}
 
 
 def _cancel(f: Forest, positions: set) -> Forest:
@@ -309,17 +308,15 @@ def _caret_starts(f: Forest) -> list:
     # preorder per tree, left to right; a caret's index is the number of
     # leaves of the whole forest strictly left of its leftmost leaf
     out: list = []
-
-    def walk(t: Tree, base: int) -> int:
-        if t is None:
-            return 1
-        out.append(base)
-        n = walk(t[0], base)
-        return n + walk(t[1], base + n)
-
-    base = 0
-    for t in f:
-        base += walk(t, base)
+    n = 0
+    stack = list(reversed(f))
+    while stack:
+        t = stack.pop()
+        while t is not None:
+            out.append(n)
+            stack.append(t[1])
+            t = t[0]
+        n += 1
     return out
 
 
@@ -364,17 +361,24 @@ def from_normal_form(nf: NormalForm) -> Diagram:
     return from_word(normal_form_word(nf))
 
 
-def _encode_tree(t: Tree) -> str:
-    if t is None:
-        return "L"
-    return "(" + _encode_tree(t[0]) + _encode_tree(t[1]) + ")"
-
-
 def canonical_key(d: Diagram) -> str:
     """Injective serialization: trees as L / (..), forests concatenated,
     the two forests separated by '|'.  Equal keys iff equal elements."""
-    return (
-        "".join(_encode_tree(t) for t in d.top)
-        + "|"
-        + "".join(_encode_tree(t) for t in d.bottom)
-    )
+    # left spines are walked inline; a caret pushes its ')' under its
+    # right subtree, and '|' sits between the two forests on the stack
+    close = ")"
+    bar = "|"
+    parts = []
+    stack = [*reversed(d.bottom), bar, *reversed(d.top)]
+    while stack:
+        t = stack.pop()
+        if t is close or t is bar:
+            parts.append(t)
+            continue
+        while t is not None:
+            parts.append("(")
+            stack.append(close)
+            stack.append(t[1])
+            t = t[0]
+        parts.append("L")
+    return "".join(parts)

@@ -10,23 +10,18 @@ active vertex at graph distance at least 2 from vertex 0 is *special*.
 The x0,x1 word length of the element is then
 
     norm = cell_count + 2 * #special.
+
+Everything the formula needs comes from one iterative span walk per
+forest (diagrams._spans).  Distance at least 2 from vertex 0 needs no
+search: vertex 0 is only ever the left end of an arc, so a vertex v is
+that far exactly when v != 0 and {0, v} is not an arc.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import NamedTuple, Set
 
-from .diagrams import (
-    EPSILON,
-    GENERATOR_LETTERS,
-    Diagram,
-    Forest,
-    Tree,
-    cell_count,
-    mul_letter,
-    tree_leaves,
-)
+from .diagrams import EPSILON, GENERATOR_LETTERS, Diagram, _spans, mul_letter
 from .words import GenWord
 
 
@@ -35,94 +30,62 @@ class DiagramGraph(NamedTuple):
     arcs: frozenset  # of (a, b) pairs with a < b
 
 
-def _node_spans(f: Forest, out: set) -> None:
-    def walk(t: Tree, base: int) -> int:
-        if t is None:
-            out.add((base, base + 1))
-            return 1
-        n = walk(t[0], base)
-        n += walk(t[1], base + n)
-        out.add((base, base + n))
-        return n
-
-    base = 0
-    for t in f:
-        base += walk(t, base)
-
-
 def diagram_graph(d: Diagram) -> DiagramGraph:
     """Vertices 0..L and the deduplicated span arcs of both forests."""
-    spans: set = set()
-    _node_spans(d.top, spans)
-    _node_spans(d.bottom, spans)
-    vertex_count = max(b for _, b in spans) + 1
-    return DiagramGraph(vertex_count, frozenset(spans))
+    top = _spans(d.top)
+    return DiagramGraph(top[-1][1] + 1, frozenset(top + _spans(d.bottom)))
 
 
-def _caret_start_set(f: Forest, out: set) -> None:
-    def walk(t: Tree, base: int) -> int:
-        if t is None:
-            return 1
-        out.add(base)
-        n = walk(t[0], base)
-        return n + walk(t[1], base + n)
-
-    base = 0
-    for t in f:
-        base += walk(t, base)
-
-
-def _root_leaf_positions(f: Forest) -> set:
-    out = set()
-    base = 0
-    for t in f:
-        if t is None:
-            out.add(base)
-        base += tree_leaves(t)
-    return out
+def _read(d: Diagram) -> tuple:
+    # cell count, active vertices and special vertices, from one span walk
+    # per forest
+    top = _spans(d.top)
+    bottom = _spans(d.bottom)
+    # a forest over L leaves with C carets has L + C nodes, and the last
+    # node in preorder is the last leaf
+    cells = len(top) + len(bottom) - 2 * top[-1][1]
+    starts = {a for a, b in top if b - a > 1}
+    starts.update(a for a, b in bottom if b - a > 1)
+    if not starts:
+        return cells, set(), set()
+    whole = []  # per forest, the leaf positions that are whole trees
+    near = {0}  # vertex 0 and its neighbours in the diagram graph
+    for spans in (top, bottom):
+        found = set()
+        i = 0
+        while i < len(spans):
+            # a root; a tree over w leaves has 2w - 1 nodes, so the next
+            # root starts where this one ends
+            a, b = spans[i]
+            if b - a == 1:
+                found.add(a)
+            i += 2 * (b - a) - 1
+        whole.append(found)
+        # the arcs at vertex 0 are the spans of the left spine of the
+        # first tree, which open the preorder list
+        for a, b in spans:
+            if a:
+                break
+            near.add(b)
+    rightmost = max(starts)
+    active = starts | {v for v in whole[0] & whole[1] if v < rightmost}
+    return cells, active, active - near
 
 
 def active_vertices(d: Diagram) -> Set[int]:
     """Initial points of cells and of nontrivial bridges."""
-    starts: set = set()
-    _caret_start_set(d.top, starts)
-    _caret_start_set(d.bottom, starts)
-    if not starts:
-        return set()
-    rightmost = max(starts)
-    bridges = _root_leaf_positions(d.top) & _root_leaf_positions(d.bottom)
-    return starts | {v for v in bridges if rightmost >= v + 1}
-
-
-def _distances_from_origin(g: DiagramGraph) -> list:
-    adjacency: list = [[] for _ in range(g.vertex_count)]
-    for a, b in g.arcs:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    dist = [-1] * g.vertex_count
-    dist[0] = 0
-    queue = deque((0,))
-    while queue:
-        v = queue.popleft()
-        for u in adjacency[v]:
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
+    return _read(d)[1]
 
 
 def special_vertices(d: Diagram) -> Set[int]:
     """Active vertices at distance >= 2 from vertex 0 in the diagram graph."""
-    active = active_vertices(d)
-    if not active:
-        return set()
-    dist = _distances_from_origin(diagram_graph(d))
-    return {v for v in active if dist[v] >= 2}
+    return _read(d)[2]
 
 
 def norm(d: Diagram) -> int:
     """The x0,x1 word length of the element represented by d."""
-    return cell_count(d) + 2 * len(special_vertices(d))
+    cells, _, special = _read(d)
+    return cells + 2 * len(special)
 
 
 def is_dead(d: Diagram) -> bool:

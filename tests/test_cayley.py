@@ -51,6 +51,12 @@ def test_cap_raises():
     assert 0 <= exc.value.completed_radius < 6
 
 
+def test_negative_radius_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        enumerate_ball(-2)
+    assert enumerate_ball(0).sphere_sizes == [1]
+
+
 def test_bfs_norm():
     assert bfs_norm(EPSILON, cap=10) == 0
     assert bfs_norm(atomic(0), cap=10) == 1

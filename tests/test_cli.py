@@ -7,7 +7,7 @@ import sys
 import pytest
 
 
-from thompsonf import plmaps
+from thompsonf import cli, metric, plmaps
 from thompsonf.cli import main
 from thompsonf.diagrams import from_word
 from thompsonf.plmaps import dyadic, plmap
@@ -174,6 +174,14 @@ def test_subgraph_missing_file(capsys, tmp_path):
     assert code == 1
 
 
+def test_subgraph_parse_error_names_line(capsys, tmp_path):
+    path = tmp_path / "bad.words"
+    path.write_text("x0\n\nx1 y2\nx0 x1\n", encoding="utf-8")
+    code, out, err = run(capsys, "subgraph", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: line 3: bad token 'y2' at position 2\n"
+
+
 def test_unknown_subcommand(capsys):
     code, out, err = run(capsys, "frobnicate")
     assert code == 64
@@ -196,6 +204,21 @@ def test_bad_flag_exit(capsys):
     assert code == 1
 
 
+def test_negative_radius_exit(capsys):
+    code, out, err = run(capsys, "spheres", "--radius", "-3")
+    assert (code, out) == (1, "")
+    assert err == "error: radius must be nonnegative, got -3\n"
+
+
+def test_parser_built_once(capsys):
+    first = run(capsys, "norm", "x0 x1")
+    assert run(capsys, "spheres", "--radius", "x")[0] == 1
+    again = run(capsys, "norm", "x0 x1")
+    assert first[0] == again[0] == 0
+    assert first[1] == again[1]
+    assert cli._build_parser() is cli._build_parser()
+
+
 @pytest.mark.parametrize(
     "argv",
     [("gamma", "--n", "3", "--report"), ("subgraph", "--input", "words.txt", "--report")],
@@ -212,13 +235,27 @@ def test_resource_cap_exit(capsys):
     assert "cap" in err
 
 
-@pytest.mark.parametrize("argv", [("norm",), ("nf",), ("mul", "x0"), ("geodesic",)])
-def test_recursion_exhausted_exit(capsys, argv):
-    # the diagram traversals behind these still recurse on deep trees
-    code, out, err = run(capsys, argv[0], " ".join(["x0"] * 1000), *argv[1:])
-    assert code == 2
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+def test_deep_words_get_answers(capsys):
+    # x0^n is a left comb of depth n: every diagram reader must be iterative
+    deep = " ".join(["x0"] * 1000)
+    results = run_json(capsys, "norm", deep)["results"]
+    assert (results["norm"], results["cells"], results["special"]) == (1000, 1000, [])
+    assert run_json(capsys, "nf", deep)["results"]["pos"] == [0] * 1000
+    inverse = " ".join(["x0^-1"] * 1000)
+    results = run_json(capsys, "mul", deep, inverse)["results"]
+    assert (results["word"], results["cells"], results["norm"]) == ("", 0, 0)
+    results = run_json(capsys, "geodesic", " ".join(["x0"] * 300))["results"]
+    assert results["length"] == 300
+
+
+def test_recursion_exhausted_exit(capsys, monkeypatch):
+    def exhausted(d):
+        raise RecursionError
+
+    monkeypatch.setattr(metric, "norm", exhausted)
+    code, out, err = run(capsys, "norm", "x0")
+    assert (code, out) == (2, "")
+    assert err == "error: input too large: recursion depth exhausted\n"
 
 
 def test_memory_exhausted_exit(capsys, monkeypatch):

@@ -1,0 +1,53 @@
+"""Properties of elements far beyond BFS reach: words of 1000-2000 letters.
+
+Deep combs such as x0^1000 would exhaust the interpreter's recursion limit
+in any recursive forest reader, so these also pin the iterative ones.
+Diagrams are compared by canonical_key, because comparing two separately
+built nested tuples that deep recurses inside the interpreter.
+"""
+
+import random
+
+import pytest
+
+from thompsonf.diagrams import (
+    canonical_key,
+    cell_count,
+    from_normal_form,
+    from_word,
+    invert,
+    normal_form_word,
+    to_normal_form,
+)
+from thompsonf.metric import norm
+from thompsonf.plmaps import from_word_pl, pl_equal
+
+
+def _reduced_word(rng, length):
+    # a freely reduced word in x0^+-1, x1^+-1
+    w = []
+    while len(w) < length:
+        k, s = rng.randint(0, 1), rng.choice((1, -1))
+        if not w or w[-1] != (k, -s):
+            w.append((k, s))
+    return tuple(w)
+
+
+_RNG = random.Random(20021)
+WORDS = {f"random{i}": _reduced_word(_RNG, _RNG.randint(1000, 2000)) for i in range(6)}
+WORDS["x0^1000"] = ((0, 1),) * 1000
+WORDS["x1^1000"] = ((1, 1),) * 1000
+
+
+@pytest.mark.parametrize("w", WORDS.values(), ids=WORDS.keys())
+def test_long_word_properties(w):
+    d = from_word(w)
+    nf = to_normal_form(d)
+    assert canonical_key(from_normal_form(nf)) == canonical_key(d)
+    assert cell_count(d) == len(nf.pos) + len(nf.neg)
+    n = norm(d)
+    assert n == norm(invert(d))
+    # x0 and x1 words: the norm bounds the length, and every relator of F
+    # has even length
+    assert n <= len(w) and (len(w) - n) % 2 == 0
+    assert pl_equal(from_word_pl(normal_form_word(nf)), from_word_pl(w))
