@@ -7,7 +7,7 @@ import sys
 import pytest
 
 
-from thompsonf import cli, metric, plmaps
+from thompsonf import cli, plmaps
 from thompsonf.cli import main
 from thompsonf.diagrams import from_word
 from thompsonf.plmaps import dyadic, plmap
@@ -248,12 +248,15 @@ def test_deep_words_get_answers(capsys):
     assert results["length"] == 300
 
 
-def test_recursion_exhausted_exit(capsys, monkeypatch):
-    def exhausted(d):
+@pytest.mark.parametrize("argv", [("norm",), ("nf",), ("mul", "x0"), ("geodesic",)])
+def test_recursion_exhausted_exit(capsys, monkeypatch, argv):
+    # the readers no longer recurse, so a RecursionError is forced where
+    # each command builds its diagram; the CLI must still map it to exit 2
+    def exhausted(word):
         raise RecursionError
 
-    monkeypatch.setattr(metric, "norm", exhausted)
-    code, out, err = run(capsys, "norm", "x0")
+    monkeypatch.setattr(cli, "from_word", exhausted)
+    code, out, err = run(capsys, argv[0], "x0", *argv[1:])
     assert (code, out) == (2, "")
     assert err == "error: input too large: recursion depth exhausted\n"
 
