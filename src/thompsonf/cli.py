@@ -338,7 +338,7 @@ def _cmd_gamma(args) -> int:
         if args.m is None:
             raise _CLIError("--emit-words needs --m to fix the concrete family")
         concrete = gamma_nm_concrete(args.n, args.m)
-        for d in concrete.vertices.values():
+        for d in concrete.origin:
             print(format_word(normal_form_word(to_normal_form(d))))
         return 0
     results, exact = _gamma_report(args.n, args.m)

@@ -13,8 +13,10 @@ density 6(n-1)/(2n-1), approaching 3.
 Concrete side: running the same column construction on actual group
 elements, starting from a path of x_n edges through x_n^{-k}, realizes
 Gamma_{n,m} as a full subgraph of the Cayley graph over x_0..x_n.  Every
-spawned edge is verified by composition; column provenance from the seed
-path supports the per-column density averages rho_k.
+spawned edge is verified by one-letter multiplication.  Each vertex is
+named by its Diagram itself: ConcreteGamma.origin maps it to its column
+on the seed path, which supports the per-column density averages rho_k,
+and the edges are triples of diagrams.
 
 Degrees count both endpoints, so a loop adds 2 to its vertex's degree;
 edge counts (the b numbers) count a loop once.
@@ -27,8 +29,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Tuple
 
-from .diagrams import Diagram, canonical_key, from_word, mul_letter, to_normal_form
+from .diagrams import Diagram, from_word, mul_letter, normal_form_word, to_normal_form
 from .subgraphs import Subgraph
+from .words import format_word
 
 LabeledEdge = Tuple[int, int, int]  # (u, v, label); u == v is a loop
 
@@ -236,65 +239,64 @@ class ConcreteGamma:
 
     n: int
     m: int
-    vertices: Dict[str, Diagram] = field(repr=False)
-    origin: Dict[str, int] = field(repr=False)  # seed-path column 0..m
-    edges: FrozenSet[Tuple[str, str, int]] = field(repr=False)  # v = u * x_label
+    # vertex -> seed-path column 0..m, in construction (--emit-words) order
+    origin: Dict[Diagram, int] = field(repr=False)
+    edges: FrozenSet[Tuple[Diagram, Diagram, int]] = field(repr=False)  # v = u * x_label
 
     @property
     def size(self) -> int:
-        return len(self.vertices)
+        return len(self.origin)
 
     def subgraph(self, labels: Tuple[int, ...] = (0, 1)) -> Subgraph:
         """The label-filtered view as a plain subgraph (default: bar)."""
         return Subgraph(
             gens=tuple(labels),
-            vertices=dict(self.vertices),
+            vertices=dict.fromkeys(self.origin),
             edges=frozenset(e for e in self.edges if e[2] in labels),
         )
 
 
+def _word(d: Diagram) -> str:
+    # a vertex as its normal-form word, for error messages
+    return format_word(normal_form_word(to_normal_form(d)))
+
+
 def _concrete_apply_A(
     i: int,
-    vertices: Dict[str, Diagram],
-    origin: Dict[str, int],
-    edges: List[Tuple[str, str, int]],
-) -> Tuple[Dict[str, Diagram], Dict[str, int], List[Tuple[str, str, int]]]:
-    ranks: Dict[str, int] = {}
+    origin: Dict[Diagram, int],
+    edges: List[Tuple[Diagram, Diagram, int]],
+) -> Tuple[Dict[Diagram, int], List[Tuple[Diagram, Diagram, int]]]:
+    ranks: Dict[Diagram, int] = {}
     for u, v, label in edges:
         ranks[u] = max(ranks.get(u, -1), label)
         ranks[v] = max(ranks.get(v, -1), label)
-    if set(ranks) != set(vertices) or min(ranks.values()) <= i:
+    if ranks.keys() != origin.keys() or min(ranks.values()) <= i:
         raise ConstructionError(f"apply_A({i}) precondition violated")
-    columns: Dict[str, List[str]] = {}
-    new_vertices: Dict[str, Diagram] = {}
-    new_origin: Dict[str, int] = {}
-    new_edges: List[Tuple[str, str, int]] = []
-    for uk, d in vertices.items():
-        column = [uk]
-        new_vertices[uk] = d
-        new_origin[uk] = origin[uk]
-        current = d
-        for _ in range(ranks[uk] - i - 1):
-            current = mul_letter(current, i, -1)
-            ck = canonical_key(current)
-            if ck in new_vertices:
-                raise ConstructionError(f"column vertex collision at {ck}")
-            new_vertices[ck] = current
-            new_origin[ck] = origin[uk]
-            new_edges.append((ck, column[-1], i))  # column[-1] = ck * x_i
-            column.append(ck)
-        columns[uk] = column
-    for uk, vk, j in edges:
+    columns: Dict[Diagram, List[Diagram]] = {}
+    new_origin: Dict[Diagram, int] = {}
+    new_edges: List[Tuple[Diagram, Diagram, int]] = []
+    for d, column_index in origin.items():
+        column = [d]
+        new_origin[d] = column_index
+        for _ in range(ranks[d] - i - 1):
+            current = mul_letter(column[-1], i, -1)
+            if current in new_origin:
+                raise ConstructionError(f"column vertex collision at {_word(current)!r}")
+            new_origin[current] = column_index
+            new_edges.append((current, column[-1], i))  # column[-1] = current * x_i
+            column.append(current)
+        columns[d] = column
+    for u, v, j in edges:
         if j <= i:
             raise ConstructionError(f"edge labelled {j} under apply_A({i})")
         for k in range(j - i):
-            a, b = columns[uk][k], columns[vk][k]
-            if mul_letter(new_vertices[a], j - k, 1) != new_vertices[b]:
+            a, b = columns[u][k], columns[v][k]
+            if mul_letter(a, j - k, 1) != b:
                 raise ConstructionError(
-                    f"spawned edge {a} -x{j - k}-> {b} failed verification"
+                    f"spawned edge {_word(a)!r} -x{j - k}-> {_word(b)!r} failed verification"
                 )
             new_edges.append((a, b, j - k))
-    return new_vertices, new_origin, new_edges
+    return new_origin, new_edges
 
 
 def gamma_nm_concrete(n: int, m: int) -> ConcreteGamma:
@@ -306,30 +308,22 @@ def gamma_nm_concrete(n: int, m: int) -> ConcreteGamma:
     """
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
-    vertices: Dict[str, Diagram] = {}
-    origin: Dict[str, int] = {}
-    edges: List[Tuple[str, str, int]] = []
-    current = from_word(())
-    previous_key = canonical_key(current)
-    vertices[previous_key] = current
-    origin[previous_key] = 0
+    previous = from_word(())
+    origin: Dict[Diagram, int] = {previous: 0}
+    edges: List[Tuple[Diagram, Diagram, int]] = []
     for k in range(1, m + 1):
-        current = mul_letter(current, n, -1)
-        ck = canonical_key(current)
-        vertices[ck] = current
-        origin[ck] = k
-        edges.append((ck, previous_key, n))  # previous = current * x_n
-        previous_key = ck
+        current = mul_letter(previous, n, -1)
+        origin[current] = k
+        edges.append((current, previous, n))  # previous = current * x_n
+        previous = current
     for i in range(n - 2, -1, -1):
-        vertices, origin, edges = _concrete_apply_A(i, vertices, origin, edges)
+        origin, edges = _concrete_apply_A(i, origin, edges)
     expected = (m + 1) * catalan(n)
-    if len(vertices) != expected:
+    if len(origin) != expected:
         raise ConstructionError(
-            f"vertex count {len(vertices)} differs from (m+1) Catalan(n) = {expected}"
+            f"vertex count {len(origin)} differs from (m+1) Catalan(n) = {expected}"
         )
-    return ConcreteGamma(
-        n=n, m=m, vertices=vertices, origin=origin, edges=frozenset(edges)
-    )
+    return ConcreteGamma(n=n, m=m, origin=origin, edges=frozenset(edges))
 
 
 def fullness_check(g: ConcreteGamma, extra_labels: int = 2) -> bool:
@@ -341,17 +335,17 @@ def fullness_check(g: ConcreteGamma, extra_labels: int = 2) -> bool:
     vertex normal forms only involve x_0..x_n).
     """
     recorded = set(g.edges)
-    for uk, d in g.vertices.items():
+    for d in g.origin:
         for k in range(g.n + 1):
-            vk = canonical_key(mul_letter(d, k, 1))
-            if (vk in g.vertices) != ((uk, vk, k) in recorded):
+            v = mul_letter(d, k, 1)
+            if (v in g.origin) != ((d, v, k) in recorded):
                 raise ConstructionError(
-                    f"fullness violated at {uk} under x{k}"
+                    f"fullness violated at {_word(d)!r} under x{k}"
                 )
         for k in range(g.n + 1, g.n + 1 + extra_labels):
-            if canonical_key(mul_letter(d, k, 1)) in g.vertices:
+            if mul_letter(d, k, 1) in g.origin:
                 raise ConstructionError(
-                    f"unexpected x{k} edge inside the vertex set at {uk}"
+                    f"unexpected x{k} edge inside the vertex set at {_word(d)!r}"
                 )
     return True
 
@@ -363,7 +357,7 @@ def monomial_shape_ok(g: ConcreteGamma) -> bool:
     empty positive part and nonincreasing generator subscripts with the
     subscript n-1 absent.
     """
-    for d in g.vertices.values():
+    for d in g.origin:
         nf = to_normal_form(d)
         if nf.pos:
             return False
@@ -383,16 +377,16 @@ def column_partition(
     rho_k reproduces the density of the filtered subgraph.
     """
     wanted = set(labels)
-    deg = dict.fromkeys(g.vertices, 0)
+    deg = dict.fromkeys(g.origin, 0)
     for u, v, label in g.edges:
         if label in wanted:
             deg[u] += 1
             deg[v] += 1
     sizes = [0] * (g.m + 1)
     sums = [0] * (g.m + 1)
-    for vk, column in g.origin.items():
+    for d, column in g.origin.items():
         sizes[column] += 1
-        sums[column] += deg[vk]
+        sums[column] += deg[d]
     return [
         (sizes[k], Fraction(sums[k], sizes[k])) for k in range(g.m + 1)
     ]

@@ -103,18 +103,20 @@ def greedy_descent(d: Diagram) -> GenWord:
     """A word for d found by always stepping to a lower-norm neighbour.
 
     Each step lowers the norm by exactly 1 (neighbour norms differ by
-    exactly 1), so the word has length norm(d).  A descent direction
-    always exists: the last letter of any minimal word provides one.
+    exactly 1), so the word has length norm(d), and the norm is read
+    once up front and then carried down.  A descent direction always
+    exists: the last letter of any minimal word provides one.
     """
     steps = []
     current = d
-    while current != EPSILON:
-        n = norm(current)
+    n = norm(d)
+    while n > 0:
         for letter in GENERATOR_LETTERS:
             candidate = mul_letter(current, *letter)
             if norm(candidate) < n:
                 steps.append(letter)
                 current = candidate
+                n -= 1
                 break
         else:
             raise AssertionError(f"no descent direction at norm {n}")

@@ -1,7 +1,9 @@
 """Finite full subgraphs of Cayley graphs of F and their density diagnostics.
 
 A subgraph is a finite vertex set of canonical diagrams together with
-all induced generator edges.  Density is the average degree 2E/V as an
+all induced generator edges.  A diagram is its own vertex name: the
+vertex set, the edges, the boundary and the matching are all keyed by
+the hashable Diagram itself.  Density is the average degree 2E/V as an
 exact rational; for the two-generator Cayley graph the bookkeeping
 quantity q(Y) = 3q0 + 2q1 + q2 - q4 over the degree profile satisfies
 q(Y) = 3V - 2E, so q(Y) >= 0 iff density(Y) <= 3.  The module also
@@ -18,15 +20,15 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
-from .diagrams import Diagram, canonical_key, mul_letter
+from .diagrams import Diagram, mul_letter
 
-Edge = Tuple[str, str, int]  # (u, v, k) meaning v = u * x_k
+Edge = Tuple[Diagram, Diagram, int]  # (u, v, k) meaning v = u * x_k
 
 
 @dataclass(frozen=True)
 class Subgraph:
     gens: Tuple[int, ...]
-    vertices: Dict[str, Diagram] = field(repr=False)
+    vertices: Dict[Diagram, None] = field(repr=False)  # an insertion-ordered set
     edges: FrozenSet[Edge] = field(repr=False)
 
     @property
@@ -38,15 +40,20 @@ class Subgraph:
         return len(self.edges)
 
     @cached_property
-    def _neighbour_keys(self) -> Dict[str, Tuple[str, ...]]:
-        # per vertex u, the keys of u * x_k^s for k in gens and s = 1, -1;
+    def _neighbours(self) -> Dict[Diagram, Tuple[Diagram, ...]]:
+        # per vertex u, u * x_k^s for k in gens and s = 1, -1; the
         # boundary and the matching both read this, so it is built once
         return {
-            uk: tuple(
-                canonical_key(mul_letter(d, k, s)) for k in self.gens for s in (1, -1)
-            )
-            for uk, d in self.vertices.items()
+            d: tuple(mul_letter(d, k, s) for k in self.gens for s in (1, -1))
+            for d in self.vertices
         }
+
+    @cached_property
+    def _boundary(self) -> FrozenSet[Diagram]:
+        return frozenset(
+            u for near in self._neighbours.values() for u in near
+            if u not in self.vertices
+        )
 
 
 def full_subgraph(elems: Iterable[Diagram], gens: Tuple[int, ...] = (0, 1)) -> Subgraph:
@@ -56,20 +63,19 @@ def full_subgraph(elems: Iterable[Diagram], gens: Tuple[int, ...] = (0, 1)) -> S
     parallel edges (distinct generators move an element to distinct
     places), so the graph is simple.
     """
-    vertices = {canonical_key(d): d for d in elems}
-    key_of = {d: uk for uk, d in vertices.items()}
+    vertices = dict.fromkeys(elems)
     edges = set()
-    for uk, d in vertices.items():
+    for d in vertices:
         for k in gens:
-            vk = key_of.get(mul_letter(d, k, 1))
-            if vk is not None:
-                if vk == uk:
-                    raise AssertionError(f"loop at {uk} under x{k}")
-                edges.add((uk, vk, k))
+            v = mul_letter(d, k, 1)
+            if v in vertices:
+                if v == d:
+                    raise AssertionError(f"loop under x{k}")
+                edges.add((d, v, k))
     return Subgraph(gens=tuple(gens), vertices=vertices, edges=frozenset(edges))
 
 
-def degrees(y: Subgraph) -> Dict[str, int]:
+def degrees(y: Subgraph) -> Dict[Diagram, int]:
     deg = dict.fromkeys(y.vertices, 0)
     for u, v, _ in y.edges:
         deg[u] += 1
@@ -100,11 +106,9 @@ def q_value(y: Subgraph) -> int:
     return 3 * q0 + 2 * q1 + q2 - q4
 
 
-def boundary(y: Subgraph) -> Set[str]:
-    """Canonical keys of B1(Y) \\ Y."""
-    return {
-        nk for near in y._neighbour_keys.values() for nk in near if nk not in y.vertices
-    }
+def boundary(y: Subgraph) -> FrozenSet[Diagram]:
+    """B1(Y) \\ Y, the vertices at distance exactly 1 from Y."""
+    return y._boundary
 
 
 class DoublingReport(NamedTuple):
@@ -115,7 +119,7 @@ class DoublingReport(NamedTuple):
 
 def doubling_check(y: Subgraph) -> DoublingReport:
     """Compare #B1(Y) = #Y + #dY against 2 #Y."""
-    b1 = len(y.vertices) + len(boundary(y))
+    b1 = len(y.vertices) + len(y._boundary)
     return DoublingReport(b1 >= 2 * len(y.vertices), b1, 2 * len(y.vertices))
 
 
@@ -123,7 +127,7 @@ def folner_inequalities(y: Subgraph) -> Tuple[Fraction, Fraction, Fraction]:
     """(#dY/#Y, 4 - density, 4 #dY/#Y), asserting the sandwich holds."""
     if not y.vertices:
         raise ValueError("empty subgraph")
-    ratio = Fraction(len(boundary(y)), len(y.vertices))
+    ratio = Fraction(len(y._boundary), len(y.vertices))
     mid = 4 - density(y)
     if not ratio <= mid <= 4 * ratio:
         raise AssertionError(f"isoperimetric sandwich failed: {ratio}, {mid}")
@@ -137,8 +141,8 @@ def min_degree(y: Subgraph) -> int:
 
 
 class MatchingResult(NamedTuple):
-    assignment: Optional[Dict[str, str]]  # B1-vertex -> Y-vertex it serves
-    witness: Optional[Set[str]]  # Y' with #B1(Y') < 2 #Y' when infeasible
+    assignment: Optional[Dict[Diagram, Diagram]]  # B1-vertex -> Y-vertex it serves
+    witness: Optional[Set[Diagram]]  # Y' with #B1(Y') < 2 #Y' when infeasible
 
 
 class _Dinic:
@@ -212,10 +216,10 @@ class _Dinic:
         return seen
 
 
-def _b1_adjacency(y: Subgraph) -> Dict[str, List[str]]:
-    """For each Y-vertex, the keys of B1(Y) at distance <= 1 (itself included)."""
+def _b1_adjacency(y: Subgraph) -> Dict[Diagram, List[Diagram]]:
+    """For each Y-vertex, the vertices of B1(Y) at distance <= 1, itself last."""
     # distinct by simplicity of the Cayley graph, but dedupe defensively
-    return {uk: sorted({uk, *near}) for uk, near in y._neighbour_keys.items()}
+    return {d: list(dict.fromkeys((*near, d))) for d, near in y._neighbours.items()}
 
 
 def two_one_matching(y: Subgraph) -> MatchingResult:
@@ -225,33 +229,37 @@ def two_one_matching(y: Subgraph) -> MatchingResult:
     B1-vertex u at distance <= 1 (capacity 2, never the bottleneck),
     u -> sink (capacity 1).  Feasible iff the flow saturates 2#Y.  On
     failure the source side of the min cut restricted to Y is a subset
-    Y' with #B1(Y') < 2#Y', the exact Hall-type obstruction.
+    Y' with #B1(Y') < 2#Y', the exact Hall-type obstruction; it is the
+    minimal min cut, so it does not depend on the vertex order.
     """
-    y_keys = sorted(y.vertices)
     adjacency = _b1_adjacency(y)
-    b1_keys = sorted({u for near in adjacency.values() for u in near})
-    y_index = {k: i for i, k in enumerate(y_keys)}
-    b1_index = {k: len(y_keys) + i for i, k in enumerate(b1_keys)}
-    source = len(y_keys) + len(b1_keys)
+    # B1(Y) numbered once: Y in its own order, then the rest as first met.
+    # Y-vertex i is node i on the Y side and node n + i on the B1 side.
+    index = {d: i for i, d in enumerate(y.vertices)}
+    for near in adjacency.values():
+        for u in near:
+            index.setdefault(u, len(index))
+    n = len(y.vertices)
+    source = n + len(index)
     sink = source + 1
     net = _Dinic(sink + 1)
-    for k in y_keys:
-        net.add_edge(source, y_index[k], 2)
-    middle: Dict[int, Tuple[str, str]] = {}
-    for yk in y_keys:
-        for uk in adjacency[yk]:
-            e = net.add_edge(y_index[yk], b1_index[uk], 2)
-            middle[e] = (uk, yk)
-    for uk in b1_keys:
-        net.add_edge(b1_index[uk], sink, 1)
+    for i in range(n):
+        net.add_edge(source, i, 2)
+    middle: Dict[int, Tuple[Diagram, Diagram]] = {}
+    for i, d in enumerate(y.vertices):
+        for u in adjacency[d]:
+            e = net.add_edge(i, n + index[u], 2)
+            middle[e] = (u, d)
+    for j in range(len(index)):
+        net.add_edge(n + j, sink, 1)
     flow = net.max_flow(source, sink)
-    if flow == 2 * len(y_keys):
+    if flow == 2 * n:
         assignment = {
-            uk: yk
-            for e, (uk, yk) in middle.items()
+            u: d
+            for e, (u, d) in middle.items()
             if net.cap[e ^ 1] > 0  # unit of flow on the forward edge
         }
         return MatchingResult(assignment=assignment, witness=None)
     reachable = net.reachable(source)
-    witness = {k for k in y_keys if y_index[k] in reachable}
+    witness = {d for i, d in enumerate(y.vertices) if i in reachable}
     return MatchingResult(assignment=None, witness=witness)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from thompsonf.diagrams import from_word
 from thompsonf.gamma import (
     ConstructionError,
     LabeledGraph,
@@ -28,6 +29,7 @@ from thompsonf.gamma import (
     xi_single,
 )
 from thompsonf.subgraphs import density
+from thompsonf.words import parse_word
 
 
 def a_row(n):
@@ -165,7 +167,7 @@ def test_concrete_validates():
 def test_concrete_edges_have_recorded_direction():
     g = gamma_nm_concrete(2, 2)
     for u, v, label in g.edges:
-        assert u in g.vertices and v in g.vertices
+        assert u in g.origin and v in g.origin
         assert 0 <= label <= 2
 
 
@@ -173,4 +175,13 @@ def test_fullness_check_catches_missing_edge():
     g = gamma_nm_concrete(2, 2)
     tampered = dataclasses.replace(g, edges=frozenset(list(g.edges)[1:]))
     with pytest.raises(ConstructionError):
+        fullness_check(tampered)
+
+
+def test_fullness_error_names_the_vertex_by_word():
+    g = gamma_nm_concrete(2, 2)
+    edge = (from_word(parse_word("x2^-1")), from_word(()), 2)
+    assert edge in g.edges
+    tampered = dataclasses.replace(g, edges=g.edges - {edge})
+    with pytest.raises(ConstructionError, match=r"^fullness violated at 'x2\^-1' under x2$"):
         fullness_check(tampered)

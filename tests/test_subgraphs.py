@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 import thompsonf.subgraphs as sg
 from thompsonf.cayley import enumerate_ball
-from thompsonf.diagrams import EPSILON, atomic, canonical_key, from_word
+from thompsonf.diagrams import EPSILON, atomic, from_word
 from thompsonf.words import parse_word
 
 
@@ -26,9 +27,7 @@ def test_single_vertex():
 def test_two_vertex_edge():
     y = sg.full_subgraph(elems("", "x0"))
     assert y.size == 2
-    assert y.edges == frozenset(
-        {(canonical_key(EPSILON), canonical_key(atomic(0)), 0)}
-    )
+    assert y.edges == frozenset({(EPSILON, atomic(0), 0)})
     assert sg.density(y) == 1
     assert sg.q_value(y) == 4
     assert len(sg.boundary(y)) == 6
@@ -81,10 +80,7 @@ def test_folner_sandwich_random():
 
 def test_boundary_by_hand():
     y = sg.full_subgraph(elems("", "x0"))
-    expected = {
-        canonical_key(from_word(parse_word(t)))
-        for t in ("x0^-1", "x1", "x1^-1", "x0 x0", "x0 x1", "x0 x1^-1")
-    }
+    expected = set(elems("x0^-1", "x1", "x1^-1", "x0 x0", "x0 x1", "x0 x1^-1"))
     assert sg.boundary(y) == expected
 
 
@@ -111,20 +107,37 @@ def test_doubling_and_matching_on_random_sets():
 
 def test_matching_witness_on_synthetic_obstruction(monkeypatch):
     # three vertices forced to share two service vertices: Hall fails on
-    # the pair that only reaches "c"
-    y = sg.full_subgraph(elems("", "x0", "x0 x0"))
-    k0, k1, k2 = sorted(y.vertices)
+    # the pair that only reaches "c"; the witness is the source side of the
+    # minimal min cut, which is unique, so no input order changes it
+    k0, k1, k2 = elems("", "x0", "x0 x0")
     fake = {
         k0: [k0, "a", "b"],
         k1: ["c"],
         k2: ["c"],
     }
     monkeypatch.setattr(sg, "_b1_adjacency", lambda _y: fake)
-    result = sg.two_one_matching(y)
-    assert result.assignment is None
-    assert result.witness == {k1, k2}
+    for order in itertools.permutations((k0, k1, k2)):
+        result = sg.two_one_matching(sg.full_subgraph(order))
+        assert result.assignment is None
+        assert result.witness == {k1, k2}
     served = {u for yk in result.witness for u in fake[yk]}
     assert len(served) < 2 * len(result.witness)
+
+
+def test_subgraph_ignores_vertex_order():
+    rng = random.Random(31)
+    pool = list(enumerate_ball(3)._by_diagram)
+    for _ in range(10):
+        chosen = rng.sample(pool, rng.randint(1, 25))
+        shuffled = rng.sample(chosen, len(chosen))
+        y, z = sg.full_subgraph(chosen), sg.full_subgraph(shuffled)
+        assert list(z.vertices) == shuffled
+        assert y.edges == z.edges
+        assert sg.boundary(y) == sg.boundary(z)
+        assert sg.doubling_check(y) == sg.doubling_check(z)
+        assert (sg.two_one_matching(y).assignment is None) == (
+            sg.two_one_matching(z).assignment is None
+        )
 
 
 def test_empty_subgraph_rejected():
