@@ -11,17 +11,21 @@ The x0,x1 word length of the element is then
 
     norm = cell_count + 2 * #special.
 
-Everything the formula needs comes from one iterative span walk per
-forest (diagrams._spans).  Distance at least 2 from vertex 0 needs no
-search: vertex 0 is only ever the left end of an arc, so a vertex v is
-that far exactly when v != 0 and {0, v} is not an arc.
+Everything the formula needs is read off the diagram string
+(diagrams.Diagram) without building a tree.  Split a forest code at
+each ``L``: the piece before leaf v holds one ``(`` per caret whose
+leftmost leaf is v, and it is exactly ``,`` when leaf v is a tree of its
+own.  Distance at least 2 from vertex 0 needs no search: vertex 0 is
+only ever the left end of an arc, so a vertex v is that far exactly
+when v != 0 and {0, v} is not an arc.  The arcs at vertex 0 are the
+spans of the left spine of each first tree.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Set
 
-from .diagrams import EPSILON, GENERATOR_LETTERS, Diagram, _spans, mul_letter
+from .diagrams import EPSILON, GENERATOR_LETTERS, Diagram, mul_letter
 from .words import GenWord
 
 
@@ -30,43 +34,61 @@ class DiagramGraph(NamedTuple):
     arcs: frozenset  # of (a, b) pairs with a < b
 
 
+def _spans(f: str) -> list:
+    # (first leaf, one past the last leaf) of every node of forest code f,
+    # leaves included, in preorder.  An open caret's entry holds its first
+    # leaf; its stack slot is its index while the left child is pending,
+    # and the complement of its index while the right child is.
+    out: list = []
+    stack: list = []
+    n = 0
+    for c in f:
+        if c == "(":
+            stack.append(len(out))
+            out.append(n)
+        elif c == "L":
+            out.append((n, n + 1))
+            n += 1
+            while stack and stack[-1] < 0:
+                i = ~stack.pop()
+                out[i] = (out[i], n)
+            if stack:
+                stack[-1] = ~stack[-1]
+    return out
+
+
 def diagram_graph(d: Diagram) -> DiagramGraph:
     """Vertices 0..L and the deduplicated span arcs of both forests."""
-    top = _spans(d.top)
-    return DiagramGraph(top[-1][1] + 1, frozenset(top + _spans(d.bottom)))
+    top, _, bottom = d.partition("|")
+    spans = _spans(top)
+    return DiagramGraph(spans[-1][1] + 1, frozenset(spans + _spans(bottom)))
 
 
 def _read(d: Diagram) -> tuple:
-    # cell count, active vertices and special vertices, from one span walk
-    # per forest
-    top = _spans(d.top)
-    bottom = _spans(d.bottom)
-    # a forest over L leaves with C carets has L + C nodes, and the last
-    # node in preorder is the last leaf
-    cells = len(top) + len(bottom) - 2 * top[-1][1]
-    starts = {a for a, b in top if b - a > 1}
-    starts.update(a for a, b in bottom if b - a > 1)
-    if not starts:
-        return cells, set(), set()
+    # cell count, active vertices and special vertices
+    cells = d.count("(")
+    if not cells:
+        return 0, set(), set()
+    starts = set()
     whole = []  # per forest, the leaf positions that are whole trees
     near = {0}  # vertex 0 and its neighbours in the diagram graph
-    for spans in (top, bottom):
-        found = set()
-        i = 0
-        while i < len(spans):
-            # a root; a tree over w leaves has 2w - 1 nodes, so the next
-            # root starts where this one ends
-            a, b = spans[i]
-            if b - a == 1:
-                found.add(a)
-            i += 2 * (b - a) - 1
-        whole.append(found)
-        # the arcs at vertex 0 are the spans of the left spine of the
-        # first tree, which open the preorder list
-        for a, b in spans:
-            if a:
-                break
-            near.add(b)
+    for f in d.split("|"):
+        # pieces[v] is what precedes leaf v, with a "," before leaf 0
+        pieces = ("," + f).split("L")
+        pieces.pop()
+        whole.append({v for v, piece in enumerate(pieces) if piece == ","})
+        starts.update(v for v, piece in enumerate(pieces) if piece[-1:] == "(")
+        # leaves minus carets from the tree's start: a left-spine node
+        # ends at each new high, and the first tree where it reaches 1
+        h = 1  # offsets the "," before leaf 0
+        high = -len(f)  # below any value h takes
+        for v, piece in enumerate(pieces):
+            h += 1 - len(piece)
+            if h > high:
+                high = h
+                near.add(v + 1)
+                if h == 1:
+                    break
     rightmost = max(starts)
     active = starts | {v for v in whole[0] & whole[1] if v < rightmost}
     return cells, active, active - near

@@ -169,6 +169,15 @@ def test_subgraph_report_fields(capsys, tmp_path):
     assert envelope["exact_values"]["density"] == "1.5"
 
 
+def test_subgraph_on_deep_words(capsys, tmp_path):
+    # x0^1000 * x0 = x0^1001: the product is looked up among vertices
+    # built separately from the file, a thousand levels deep
+    path = tmp_path / "deep.words"
+    path.write_text(" ".join(["x0"] * 1000) + "\n" + " ".join(["x0"] * 1001) + "\n")
+    results = run_json(capsys, "subgraph", "--input", str(path))["results"]
+    assert (results["size"], results["edges"]) == (2, 1)
+
+
 def test_subgraph_missing_file(capsys, tmp_path):
     code, out, err = run(capsys, "subgraph", "--input", str(tmp_path / "nope"))
     assert code == 1

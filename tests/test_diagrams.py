@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tuple_oracle as oracle
 from thompsonf.cayley import enumerate_ball
 from thompsonf.diagrams import (
     EPSILON,
-    Diagram,
     NormalFormError,
     atomic,
     canonical_key,
@@ -22,8 +22,6 @@ from thompsonf.diagrams import (
 )
 from thompsonf.words import inverse_word, parse_word
 
-CARET = (None, None)
-
 letters = st.tuples(st.integers(min_value=0, max_value=4), st.sampled_from((1, -1)))
 words = st.lists(letters, max_size=12).map(tuple)
 long_words = st.lists(
@@ -34,13 +32,13 @@ long_words = st.lists(
 
 def test_atomic_shape():
     d = atomic(0)
-    assert d.top == (CARET,)
-    assert d.bottom == (None, None)
+    assert d == "(LL|L,L"
+    assert oracle.to_tuples(d) == oracle.atomic(0)
     assert leaf_count(d) == 2
     assert cell_count(d) == 1
     d1 = atomic(1)
-    assert d1.top == (None, CARET)
-    assert d1.bottom == (None, None, None)
+    assert d1 == "L,(LL|L,L,L"
+    assert oracle.to_tuples(d1) == oracle.atomic(1)
     assert leaf_count(d1) == 3
 
 
@@ -50,7 +48,7 @@ def test_atomic_rejects_negative():
 
 
 def test_identity():
-    assert from_word(()) == EPSILON
+    assert from_word(()) == EPSILON == "L|L"
     assert cell_count(EPSILON) == 0
     assert leaf_count(EPSILON) == 1
 
@@ -64,13 +62,19 @@ def test_compose_with_inverse_is_identity():
 
 def test_invert_swaps():
     d = from_word(parse_word("x0 x1"))
-    assert invert(d) == Diagram(d.bottom, d.top)
+    top, bottom = d.split("|")
+    assert invert(d) == bottom + "|" + top
+    assert invert(invert(d)) == d
 
 
 @given(words, words)
 @settings(max_examples=60)
 def test_from_word_is_multiplicative(u, v):
-    assert from_word(u + v) == compose(from_word(u), from_word(v))
+    a, b = from_word(u), from_word(v)
+    assert from_word(u + v) == compose(a, b)
+    assert compose(a, b) == oracle.from_tuples(
+        oracle.compose(oracle.to_tuples(a), oracle.to_tuples(b))
+    )
 
 
 @given(words, words, words)
@@ -87,25 +91,25 @@ def test_inverse_word_gives_inverse_diagram(w):
     assert compose(from_word(w), invert(from_word(w))) == EPSILON
 
 
-def _letter(k, s):
-    return atomic(k) if s == 1 else invert(atomic(k))
-
-
 def test_mul_letter_matches_compose_on_ball():
+    # the oracle is the general tuple product of tests/tuple_oracle.py
     for d in enumerate_ball(6)._by_diagram:
+        t = oracle.to_tuples(d)
         for k in range(4):
             for s in (1, -1):
-                assert mul_letter(d, k, s) == compose(d, _letter(k, s))
+                expected = oracle.compose(t, oracle.letter(k, s))
+                assert mul_letter(d, k, s) == oracle.from_tuples(expected)
 
 
 @given(long_words)
 @settings(max_examples=50, deadline=None)
 def test_mul_letter_matches_compose_along_words(w):
     d = EPSILON
+    t = oracle.EPSILON
     for k, s in w:
-        expected = compose(d, _letter(k, s))
+        t = oracle.compose(t, oracle.letter(k, s))
         d = mul_letter(d, k, s)
-        assert d == expected
+        assert d == oracle.from_tuples(t)
 
 
 def test_mul_letter_rejects_bad_letters():
@@ -116,9 +120,15 @@ def test_mul_letter_rejects_bad_letters():
 
 
 def test_long_powers_cancel():
-    # deeper than the interpreter's recursion limit
+    # far deeper than the interpreter's recursion limit; the dict lookup
+    # compares two separately built diagrams of that depth
     for k in (0, 1):
-        assert from_word(((k, 1),) * 1000 + ((k, -1),) * 1000) == EPSILON
+        assert from_word(((k, 1),) * 5000 + ((k, -1),) * 5000) == EPSILON
+    table = {from_word(((0, 1),) * 5000): "x0^5000"}
+    rebuilt = from_word(((0, 1),) * 4999 + ((1, 1), (1, -1), (0, 1)))
+    assert rebuilt is not next(iter(table))
+    assert table.get(rebuilt) == "x0^5000"
+    assert from_word(((0, 1),) * 5001) not in table
 
 
 def test_rewriting_relation():
@@ -168,6 +178,7 @@ def test_to_normal_form_represents_same_element(w):
     nf = to_normal_form(d)
     validate_normal_form(nf)
     assert from_word(normal_form_word(nf)) == d
+    assert from_normal_form(nf) == d
     assert len(nf.pos) + len(nf.neg) == cell_count(d)
 
 
@@ -203,4 +214,5 @@ def test_reduced_and_canonical():
     sq = compose(d, d)
     assert to_normal_form(sq)  # normalizes without error
     # trailing common leaf would be a non-canonical sum decomposition
-    assert not (d.top[-1] is None and d.bottom[-1] is None)
+    last_trees = [forest.split(",")[-1] for forest in d.split("|")]
+    assert last_trees != ["L", "L"]
