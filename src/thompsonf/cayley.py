@@ -3,15 +3,16 @@
 Canonical diagrams make exact deduplication a hash lookup, so balls are
 enumerated layer by layer without ever solving a word problem pairwise.
 The resulting table doubles as an independent distance oracle for the
-length formula and as the search space for dead vertices (elements whose
-norm drops in all four generator directions).
+length formula.  The same search finds dead vertices (elements whose
+norm drops in all four generator directions) as it expands them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from itertools import accumulate
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .diagrams import EPSILON, GENERATOR_LETTERS, Diagram, canonical_key, mul_letter
 from .metric import is_dead
@@ -41,55 +42,62 @@ class BallTable:
     sphere_sizes: List[int] = field(default_factory=list)
     ball_sizes: List[int] = field(default_factory=list)
     _by_diagram: Dict[Diagram, int] = field(default_factory=dict, repr=False)
-    _adjacency: Optional[Dict[Diagram, tuple]] = field(default=None, repr=False)
 
     def distance(self, d: Diagram) -> Optional[int]:
         """BFS distance from the identity, or None outside the ball."""
         return self._by_diagram.get(d)
 
 
-def enumerate_ball(
-    radius: int, cap: int = DEFAULT_CAP, keep_adjacency: bool = False
-) -> BallTable:
-    """Exact BFS ball of the given radius around the identity.
+def _bfs(
+    radius: int, cap: int, dist: Dict[Diagram, int]
+) -> Iterator[Tuple[Diagram, int, Tuple[Diagram, ...]]]:
+    """Fill the empty dist with the BFS ball of the given radius.
 
-    keep_adjacency retains the four neighbour diagrams of every expanded
-    element (all elements of distance < radius); dead_search uses this to
-    avoid recomposing.  Raises ResourceCapError if the element count
-    would exceed cap, reporting the last completed radius, and ValueError
-    for a negative radius.
+    Yields each element d of distance r < radius with its neighbours as
+    it is expanded.  At that moment every neighbour at distance r - 1 is
+    in dist, and no neighbour at distance r or r + 1 reads r - 1.
+    Raises ResourceCapError if the element count would exceed cap,
+    reporting the last completed radius, and ValueError for a negative
+    radius or cap.
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    dist: Dict[Diagram, int] = {EPSILON: 0}
-    adjacency: Optional[Dict[Diagram, tuple]] = {} if keep_adjacency else None
+    if cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
+    dist[EPSILON] = 0
     frontier = [EPSILON]
-    sphere_sizes = [1]
-    for r in range(1, radius + 1):
+    for r in range(radius):
         next_frontier = []
         for d in frontier:
             nbs = neighbors(d)
-            if adjacency is not None:
-                adjacency[d] = nbs
+            yield d, r, nbs
             for nb in nbs:
                 if nb not in dist:
                     if len(dist) >= cap:
-                        raise ResourceCapError(cap, r - 1)
-                    dist[nb] = r
+                        raise ResourceCapError(cap, r)
+                    dist[nb] = r + 1
                     next_frontier.append(nb)
         frontier = next_frontier
-        sphere_sizes.append(len(frontier))
-    ball_sizes = []
-    total = 0
-    for s in sphere_sizes:
-        total += s
-        ball_sizes.append(total)
+
+
+def enumerate_ball(radius: int, cap: int = DEFAULT_CAP) -> BallTable:
+    """Exact BFS ball of the given radius around the identity.
+
+    Raises ResourceCapError if the element count would exceed cap,
+    reporting the last completed radius, and ValueError for a negative
+    radius or cap.
+    """
+    dist: Dict[Diagram, int] = {}
+    for _ in _bfs(radius, cap, dist):
+        pass
+    sphere_sizes = [0] * (radius + 1)
+    for r in dist.values():
+        sphere_sizes[r] += 1
     return BallTable(
         radius=radius,
         sphere_sizes=sphere_sizes,
-        ball_sizes=ball_sizes,
+        ball_sizes=list(accumulate(sphere_sizes)),
         _by_diagram=dist,
-        _adjacency=adjacency,
     )
 
 
@@ -123,21 +131,18 @@ def bfs_norm(d: Diagram, cap: int) -> Optional[int]:
 def dead_search(max_norm: int, cap: int = DEFAULT_CAP) -> List[str]:
     """Canonical keys of all dead elements of norm at most max_norm.
 
-    Enumerates the ball of radius max_norm + 1 so that every neighbour
-    of every candidate has a known BFS distance.  An element is dead
-    exactly when all four neighbours sit one layer closer to the
-    identity; candidates passing that distance test are confirmed with
-    the length-formula predicate before being reported.
+    Runs BFS to radius max_norm + 1 and tests each candidate as it is
+    expanded.  An element is dead exactly when all four neighbours sit
+    one layer closer to the identity; candidates passing that distance
+    test are confirmed with the length-formula predicate before being
+    reported.
     """
     if max_norm < 1:
         raise ValueError("max_norm must be at least 1")
-    table = enumerate_ball(max_norm + 1, cap, keep_adjacency=True)
-    dist = table._by_diagram
-    adjacency = table._adjacency
-    assert adjacency is not None
+    dist: Dict[Diagram, int] = {}
     found = []
-    for d, r in dist.items():
-        if 0 < r <= max_norm and all(dist[nb] == r - 1 for nb in adjacency[d]):
+    for d, r, nbs in _bfs(max_norm + 1, cap, dist):
+        if r and all(dist.get(nb) == r - 1 for nb in nbs):
             if not is_dead(d):  # pragma: no cover - would falsify the formula
                 raise AssertionError(
                     f"BFS and length formula disagree at {canonical_key(d)}"

@@ -24,7 +24,7 @@ the same coefficients satisfy c_n = 4c_{n-1} - 4c_{n-2} + c_{n-3}.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .diagrams import GENERATOR_LETTERS, Diagram, from_word, mul_letter
 from .words import GenWord, Letter, format_word
@@ -112,33 +112,38 @@ def recurrence_check(max_n: int) -> bool:
     )
 
 
-_BRUTEFORCE_LIMIT = 16
-
-
-def bruteforce_series(max_n: int) -> List[int]:
-    """Counts c_0..c_max_n by exhaustive scan filtered with is_l_word.
+def _l_words(max_n: int) -> Iterator[GenWord]:
+    """Every nonempty L-word of length <= max_n, in depth-first preorder.
 
     Walks the prefix tree, pruning at invalid prefixes: a forbidden
     factor survives every extension, so no valid word sits below an
     invalid prefix.
     """
+    stack: List[Tuple[GenWord, str]] = [((), "")]
+    while stack:
+        word, encoded = stack.pop()
+        if word:
+            yield word
+        if len(word) < max_n:
+            for letter in reversed(GENERATOR_LETTERS):
+                candidate = encoded + _CHAR[letter]
+                if _FORBIDDEN.search(candidate) is None:
+                    stack.append((word + (letter,), candidate))
+
+
+_BRUTEFORCE_LIMIT = 16
+
+
+def bruteforce_series(max_n: int) -> List[int]:
+    """Counts c_0..c_max_n by exhaustive scan filtered with is_l_word."""
     if max_n > _BRUTEFORCE_LIMIT:
         raise ResourceError(
             f"brute force capped at length {_BRUTEFORCE_LIMIT}, asked {max_n}"
         )
     counts = [0] * (max_n + 1)
     counts[0] = 1
-
-    def extend(prefix: str, depth: int) -> None:
-        if depth == max_n:
-            return
-        for ch in "aAbB":
-            candidate = prefix + ch
-            if _FORBIDDEN.search(candidate) is None:
-                counts[depth + 1] += 1
-                extend(candidate, depth + 1)
-
-    extend("", 0)
+    for word in _l_words(max_n):
+        counts[len(word)] += 1
     return counts
 
 
@@ -177,25 +182,15 @@ def collision_check(max_n: int) -> CollisionReport:
     root = from_word(())
     seen: Dict[Diagram, GenWord] = {root: ()}
     collisions: List[Tuple[str, str]] = []
-    words = 1
-
-    def extend(word: Tuple[Letter, ...], diagram, encoded: str, depth: int) -> None:
-        nonlocal words
-        if depth == max_n:
-            return
-        for letter in GENERATOR_LETTERS:
-            candidate = encoded + _CHAR[letter]
-            if _FORBIDDEN.search(candidate) is None:
-                next_word = word + (letter,)
-                next_diagram = mul_letter(diagram, *letter)
-                words += 1
-                if next_diagram in seen:
-                    collisions.append(
-                        (format_word(seen[next_diagram]), format_word(next_word))
-                    )
-                else:
-                    seen[next_diagram] = next_word
-                extend(next_word, next_diagram, candidate, depth + 1)
-
-    extend((), root, "", 0)
-    return CollisionReport(words=words, distinct=len(seen), collisions=collisions)
+    path = [root]  # path[k]: the diagram of the current word's k-letter prefix
+    for word in _l_words(max_n):
+        del path[len(word):]
+        diagram = mul_letter(path[-1], *word[-1])
+        path.append(diagram)
+        if diagram in seen:
+            collisions.append((format_word(seen[diagram]), format_word(word)))
+        else:
+            seen[diagram] = word
+    return CollisionReport(
+        words=len(seen) + len(collisions), distinct=len(seen), collisions=collisions
+    )

@@ -9,8 +9,9 @@ quantity q(Y) = 3q0 + 2q1 + q2 - q4 over the degree profile satisfies
 q(Y) = 3V - 2E, so q(Y) >= 0 iff density(Y) <= 3.  The module also
 computes boundaries, the isoperimetric sandwich
 #dY/#Y <= 4 - density <= 4 #dY/#Y, the doubling inequality
-#B1(Y) >= 2#Y, and perfect (2,1)-matchings from B1(Y) onto Y via
-integral max-flow, returning a Hall-type violating subset on failure.
+#B1(Y) >= 2#Y, and perfect (2,1)-matchings from B1(Y) onto Y, found
+by alternating-path search, returning a Hall-type violating subset on
+failure.
 """
 
 from __future__ import annotations
@@ -145,77 +146,6 @@ class MatchingResult(NamedTuple):
     witness: Optional[Set[Diagram]]  # Y' with #B1(Y') < 2 #Y' when infeasible
 
 
-class _Dinic:
-    """Integral max-flow, adjacency-list residual graph."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.heads: List[List[int]] = [[] for _ in range(n)]
-        self.to: List[int] = []
-        self.cap: List[int] = []
-
-    def add_edge(self, u: int, v: int, capacity: int) -> int:
-        index = len(self.to)
-        self.heads[u].append(index)
-        self.to.append(v)
-        self.cap.append(capacity)
-        self.heads[v].append(index + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return index
-
-    def _levels(self, s: int, t: int) -> Optional[List[int]]:
-        level = [-1] * self.n
-        level[s] = 0
-        queue = [s]
-        for u in queue:
-            for e in self.heads[u]:
-                v = self.to[e]
-                if self.cap[e] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level if level[t] >= 0 else None
-
-    def _augment(self, u: int, t: int, limit: int, level: List[int], it: List[int]) -> int:
-        if u == t:
-            return limit
-        while it[u] < len(self.heads[u]):
-            e = self.heads[u][it[u]]
-            v = self.to[e]
-            if self.cap[e] > 0 and level[v] == level[u] + 1:
-                pushed = self._augment(v, t, min(limit, self.cap[e]), level, it)
-                if pushed:
-                    self.cap[e] -= pushed
-                    self.cap[e ^ 1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = self._levels(s, t)
-            if level is None:
-                return flow
-            it = [0] * self.n
-            while True:
-                pushed = self._augment(s, t, 1 << 60, level, it)
-                if not pushed:
-                    break
-                flow += pushed
-
-    def reachable(self, s: int) -> Set[int]:
-        seen = {s}
-        queue = [s]
-        for u in queue:
-            for e in self.heads[u]:
-                v = self.to[e]
-                if self.cap[e] > 0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
-
-
 def _b1_adjacency(y: Subgraph) -> Dict[Diagram, List[Diagram]]:
     """For each Y-vertex, the vertices of B1(Y) at distance <= 1, itself last."""
     # distinct by simplicity of the Cayley graph, but dedupe defensively
@@ -225,41 +155,60 @@ def _b1_adjacency(y: Subgraph) -> Dict[Diagram, List[Diagram]]:
 def two_one_matching(y: Subgraph) -> MatchingResult:
     """Assign B1(Y) vertices to Y so every Y-vertex receives two of them.
 
-    Max-flow formulation: source -> y (capacity 2), y -> u for every
-    B1-vertex u at distance <= 1 (capacity 2, never the bottleneck),
-    u -> sink (capacity 1).  Feasible iff the flow saturates 2#Y.  On
-    failure the source side of the min cut restricted to Y is a subset
-    Y' with #B1(Y') < 2#Y', the exact Hall-type obstruction; it is the
-    minimal min cut, so it does not depend on the vertex order.
+    Each Y-vertex in turn claims two B1-vertices.  A claim follows a
+    shortest alternating path, found by breadth-first search: from a
+    Y-vertex to any B1-vertex at distance <= 1, from there to the
+    Y-vertex that holds it, and so on until a free B1-vertex; every
+    B1-vertex on the path then passes to the Y-vertex before it.  A
+    search that finds no free vertex has reached a Hall set: its
+    vertices hold all their B1 neighbours, two each except the searching
+    vertex, so #B1(Y') < 2#Y'.  No later path can pass through such a
+    set, so later searches skip it.  The union of these sets is the
+    witness.  It is the set of Y-vertices reachable by alternating paths
+    from a vertex left short in any maximum assignment, so it does not
+    depend on the vertex order.
     """
     adjacency = _b1_adjacency(y)
-    # B1(Y) numbered once: Y in its own order, then the rest as first met.
-    # Y-vertex i is node i on the Y side and node n + i on the B1 side.
+    # B1(Y) numbered once: Y in its own order, then the rest as first met
     index = {d: i for i, d in enumerate(y.vertices)}
     for near in adjacency.values():
         for u in near:
             index.setdefault(u, len(index))
-    n = len(y.vertices)
-    source = n + len(index)
-    sink = source + 1
-    net = _Dinic(sink + 1)
-    for i in range(n):
-        net.add_edge(source, i, 2)
-    middle: Dict[int, Tuple[Diagram, Diagram]] = {}
-    for i, d in enumerate(y.vertices):
-        for u in adjacency[d]:
-            e = net.add_edge(i, n + index[u], 2)
-            middle[e] = (u, d)
-    for j in range(len(index)):
-        net.add_edge(n + j, sink, 1)
-    flow = net.max_flow(source, sink)
-    if flow == 2 * n:
-        assignment = {
-            u: d
-            for e, (u, d) in middle.items()
-            if net.cap[e ^ 1] > 0  # unit of flow on the forward edge
-        }
-        return MatchingResult(assignment=assignment, witness=None)
-    reachable = net.reachable(source)
-    witness = {d for i, d in enumerate(y.vertices) if i in reachable}
-    return MatchingResult(assignment=None, witness=witness)
+    claims = [[index[u] for u in adjacency[d]] for d in y.vertices]
+    holder = [-1] * len(index)  # B1-vertex -> the Y-vertex holding it
+    stuck = [False] * len(claims)  # Y-vertices inside a Hall set
+    for i in range(len(claims)):
+        for _ in range(2):
+            via = {i: -1}  # Y-vertex -> the held B1-vertex it was reached by
+            came = {}  # B1-vertex -> the Y-vertex that reached it
+            queue = [i]
+            free = -1
+            for v in queue:
+                for j in claims[v]:
+                    if j not in came:
+                        came[j] = v
+                        w = holder[j]
+                        if w < 0:
+                            free = j
+                            break
+                        if w not in via and not stuck[w]:
+                            via[w] = j
+                            queue.append(w)
+                if free >= 0:
+                    break
+            if free < 0:
+                for v in queue:
+                    stuck[v] = True
+                break
+            j = free
+            while j >= 0:
+                v = came[j]
+                holder[j] = v
+                j = via[v]
+    vertices = list(y.vertices)
+    if any(stuck):
+        witness = {d for d, s in zip(vertices, stuck) if s}
+        return MatchingResult(assignment=None, witness=witness)
+    b1 = list(index)
+    assignment = {b1[j]: vertices[v] for j, v in enumerate(holder) if v >= 0}
+    return MatchingResult(assignment=assignment, witness=None)

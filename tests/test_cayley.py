@@ -57,6 +57,15 @@ def test_negative_radius_rejected():
     assert enumerate_ball(0).sphere_sizes == [1]
 
 
+def test_negative_cap_rejected():
+    with pytest.raises(ValueError, match="cap must be nonnegative, got -1"):
+        enumerate_ball(3, cap=-1)
+    with pytest.raises(ValueError, match="cap must be nonnegative, got -1"):
+        dead_search(3, cap=-1)
+    with pytest.raises(ResourceCapError):
+        enumerate_ball(3, cap=0)
+
+
 def test_bfs_norm():
     assert bfs_norm(EPSILON, cap=10) == 0
     assert bfs_norm(atomic(0), cap=10) == 1
@@ -67,6 +76,16 @@ def test_bfs_norm():
 
 def test_dead_search_empty_at_small_norm():
     assert dead_search(3, cap=100_000) == []
+
+
+def test_dead_search_norm_11():
+    # the smallest norm with dead elements; each is confirmed by is_dead
+    assert dead_search(11) == [
+        "(((LL)L)L)LL(LL)|(L(LL))(LL)LLL",
+        "(((LL)L)L)LLLL|(L(LL))(LL)L(LL)",
+        "((L(LL))L)LL(LL)|((LL)L)(LL)LLL",
+        "((L(LL))L)LLLL|((LL)L)(LL)L(LL)",
+    ]
 
 
 def test_dead_search_validates():
@@ -86,11 +105,3 @@ def test_ratio_report():
 def test_ratio_report_needs_radius_two():
     with pytest.raises(ValueError):
         ratio_report(enumerate_ball(1))
-
-
-def test_adjacency_kept_on_request():
-    table = enumerate_ball(2, keep_adjacency=True)
-    assert table._adjacency is not None
-    assert set(table._adjacency[EPSILON]) == set(neighbors(EPSILON))
-    # expanded elements only: distance < radius
-    assert all(table._by_diagram[d] < 2 for d in table._adjacency)

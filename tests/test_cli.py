@@ -219,6 +219,15 @@ def test_negative_radius_exit(capsys):
     assert err == "error: radius must be nonnegative, got -3\n"
 
 
+@pytest.mark.parametrize(
+    "argv", [("spheres", "--radius", "3"), ("dead-search", "--max-norm", "3")]
+)
+def test_negative_cap_exit(capsys, argv):
+    code, out, err = run(capsys, *argv, "--cap", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: cap must be nonnegative, got -1\n"
+
+
 def test_parser_built_once(capsys):
     first = run(capsys, "norm", "x0 x1")
     assert run(capsys, "spheres", "--radius", "x")[0] == 1

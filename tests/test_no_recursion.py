@@ -1,9 +1,9 @@
-"""The forest readers of diagrams and metric must not recurse.
+"""The library's forest readers and searches must not recurse.
 
 A recursive walk over a forest fails on trees more than about 1000
-levels deep, which words like x0^1000 build.  The recursive tuple
-product that serves as the oracle for mul_letter lives in
-tests/tuple_oracle.py.
+levels deep, which words like x0^1000 build, and a recursive search
+fails once its path outgrows the interpreter's recursion limit.  The
+recursive oracles live in tests/tuple_oracle.py and tests/flow_oracle.py.
 """
 
 import ast
@@ -12,23 +12,37 @@ import pathlib
 import thompsonf
 
 
+def _calls_itself(function):
+    # a bare-name call, or a self.<name> call from a method
+    for call in ast.walk(function):
+        if isinstance(call, ast.Call):
+            callee = call.func
+            if isinstance(callee, ast.Name) and callee.id == function.name:
+                return True
+            if (
+                isinstance(callee, ast.Attribute)
+                and callee.attr == function.name
+                and isinstance(callee.value, ast.Name)
+                and callee.value.id == "self"
+            ):
+                return True
+    return False
+
+
 def _self_calls(tree):
-    # qualified name of every function, nested ones included, whose body
-    # calls it by name
+    # qualified name of every function, nested ones and methods included,
+    # whose body calls it
     found = []
 
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = prefix + child.name
-                if any(
-                    isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Name)
-                    and call.func.id == child.name
-                    for call in ast.walk(child)
-                ):
+                if _calls_itself(child):
                     found.append(name)
                 visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
             else:
                 visit(child, prefix)
 
@@ -36,10 +50,22 @@ def _self_calls(tree):
     return found
 
 
-def test_diagrams_and_metric_do_not_recurse():
+def test_guard_sees_method_and_closure_recursion():
+    source = (
+        "class Net:\n"
+        "    def push(self, u):\n"
+        "        return self.push(u)\n"
+        "def outer():\n"
+        "    def extend(depth):\n"
+        "        extend(depth + 1)\n"
+    )
+    assert _self_calls(ast.parse(source)) == ["Net.push", "outer.extend"]
+
+
+def test_library_does_not_recurse():
     package = pathlib.Path(thompsonf.__file__).parent
     recursive = []
-    for module in ("diagrams.py", "metric.py"):
+    for module in ("diagrams.py", "metric.py", "subgraphs.py", "growth.py"):
         tree = ast.parse((package / module).read_text(encoding="utf-8"))
         recursive += [(module, name) for name in _self_calls(tree)]
     assert recursive == []

@@ -1,9 +1,13 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import flow_oracle
 import thompsonf.subgraphs as sg
 from thompsonf.cayley import enumerate_ball
 from thompsonf.diagrams import EPSILON, atomic, from_word
@@ -107,8 +111,9 @@ def test_doubling_and_matching_on_random_sets():
 
 def test_matching_witness_on_synthetic_obstruction(monkeypatch):
     # three vertices forced to share two service vertices: Hall fails on
-    # the pair that only reaches "c"; the witness is the source side of the
-    # minimal min cut, which is unique, so no input order changes it
+    # the pair that only reaches "c"; the witness is every vertex reachable
+    # by alternating paths from one left short, which is the same for every
+    # maximum assignment, so no input order changes it
     k0, k1, k2 = elems("", "x0", "x0 x0")
     fake = {
         k0: [k0, "a", "b"],
@@ -122,6 +127,44 @@ def test_matching_witness_on_synthetic_obstruction(monkeypatch):
         assert result.witness == {k1, k2}
     served = {u for yk in result.witness for u in fake[yk]}
     assert len(served) < 2 * len(result.witness)
+
+
+BALL4 = list(enumerate_ball(4)._by_diagram)
+
+
+def _agrees_with_flow_oracle(y, adjacency):
+    result = sg.two_one_matching(y)
+    assignment, witness = flow_oracle.two_one_matching(y.vertices, adjacency)
+    assert (result.assignment is None) == (assignment is None)
+    assert result.witness == witness
+    if result.assignment is not None:
+        # each Y-vertex gets exactly two distinct B1-vertices within distance 1
+        served = dict.fromkeys(y.vertices, 0)
+        for u, d in result.assignment.items():
+            assert u in adjacency[d]
+            served[d] += 1
+        assert set(served.values()) == {2}
+
+
+@given(st.lists(st.sampled_from(BALL4), min_size=1, max_size=40, unique=True))
+@settings(max_examples=60, deadline=None)
+def test_matching_agrees_with_flow_oracle_on_ball(chosen):
+    y = sg.full_subgraph(chosen)
+    _agrees_with_flow_oracle(y, sg._b1_adjacency(y))
+
+
+@given(st.lists(st.lists(st.integers(0, 11), max_size=4), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_matching_agrees_with_flow_oracle_on_fake_adjacency(claims):
+    # B1 label k < #Y is the Y-vertex k itself, any other k a vertex outside Y
+    ys = BALL4[: len(claims)]
+    fake = {
+        d: list(dict.fromkeys(ys[k] if k < len(ys) else k for k in near))
+        for d, near in zip(ys, claims)
+    }
+    y = sg.full_subgraph(ys)
+    with mock.patch.object(sg, "_b1_adjacency", lambda _y: fake):
+        _agrees_with_flow_oracle(y, fake)
 
 
 def test_subgraph_ignores_vertex_order():
