@@ -60,10 +60,10 @@ def _bfs(
     reporting the last completed radius, and ValueError for a negative
     radius or cap.
     """
-    if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
     dist[EPSILON] = 0
     frontier = [EPSILON]
     for r in range(radius):
@@ -105,27 +105,19 @@ def bfs_norm(d: Diagram, cap: int) -> Optional[int]:
     """Cayley distance from the identity by plain BFS, None beyond cap.
 
     Independent of the length formula: only composition and canonical
-    equality are used.
+    equality are used.  The search stores at most cap elements, and
+    returns None when d is not among them; a negative cap raises
+    ValueError.  A ball of at most cap elements has radius below cap,
+    so the cap, not the radius, ends the search.
     """
-    if d == EPSILON:
-        return 0
-    dist: Dict[Diagram, int] = {EPSILON: 0}
-    frontier = [EPSILON]
-    r = 0
-    while frontier:
-        r += 1
-        next_frontier = []
-        for current in frontier:
-            for nb in neighbors(current):
-                if nb not in dist:
-                    if nb == d:
-                        return r
-                    if len(dist) >= cap:
-                        return None
-                    dist[nb] = r
-                    next_frontier.append(nb)
-        frontier = next_frontier
-    return None
+    dist: Dict[Diagram, int] = {}
+    try:
+        for _ in _bfs(cap, cap, dist):
+            if d in dist:
+                break
+    except ResourceCapError:
+        pass
+    return dist.get(d)
 
 
 def dead_search(max_norm: int, cap: int = DEFAULT_CAP) -> List[str]:

@@ -421,13 +421,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--cap", type=int, default=cayley.DEFAULT_CAP)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=1, help="reserved; single process")
+    p.add_argument("--threads", type=int, choices=(1,), default=1,
+                   help="reserved; single process")
     p.set_defaults(func=_cmd_spheres)
 
     p = sub.add_parser("dead-search", help="dead elements up to a norm bound")
     p.add_argument("--max-norm", type=int, required=True)
     p.add_argument("--cap", type=int, default=cayley.DEFAULT_CAP)
-    p.add_argument("--threads", type=int, default=1, help="reserved; single process")
+    p.add_argument("--threads", type=int, choices=(1,), default=1,
+                   help="reserved; single process")
     p.set_defaults(func=_cmd_dead_search)
 
     p = sub.add_parser("series", help="growth series of the monotone language")
@@ -448,7 +450,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--emit-words", action="store_true",
                    help="dump concrete vertex words, one per line")
-    p.add_argument("--threads", type=int, default=1, help="reserved; single process")
+    p.add_argument("--threads", type=int, choices=(1,), default=1,
+                   help="reserved; single process")
     p.set_defaults(func=_cmd_gamma)
 
     p = sub.add_parser("subgraph", help="density diagnostics for a set of words")

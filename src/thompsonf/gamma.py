@@ -10,13 +10,16 @@ through Gamma_{n+1} = apply_A(0, psi(Gamma_n)) produces graphs on
 Catalan(n) vertices whose label-0/1 subgraphs ("bar" graphs) have
 density 6(n-1)/(2n-1), approaching 3.
 
-Concrete side: running the same column construction on actual group
-elements, starting from a path of x_n edges through x_n^{-k}, realizes
-Gamma_{n,m} as a full subgraph of the Cayley graph over x_0..x_n.  Every
-spawned edge is verified by one-letter multiplication.  Each vertex is
-named by its Diagram itself: ConcreteGamma.origin maps it to its column
-on the seed path, which supports the per-column density averages rho_k,
-and the edges are triples of diagrams.
+Concrete side: Gamma_{n,m} is the same chain apply_A(0) ... apply_A(n-2)
+run on the path xi_path(n, m), with every vertex named by a group
+element as the chain goes.  Seed vertex k is x_n^{-k}, and each column
+descends from its head by x_i^{-1}, so an edge (u, v, j) means
+v = u * x_j.  Every edge is then checked by one-letter multiplication
+and the names are checked to be distinct, which realizes Gamma_{n,m} as
+a full subgraph of the Cayley graph over x_0..x_n.  ConcreteGamma.origin
+maps each vertex diagram to its column on the seed path, which supports
+the per-column density averages rho_k, and the edges are triples of
+diagrams.
 
 Degrees count both endpoints, so a loop adds 2 to its vertex's degree;
 edge counts (the b numbers) count a loop once.
@@ -30,7 +33,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Tuple
 
 from .diagrams import Diagram, from_word, mul_letter, normal_form_word, to_normal_form
-from .subgraphs import Subgraph
+from .subgraphs import Subgraph, degrees
 from .words import format_word
 
 LabeledEdge = Tuple[int, int, int]  # (u, v, label); u == v is a loop
@@ -67,10 +70,10 @@ def xi_single(n: int) -> LabeledGraph:
 
 
 def xi_path(n: int, m: int) -> LabeledGraph:
-    """A path of m+1 vertices joined by m edges labelled x_n."""
+    """A path of m+1 vertices joined by m edges (k+1, k) labelled x_n."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    return LabeledGraph(m + 1, tuple((k, k + 1, n) for k in range(m)))
+    return LabeledGraph(m + 1, tuple((k + 1, k, n) for k in range(m)))
 
 
 def psi(g: LabeledGraph) -> LabeledGraph:
@@ -83,10 +86,12 @@ def psi(g: LabeledGraph) -> LabeledGraph:
 def apply_A(i: int, g: LabeledGraph) -> LabeledGraph:
     """Column expansion at level i.
 
-    Vertex v of rank r becomes the column v_0..v_{r-i-1} chained by x_i
-    edges; an edge (v, w) labelled j > i spawns (v_k, w_k) labelled
-    j - k for 0 <= k < j - i.  Requires every rank > i; an edge labelled
-    j <= i would be outside the construction and raises.
+    Vertex v of rank r becomes the column v_0..v_{r-i-1}, numbered
+    consecutively with the columns in vertex order, and chained by the
+    x_i edges (v_k, v_{k-1}); an edge (v, w) labelled j > i spawns
+    (v_k, w_k) labelled j - k for 0 <= k < j - i.  Requires every rank
+    > i; an edge labelled j <= i would be outside the construction and
+    raises.
     """
     ranks = g.ranks()
     if min(ranks, default=0) <= i:
@@ -247,12 +252,11 @@ class ConcreteGamma:
     def size(self) -> int:
         return len(self.origin)
 
-    def subgraph(self, labels: Tuple[int, ...] = (0, 1)) -> Subgraph:
-        """The label-filtered view as a plain subgraph (default: bar)."""
+    def subgraph(self) -> Subgraph:
+        """The bar graph, edges labelled 0 and 1, as a plain subgraph."""
         return Subgraph(
-            gens=tuple(labels),
             vertices=dict.fromkeys(self.origin),
-            edges=frozenset(e for e in self.edges if e[2] in labels),
+            edges=frozenset(e for e in self.edges if e[2] <= 1),
         )
 
 
@@ -261,76 +265,60 @@ def _word(d: Diagram) -> str:
     return format_word(normal_form_word(to_normal_form(d)))
 
 
-def _concrete_apply_A(
-    i: int,
-    origin: Dict[Diagram, int],
-    edges: List[Tuple[Diagram, Diagram, int]],
-) -> Tuple[Dict[Diagram, int], List[Tuple[Diagram, Diagram, int]]]:
-    ranks: Dict[Diagram, int] = {}
-    for u, v, label in edges:
-        ranks[u] = max(ranks.get(u, -1), label)
-        ranks[v] = max(ranks.get(v, -1), label)
-    if ranks.keys() != origin.keys() or min(ranks.values()) <= i:
-        raise ConstructionError(f"apply_A({i}) precondition violated")
-    columns: Dict[Diagram, List[Diagram]] = {}
-    new_origin: Dict[Diagram, int] = {}
-    new_edges: List[Tuple[Diagram, Diagram, int]] = []
-    for d, column_index in origin.items():
-        column = [d]
-        new_origin[d] = column_index
-        for _ in range(ranks[d] - i - 1):
-            current = mul_letter(column[-1], i, -1)
-            if current in new_origin:
-                raise ConstructionError(f"column vertex collision at {_word(current)!r}")
-            new_origin[current] = column_index
-            new_edges.append((current, column[-1], i))  # column[-1] = current * x_i
-            column.append(current)
-        columns[d] = column
-    for u, v, j in edges:
-        if j <= i:
-            raise ConstructionError(f"edge labelled {j} under apply_A({i})")
-        for k in range(j - i):
-            a, b = columns[u][k], columns[v][k]
-            if mul_letter(a, j - k, 1) != b:
-                raise ConstructionError(
-                    f"spawned edge {_word(a)!r} -x{j - k}-> {_word(b)!r} failed verification"
-                )
-            new_edges.append((a, b, j - k))
-    return new_origin, new_edges
-
-
 def gamma_nm_concrete(n: int, m: int) -> ConcreteGamma:
-    """Gamma_{n,m} = apply_A(0) ... apply_A(n-2) of the x_n path of length m.
+    """Gamma_{n,m} = apply_A(0) ... apply_A(n-2) of xi_path(n, m), named.
 
-    Seed vertices are x_n^{-k} for k = 0..m; columns descend by
-    x_i^{-1}.  The result has (m+1) Catalan(n) vertices, all reduced
-    monomials in x_0..x_n with nonpositive exponents.
+    Seed vertex k is x_n^{-k} for k = 0..m.  apply_A numbers the column
+    of each vertex consecutively, head first and in vertex order, so a
+    column is named by its head's diagram followed by repeated right
+    multiplication by x_i^{-1}, and it keeps its head's seed column.
+    Every edge (u, v, j) is then checked as v = u * x_j, and the names
+    as pairwise distinct.  The result has (m+1) Catalan(n) vertices, all
+    reduced monomials in x_0..x_n with nonpositive exponents.
     """
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
-    previous = from_word(())
-    origin: Dict[Diagram, int] = {previous: 0}
-    edges: List[Tuple[Diagram, Diagram, int]] = []
-    for k in range(1, m + 1):
-        current = mul_letter(previous, n, -1)
-        origin[current] = k
-        edges.append((current, previous, n))  # previous = current * x_n
-        previous = current
+    g = xi_path(n, m)
+    names = [from_word(())]
+    for _ in range(m):
+        names.append(mul_letter(names[-1], n, -1))
+    columns = list(range(m + 1))
     for i in range(n - 2, -1, -1):
-        origin, edges = _concrete_apply_A(i, origin, edges)
+        heights = [r - i for r in g.ranks()]
+        g = apply_A(i, g)
+        column_names: List[Diagram] = []
+        column_indices: List[int] = []
+        for d, column, height in zip(names, columns, heights):
+            column_names.append(d)
+            for _ in range(height - 1):
+                d = mul_letter(d, i, -1)
+                column_names.append(d)
+            column_indices += [column] * height
+        names, columns = column_names, column_indices
+    for u, v, j in g.edges:
+        if mul_letter(names[u], j, 1) != names[v]:
+            raise ConstructionError(
+                f"edge {_word(names[u])!r} -x{j}-> {_word(names[v])!r} failed verification"
+            )
+    origin: Dict[Diagram, int] = {}
+    for d, column in zip(names, columns):
+        if d in origin:
+            raise ConstructionError(f"vertex {_word(d)!r} is named twice")
+        origin[d] = column
     expected = (m + 1) * catalan(n)
     if len(origin) != expected:
         raise ConstructionError(
             f"vertex count {len(origin)} differs from (m+1) Catalan(n) = {expected}"
         )
-    return ConcreteGamma(n=n, m=m, origin=origin, edges=frozenset(edges))
+    edges = frozenset((names[u], names[v], j) for u, v, j in g.edges)
+    return ConcreteGamma(n=n, m=m, origin=origin, edges=edges)
 
 
-def fullness_check(g: ConcreteGamma, extra_labels: int = 2) -> bool:
+def fullness_check(g: ConcreteGamma) -> bool:
     """Verify g is the full subgraph induced on its vertex set.
 
     For every vertex and every label k <= n, the neighbour u * x_k lies
-    in the vertex set iff the edge was recorded.  Labels n+1..n+extra
+    in the vertex set iff the edge was recorded.  Labels n+1 and n+2
     are spot-checked to confirm no edge escapes the recorded range (the
     vertex normal forms only involve x_0..x_n).
     """
@@ -342,7 +330,7 @@ def fullness_check(g: ConcreteGamma, extra_labels: int = 2) -> bool:
                 raise ConstructionError(
                     f"fullness violated at {_word(d)!r} under x{k}"
                 )
-        for k in range(g.n + 1, g.n + 1 + extra_labels):
+        for k in (g.n + 1, g.n + 2):
             if mul_letter(d, k, 1) in g.origin:
                 raise ConstructionError(
                     f"unexpected x{k} edge inside the vertex set at {_word(d)!r}"
@@ -366,22 +354,15 @@ def monomial_shape_ok(g: ConcreteGamma) -> bool:
     return True
 
 
-def column_partition(
-    g: ConcreteGamma, labels: Tuple[int, ...] = (0, 1)
-) -> List[Tuple[int, Fraction]]:
+def column_partition(g: ConcreteGamma) -> List[Tuple[int, Fraction]]:
     """Per seed-path column k = 0..m: (vertex count, average degree rho_k).
 
-    Degrees are taken over the label-filtered edge set (default: the bar
-    graph).  The column sizes are all equal and the interior averages
-    rho_1 = ... = rho_{m-1} coincide; the size-weighted mean of the
-    rho_k reproduces the density of the filtered subgraph.
+    Degrees are taken in the bar graph g.subgraph().  The column sizes
+    are all equal and the interior averages rho_1 = ... = rho_{m-1}
+    coincide; the size-weighted mean of the rho_k reproduces the density
+    of the bar graph.
     """
-    wanted = set(labels)
-    deg = dict.fromkeys(g.origin, 0)
-    for u, v, label in g.edges:
-        if label in wanted:
-            deg[u] += 1
-            deg[v] += 1
+    deg = degrees(g.subgraph())
     sizes = [0] * (g.m + 1)
     sums = [0] * (g.m + 1)
     for d, column in g.origin.items():

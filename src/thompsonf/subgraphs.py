@@ -19,16 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple
 
-from .diagrams import Diagram, mul_letter
+from .diagrams import GENERATOR_LETTERS, Diagram, mul_letter
 
 Edge = Tuple[Diagram, Diagram, int]  # (u, v, k) meaning v = u * x_k
 
 
 @dataclass(frozen=True)
 class Subgraph:
-    gens: Tuple[int, ...]
     vertices: Dict[Diagram, None] = field(repr=False)  # an insertion-ordered set
     edges: FrozenSet[Edge] = field(repr=False)
 
@@ -42,12 +42,21 @@ class Subgraph:
 
     @cached_property
     def _neighbours(self) -> Dict[Diagram, Tuple[Diagram, ...]]:
-        # per vertex u, u * x_k^s for k in gens and s = 1, -1; the
+        # per vertex u, u * x_k^s for each generator letter; the
         # boundary and the matching both read this, so it is built once
         return {
-            d: tuple(mul_letter(d, k, s) for k in self.gens for s in (1, -1))
+            d: tuple(mul_letter(d, k, s) for k, s in GENERATOR_LETTERS)
             for d in self.vertices
         }
+
+    @cached_property
+    def _degrees(self) -> Dict[Diagram, int]:
+        # q_value and min_degree both read this, so it is built once
+        deg = dict.fromkeys(self.vertices, 0)
+        for u, v, _ in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        return deg
 
     @cached_property
     def _boundary(self) -> FrozenSet[Diagram]:
@@ -57,8 +66,8 @@ class Subgraph:
         )
 
 
-def full_subgraph(elems: Iterable[Diagram], gens: Tuple[int, ...] = (0, 1)) -> Subgraph:
-    """The induced subgraph on elems: every generator edge inside the set.
+def full_subgraph(elems: Iterable[Diagram]) -> Subgraph:
+    """The induced subgraph on elems: every x0 and x1 edge inside the set.
 
     Loops cannot occur (generators have infinite order) and neither can
     parallel edges (distinct generators move an element to distinct
@@ -67,21 +76,18 @@ def full_subgraph(elems: Iterable[Diagram], gens: Tuple[int, ...] = (0, 1)) -> S
     vertices = dict.fromkeys(elems)
     edges = set()
     for d in vertices:
-        for k in gens:
+        for k in (0, 1):
             v = mul_letter(d, k, 1)
             if v in vertices:
                 if v == d:
                     raise AssertionError(f"loop under x{k}")
                 edges.add((d, v, k))
-    return Subgraph(gens=tuple(gens), vertices=vertices, edges=frozenset(edges))
+    return Subgraph(vertices=vertices, edges=frozenset(edges))
 
 
-def degrees(y: Subgraph) -> Dict[Diagram, int]:
-    deg = dict.fromkeys(y.vertices, 0)
-    for u, v, _ in y.edges:
-        deg[u] += 1
-        deg[v] += 1
-    return deg
+def degrees(y: Subgraph) -> Mapping[Diagram, int]:
+    """Vertex degrees, read-only: the mapping is computed once per subgraph."""
+    return MappingProxyType(y._degrees)
 
 
 def density(y: Subgraph) -> Fraction:
@@ -92,11 +98,9 @@ def density(y: Subgraph) -> Fraction:
 
 
 def degree_profile(y: Subgraph) -> Tuple[int, int, int, int, int]:
-    """Vertex counts q0..q4 by degree; two-generator subgraphs only."""
-    if tuple(sorted(y.gens)) != (0, 1):
-        raise ValueError("degree profile is defined for generators {x0, x1}")
+    """Vertex counts q0..q4 by degree."""
     q = [0, 0, 0, 0, 0]
-    for d in degrees(y).values():
+    for d in y._degrees.values():
         q[d] += 1
     return tuple(q)
 
@@ -138,7 +142,7 @@ def folner_inequalities(y: Subgraph) -> Tuple[Fraction, Fraction, Fraction]:
 def min_degree(y: Subgraph) -> int:
     if not y.vertices:
         raise ValueError("empty subgraph")
-    return min(degrees(y).values())
+    return min(y._degrees.values())
 
 
 class MatchingResult(NamedTuple):

@@ -228,6 +228,18 @@ def test_negative_cap_exit(capsys, argv):
     assert err == "error: cap must be nonnegative, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("spheres", "--radius", "2"), ("dead-search", "--max-norm", "2"), ("gamma", "--n", "3")],
+)
+@pytest.mark.parametrize("threads", ["-7", "0", "2"])
+def test_threads_other_than_one_exit(capsys, argv, threads):
+    code, out, err = run(capsys, *argv, "--threads", threads)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: argument --threads: invalid choice: {threads} ")
+    assert err.count("\n") == 1
+
+
 def test_parser_built_once(capsys):
     first = run(capsys, "norm", "x0 x1")
     assert run(capsys, "spheres", "--radius", "x")[0] == 1
@@ -319,6 +331,7 @@ def test_module_entry_point():
         ("norm_worked.json", ("norm", "x0 x0 x1 x6 x3^-1 x0^-1 x0^-1")),
         ("spheres_5.csv", ("spheres", "--radius", "5", "--format", "csv")),
         ("gamma_3_4.json", ("gamma", "--n", "3", "--m", "4")),
+        ("gamma_3_4_words.txt", ("gamma", "--n", "3", "--m", "4", "--emit-words")),
     ],
 )
 def test_golden_output(capsys, golden, argv):

@@ -1,9 +1,11 @@
 import dataclasses
+import importlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from thompsonf.diagrams import from_word
+from thompsonf.diagrams import from_word, mul_letter
 from thompsonf.gamma import (
     ConstructionError,
     LabeledGraph,
@@ -31,6 +33,9 @@ from thompsonf.gamma import (
 from thompsonf.subgraphs import density
 from thompsonf.words import parse_word
 
+# the package exports the function gamma under the module's name
+gamma_module = importlib.import_module("thompsonf.gamma")
+
 
 def a_row(n):
     counts = rank_counts(gamma(n))
@@ -44,7 +49,7 @@ def b_row(n):
 
 def test_seed_graphs():
     assert xi_single(1) == LabeledGraph(1, ((0, 0, 1),))
-    assert xi_path(2, 3) == LabeledGraph(4, ((0, 1, 2), (1, 2, 2), (2, 3, 2)))
+    assert xi_path(2, 3) == LabeledGraph(4, ((1, 0, 2), (2, 1, 2), (3, 2, 2)))
     with pytest.raises(ValueError):
         xi_single(0)
     with pytest.raises(ValueError):
@@ -185,3 +190,39 @@ def test_fullness_error_names_the_vertex_by_word():
     tampered = dataclasses.replace(g, edges=g.edges - {edge})
     with pytest.raises(ConstructionError, match=r"^fullness violated at 'x2\^-1' under x2$"):
         fullness_check(tampered)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 4), (5, 3)])
+def test_concrete_matches_abstract_chain(n, m):
+    abstract = xi_path(n, m)
+    for i in range(n - 2, -1, -1):
+        abstract = apply_A(i, abstract)
+    g = gamma_nm_concrete(n, m)
+    assert g.size == abstract.vertex_count
+    assert Counter(label for _, _, label in g.edges) == edge_label_counts(abstract)
+    degree = Counter()
+    for u, v, _ in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+    assert sorted(degree[d] for d in g.origin) == sorted(abstract.degrees())
+
+
+def test_construction_error_names_failed_edge(monkeypatch):
+    # x1 edges are checked against u * x1^-1, so the first one fails
+    def wrong_x1(d, k, s):
+        return mul_letter(d, k, -1 if k == 1 else s)
+
+    monkeypatch.setattr(gamma_module, "mul_letter", wrong_x1)
+    with pytest.raises(
+        ConstructionError,
+        match=r"^edge 'x2\^-1 x0\^-1' -x1-> 'x0\^-1' failed verification$",
+    ):
+        gamma_nm_concrete(2, 2)
+
+
+def test_construction_error_names_repeated_vertex(monkeypatch):
+    # every x_k acting as x0 is a homomorphism of F onto Z, so every
+    # edge still checks while x0^-1 and x2^-1 get the same name
+    monkeypatch.setattr(gamma_module, "mul_letter", lambda d, k, s: mul_letter(d, 0, s))
+    with pytest.raises(ConstructionError, match=r"^vertex 'x0\^-1' is named twice$"):
+        gamma_nm_concrete(2, 2)

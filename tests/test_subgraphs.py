@@ -56,12 +56,6 @@ def test_square_is_not_in_cayley_graph():
     assert y.edge_count == 3
 
 
-def test_degree_profile_requires_standard_gens():
-    y = sg.full_subgraph([EPSILON], gens=(0, 2))
-    with pytest.raises(ValueError):
-        sg.degree_profile(y)
-
-
 def test_q_is_three_v_minus_two_e():
     rng = random.Random(7)
     pool = list(enumerate_ball(3)._by_diagram)
