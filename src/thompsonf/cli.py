@@ -34,7 +34,6 @@ from .gamma import (
     closed_nu,
     column_partition,
     degree_histogram,
-    density_bar,
     density_bar_closed,
     edge_label_counts,
     fullness_check,
@@ -177,35 +176,39 @@ def _cmd_geodesic(args) -> int:
     return 0
 
 
+def _ratio_table(
+    args, command: str, header: str, columns: List[List[int]], parameters: dict, results: dict
+) -> int:
+    """Report columns[0] with its ratios c[n] / c[n-1], as CSV or JSON.
+
+    A CSV row is n, the n-th entry of each column and the ratio (empty
+    at n = 0).  The JSON results gain a final "ratios" list.
+    """
+    counts = columns[0]
+    ratios = [Fraction(counts[n], counts[n - 1]) for n in range(1, len(counts))]
+    if args.format == "csv":
+        print(header)
+        for n, row in enumerate(zip(*columns)):
+            print(n, *row, _decimal_string(ratios[n - 1]) if n else "", sep=",")
+        return 0
+    results["ratios"] = [{"n": n, **_rational(q)} for n, q in enumerate(ratios, 1)]
+    exact = {f"ratio[{n}]": _decimal_string(q) for n, q in enumerate(ratios, 1)}
+    _emit(command, parameters, results, exact)
+    return 0
+
+
 def _cmd_spheres(args) -> int:
     table = cayley.enumerate_ball(args.radius, cap=args.cap)
     spheres = table.sphere_sizes
     balls = table.ball_sizes
-    ratios: List[Optional[Fraction]] = [None]
-    ratios += [Fraction(spheres[n], spheres[n - 1]) for n in range(1, len(spheres))]
-    if args.format == "csv":
-        print("n,s_n,b_n,ratio")
-        for n, (s, b, q) in enumerate(zip(spheres, balls, ratios)):
-            last = "" if q is None else _decimal_string(q)
-            print(f"{n},{s},{b},{last}")
-        return 0
-    exact = {
-        f"ratio[{n}]": _decimal_string(q) for n, q in enumerate(ratios) if q is not None
-    }
-    _emit(
+    return _ratio_table(
+        args,
         "spheres",
+        "n,s_n,b_n,ratio",
+        [spheres, balls],
         {"radius": args.radius, "cap": args.cap, "threads": args.threads},
-        {
-            "radius": args.radius,
-            "spheres": spheres,
-            "balls": balls,
-            "ratios": [
-                {"n": n, **_rational(q)} for n, q in enumerate(ratios) if q is not None
-            ],
-        },
-        exact,
+        {"radius": args.radius, "spheres": spheres, "balls": balls},
     )
-    return 0
 
 
 def _cmd_dead_search(args) -> int:
@@ -221,30 +224,14 @@ def _cmd_dead_search(args) -> int:
 
 def _cmd_series(args) -> int:
     counts = growth.series(args.max_n)
-    ratios: List[Optional[Fraction]] = [None]
-    ratios += [Fraction(counts[n], counts[n - 1]) for n in range(1, len(counts))]
-    if args.format == "csv":
-        print("n,c_n,ratio")
-        for n, (c, q) in enumerate(zip(counts, ratios)):
-            last = "" if q is None else _decimal_string(q)
-            print(f"{n},{c},{last}")
-        return 0
-    exact = {
-        f"ratio[{n}]": _decimal_string(q) for n, q in enumerate(ratios) if q is not None
-    }
-    _emit(
+    return _ratio_table(
+        args,
         "series",
+        "n,c_n,ratio",
+        [counts],
         {"max_n": args.max_n},
-        {
-            "max_n": args.max_n,
-            "counts": counts,
-            "ratios": [
-                {"n": n, **_rational(q)} for n, q in enumerate(ratios) if q is not None
-            ],
-        },
-        exact,
+        {"max_n": args.max_n, "counts": counts},
     )
-    return 0
 
 
 def _cmd_lword(args) -> int:
@@ -287,8 +274,9 @@ def _gamma_report(n: int, m: Optional[int]) -> tuple:
     labels = edge_label_counts(g)
     b_row = [labels.get(k, 0) for k in range(0, n + 1)]
     cat = catalan(n)
-    density = density_bar(n)
-    nu = degree_histogram(bar(g))
+    bar_g = bar(g)
+    density = bar_g.density()
+    nu = degree_histogram(bar_g)
     checks = {
         "a_row": a_row == [closed_a(n, k) for k in range(1, n + 1)],
         "b_row": b_row == [closed_b(n, k) for k in range(0, n + 1)],
@@ -313,13 +301,13 @@ def _gamma_report(n: int, m: Optional[int]) -> tuple:
     exact = {"density": _decimal_string(density)}
     if m is not None:
         concrete = gamma_nm_concrete(n, m)
-        sub = concrete.subgraph()
-        bar_density = subgraphs.density(sub)
+        concrete_bar = bar(concrete.graph)
+        bar_density = concrete_bar.density()
         columns = column_partition(concrete)
         results["concrete"] = {
             "m": m,
             "vertices": concrete.size,
-            "bar_edges": sub.edge_count,
+            "bar_edges": len(concrete_bar.edges),
             "bar_density": _rational(bar_density),
             "columns": [
                 {"size": size, "rho": _rational(rho)} for size, rho in columns
@@ -334,6 +322,8 @@ def _gamma_report(n: int, m: Optional[int]) -> tuple:
 
 
 def _cmd_gamma(args) -> int:
+    if args.n < 2:
+        raise _CLIError(f"--n must be at least 2, got {args.n}")
     if args.emit_words:
         if args.m is None:
             raise _CLIError("--emit-words needs --m to fix the concrete family")

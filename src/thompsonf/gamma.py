@@ -18,8 +18,8 @@ v = u * x_j.  Every edge is then checked by one-letter multiplication
 and the names are checked to be distinct, which realizes Gamma_{n,m} as
 a full subgraph of the Cayley graph over x_0..x_n.  ConcreteGamma.origin
 maps each vertex diagram to its column on the seed path, which supports
-the per-column density averages rho_k, and the edges are triples of
-diagrams.
+the per-column density averages rho_k, and ConcreteGamma.graph keeps
+the chain's integer graph, whose vertex i is the i-th key of origin.
 
 Degrees count both endpoints, so a loop adds 2 to its vertex's degree;
 edge counts (the b numbers) count a loop once.
@@ -30,10 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, List, Tuple
 
 from .diagrams import Diagram, from_word, mul_letter, normal_form_word, to_normal_form
-from .subgraphs import Subgraph, degrees
+from .subgraphs import Subgraph, full_subgraph
 from .words import format_word
 
 LabeledEdge = Tuple[int, int, int]  # (u, v, label); u == v is a loop
@@ -60,6 +60,10 @@ class LabeledGraph:
             deg[u] += 1
             deg[v] += 1  # a loop contributes 2 to its endpoint
         return deg
+
+    def density(self) -> Fraction:
+        """Average degree 2 #edges / #vertices, exact."""
+        return Fraction(2 * len(self.edges), self.vertex_count)
 
 
 def xi_single(n: int) -> LabeledGraph:
@@ -196,8 +200,7 @@ def density_bar(n: int) -> Fraction:
     """Measured density of bar(Gamma_n): 2 #edges / #vertices, exact."""
     if n < 2:
         raise ValueError("defined for n >= 2")
-    g = bar(gamma(n))
-    return Fraction(2 * len(g.edges), g.vertex_count)
+    return bar(gamma(n)).density()
 
 
 def density_bar_closed(n: int) -> Fraction:
@@ -246,7 +249,9 @@ class ConcreteGamma:
     m: int
     # vertex -> seed-path column 0..m, in construction (--emit-words) order
     origin: Dict[Diagram, int] = field(repr=False)
-    edges: FrozenSet[Tuple[Diagram, Diagram, int]] = field(repr=False)  # v = u * x_label
+    # the chain's graph: vertex i is the i-th key of origin, and an edge
+    # (u, v, j) means v = u * x_j
+    graph: LabeledGraph = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -254,10 +259,7 @@ class ConcreteGamma:
 
     def subgraph(self) -> Subgraph:
         """The bar graph, edges labelled 0 and 1, as a plain subgraph."""
-        return Subgraph(
-            vertices=dict.fromkeys(self.origin),
-            edges=frozenset(e for e in self.edges if e[2] <= 1),
-        )
+        return full_subgraph(self.origin)
 
 
 def _word(d: Diagram) -> str:
@@ -310,8 +312,7 @@ def gamma_nm_concrete(n: int, m: int) -> ConcreteGamma:
         raise ConstructionError(
             f"vertex count {len(origin)} differs from (m+1) Catalan(n) = {expected}"
         )
-    edges = frozenset((names[u], names[v], j) for u, v, j in g.edges)
-    return ConcreteGamma(n=n, m=m, origin=origin, edges=edges)
+    return ConcreteGamma(n=n, m=m, origin=origin, graph=g)
 
 
 def fullness_check(g: ConcreteGamma) -> bool:
@@ -322,11 +323,12 @@ def fullness_check(g: ConcreteGamma) -> bool:
     are spot-checked to confirm no edge escapes the recorded range (the
     vertex normal forms only involve x_0..x_n).
     """
-    recorded = set(g.edges)
-    for d in g.origin:
+    index = {d: i for i, d in enumerate(g.origin)}
+    recorded = set(g.graph.edges)
+    for d, i in index.items():
         for k in range(g.n + 1):
-            v = mul_letter(d, k, 1)
-            if (v in g.origin) != ((d, v, k) in recorded):
+            j = index.get(mul_letter(d, k, 1))
+            if (j is not None) != ((i, j, k) in recorded):
                 raise ConstructionError(
                     f"fullness violated at {_word(d)!r} under x{k}"
                 )
@@ -357,17 +359,16 @@ def monomial_shape_ok(g: ConcreteGamma) -> bool:
 def column_partition(g: ConcreteGamma) -> List[Tuple[int, Fraction]]:
     """Per seed-path column k = 0..m: (vertex count, average degree rho_k).
 
-    Degrees are taken in the bar graph g.subgraph().  The column sizes
+    Degrees are taken in the bar graph bar(g.graph).  The column sizes
     are all equal and the interior averages rho_1 = ... = rho_{m-1}
     coincide; the size-weighted mean of the rho_k reproduces the density
     of the bar graph.
     """
-    deg = degrees(g.subgraph())
     sizes = [0] * (g.m + 1)
     sums = [0] * (g.m + 1)
-    for d, column in g.origin.items():
+    for column, degree in zip(g.origin.values(), bar(g.graph).degrees()):
         sizes[column] += 1
-        sums[column] += deg[d]
+        sums[column] += degree
     return [
         (sizes[k], Fraction(sums[k], sizes[k])) for k in range(g.m + 1)
     ]

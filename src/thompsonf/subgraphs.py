@@ -1,12 +1,14 @@
 """Finite full subgraphs of Cayley graphs of F and their density diagnostics.
 
 A subgraph is a finite vertex set of canonical diagrams together with
-all induced generator edges.  A diagram is its own vertex name: the
-vertex set, the edges, the boundary and the matching are all keyed by
-the hashable Diagram itself.  Density is the average degree 2E/V as an
-exact rational; for the two-generator Cayley graph the bookkeeping
-quantity q(Y) = 3q0 + 2q1 + q2 - q4 over the degree profile satisfies
-q(Y) = 3V - 2E, so q(Y) >= 0 iff density(Y) <= 3.  The module also
+all induced generator edges.  Only the vertex set is stored: one table
+of each vertex's four neighbours gives the edges, the degrees, the
+boundary and the matching.  A diagram is its own vertex name: all of
+these are keyed by the hashable Diagram itself.  Density is the
+average degree 2E/V as an exact rational; for the two-generator
+Cayley graph the bookkeeping quantity q(Y) = 3q0 + 2q1 + q2 - q4 over
+the degree profile satisfies q(Y) = 3V - 2E, so q(Y) >= 0 iff
+density(Y) <= 3.  The module also
 computes boundaries, the isoperimetric sandwich
 #dY/#Y <= 4 - density <= 4 #dY/#Y, the doubling inequality
 #B1(Y) >= 2#Y, and perfect (2,1)-matchings from B1(Y) onto Y, found
@@ -19,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
-from .diagrams import GENERATOR_LETTERS, Diagram, mul_letter
+from .cayley import neighbors
+from .diagrams import GENERATOR_LETTERS, Diagram
 
 Edge = Tuple[Diagram, Diagram, int]  # (u, v, k) meaning v = u * x_k
 
@@ -30,7 +32,6 @@ Edge = Tuple[Diagram, Diagram, int]  # (u, v, k) meaning v = u * x_k
 @dataclass(frozen=True)
 class Subgraph:
     vertices: Dict[Diagram, None] = field(repr=False)  # an insertion-ordered set
-    edges: FrozenSet[Edge] = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -38,24 +39,35 @@ class Subgraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        # each edge is seen once from either end
+        return sum(self._degrees.values()) // 2
 
     @cached_property
     def _neighbours(self) -> Dict[Diagram, Tuple[Diagram, ...]]:
-        # per vertex u, u * x_k^s for each generator letter; the
-        # boundary and the matching both read this, so it is built once
-        return {
-            d: tuple(mul_letter(d, k, s) for k, s in GENERATOR_LETTERS)
-            for d in self.vertices
-        }
+        # per vertex u, u * x_k^s for each generator letter; the edges,
+        # degrees, boundary and matching all read this one table
+        return {d: neighbors(d) for d in self.vertices}
+
+    @cached_property
+    def edges(self) -> FrozenSet[Edge]:
+        """Every (u, v, k) inside the set with v = u * x_k."""
+        return frozenset(
+            (d, v, k)
+            for d, near in self._neighbours.items()
+            for (k, s), v in zip(GENERATOR_LETTERS, near)
+            if s == 1 and v in self.vertices
+        )
 
     @cached_property
     def _degrees(self) -> Dict[Diagram, int]:
-        # q_value and min_degree both read this, so it is built once
-        deg = dict.fromkeys(self.vertices, 0)
-        for u, v, _ in self.edges:
-            deg[u] += 1
-            deg[v] += 1
+        # q_value, min_degree and edge_count all read this, so it is built once
+        deg = {}
+        for d, near in self._neighbours.items():
+            if d in near:
+                raise AssertionError(
+                    f"loop under x{GENERATOR_LETTERS[near.index(d)][0]}"
+                )
+            deg[d] = sum(u in self.vertices for u in near)
         return deg
 
     @cached_property
@@ -71,30 +83,17 @@ def full_subgraph(elems: Iterable[Diagram]) -> Subgraph:
 
     Loops cannot occur (generators have infinite order) and neither can
     parallel edges (distinct generators move an element to distinct
-    places), so the graph is simple.
+    places), so the graph is simple, and a vertex's degree is the number
+    of its four neighbours inside the set.
     """
-    vertices = dict.fromkeys(elems)
-    edges = set()
-    for d in vertices:
-        for k in (0, 1):
-            v = mul_letter(d, k, 1)
-            if v in vertices:
-                if v == d:
-                    raise AssertionError(f"loop under x{k}")
-                edges.add((d, v, k))
-    return Subgraph(vertices=vertices, edges=frozenset(edges))
-
-
-def degrees(y: Subgraph) -> Mapping[Diagram, int]:
-    """Vertex degrees, read-only: the mapping is computed once per subgraph."""
-    return MappingProxyType(y._degrees)
+    return Subgraph(vertices=dict.fromkeys(elems))
 
 
 def density(y: Subgraph) -> Fraction:
     """Average degree 2E/V, exact."""
     if not y.vertices:
         raise ValueError("density of an empty subgraph is undefined")
-    return Fraction(2 * len(y.edges), len(y.vertices))
+    return Fraction(2 * y.edge_count, len(y.vertices))
 
 
 def degree_profile(y: Subgraph) -> Tuple[int, int, int, int, int]:

@@ -148,6 +148,14 @@ def test_gamma_emit_words_roundtrip(capsys, tmp_path):
     assert envelope["results"]["size"] == 6
 
 
+@pytest.mark.parametrize("n", ["0", "1"])
+@pytest.mark.parametrize("extra", [(), ("--m", "3"), ("--m", "3", "--emit-words")])
+def test_gamma_n_below_two_exit(capsys, n, extra):
+    code, out, err = run(capsys, "gamma", "--n", n, *extra)
+    assert (code, out) == (1, "")
+    assert err == f"error: --n must be at least 2, got {n}\n"
+
+
 def test_gamma_emit_words_requires_m(capsys):
     code, out, err = run(capsys, "gamma", "--n", "2", "--emit-words")
     assert code == 1

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thompsonf.cayley import bfs_norm, neighbors
+from thompsonf.cayley import bfs_norm, enumerate_ball, neighbors
 from thompsonf.diagrams import EPSILON, atomic, cell_count, compose, from_word, invert
 from thompsonf.metric import (
     active_vertices,
@@ -49,6 +49,29 @@ def test_generator_norms():
         expected = max(1, 2 * i - 1)
         assert norm(atomic(i)) == expected
         assert norm(invert(atomic(i))) == expected
+
+
+def _far_from_zero(g):
+    # vertices at BFS distance >= 2 from vertex 0 over the arcs
+    adjacent = {v: set() for v in range(g.vertex_count)}
+    for a, b in g.arcs:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    dist = {0: 0}
+    queue = [0]
+    for v in queue:
+        for w in adjacent[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return {v for v in range(g.vertex_count) if dist.get(v, 2) >= 2}
+
+
+def test_special_vertices_match_bfs_definition():
+    # the shortcut in metric._read against the definition, on the radius-6 ball
+    for d in enumerate_ball(6)._by_diagram:
+        far = _far_from_zero(diagram_graph(d))
+        assert special_vertices(d) == active_vertices(d) & far
 
 
 def test_atomic_x1_active():
