@@ -29,6 +29,7 @@ from .diagrams import (
     invert,
     leaf_count,
     mul_letter,
+    normal_form_text,
     normal_form_word,
     to_normal_form,
     validate_normal_form,

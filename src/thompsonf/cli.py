@@ -1,16 +1,18 @@
 """Command line front end.
 
 Every subcommand is a thin adapter over the library: it parses words,
-calls the corresponding functions and prints one report.  The default
-report is a single-line JSON envelope
+calls the corresponding functions and returns its results, which main
+prints as one single-line JSON envelope
 
     {"schema": ..., "command": ..., "parameters": ..., "results": ...,
      "exact_values": ...}
 
-where every rational inside results appears as {"num": ..., "den": ...}
-and exact_values maps the same field paths to decimal strings (truncated
-at 12 places; exact whenever the expansion terminates).  Tabular
-subcommands (spheres, series) switch to plain CSV under --format csv.
+where parameters echoes every option except --format and --emit-words,
+every rational inside results appears as {"num": ..., "den": ...} and
+exact_values maps the same field paths to decimal strings (truncated at
+12 places; exact whenever the expansion terminates).  Tabular
+subcommands (spheres, series) switch to plain CSV under --format csv,
+and gamma --emit-words prints one word per line; both print no envelope.
 
 Exit codes: 0 success, 1 validation error, 2 resource cap exceeded
 (including recursion depth or memory exhausted), 64 unknown subcommand.
@@ -23,7 +25,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cayley, growth, metric, plmaps, subgraphs
 from .gamma import (
@@ -42,37 +44,22 @@ from .gamma import (
     monomial_shape_ok,
     rank_counts,
 )
-from .diagrams import (
-    NormalFormError,
-    cell_count,
-    from_word,
-    normal_form_word,
-    to_normal_form,
-)
+from .diagrams import cell_count, from_word, normal_form_text, normal_form_word, to_normal_form
 from .words import WordError, format_word, parse_word
 
 SCHEMA = "thompson-f-toolkit/1"
 
-SUBCOMMANDS = (
-    "nf",
-    "norm",
-    "mul",
-    "geodesic",
-    "spheres",
-    "dead-search",
-    "series",
-    "lword",
-    "pl",
-    "gamma",
-    "subgraph",
-)
+# parsed options that the envelope does not echo as parameters
+_NOT_ECHOED = ("command", "func", "format", "emit_words")
 
 
-class _CLIError(Exception):
+class _CLIError(ValueError):
     """Argument or input validation failure; rendered as exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
+    subcommands: Tuple[str, ...] = ()  # filled in by _build_parser
+
     # argparse exits with status 2 on bad arguments; 2 is taken by the
     # resource-cap contract, so route errors through _CLIError instead.
     def error(self, message):
@@ -97,88 +84,56 @@ def _rational(x: Fraction) -> Dict[str, int]:
     return {"num": x.numerator, "den": x.denominator}
 
 
-def _emit(command: str, parameters: dict, results: dict, exact_values: dict) -> None:
-    envelope = {
-        "schema": SCHEMA,
-        "command": command,
-        "parameters": parameters,
-        "results": results,
-        "exact_values": exact_values,
+# Each _cmd_* returns (results, exact_values) for main to wrap in the
+# envelope, or None once it has printed its own lines.
+Report = Optional[Tuple[dict, dict]]
+
+
+def _cmd_nf(args) -> Report:
+    nf = to_normal_form(from_word(parse_word(args.word)))
+    results = {
+        "word": format_word(normal_form_word(nf)),
+        "pos": list(nf.pos),
+        "neg": list(nf.neg),
+        "cells": len(nf.pos) + len(nf.neg),
     }
-    print(json.dumps(envelope))
+    return results, {}
 
 
-def _cmd_nf(args) -> int:
-    w = parse_word(args.word)
-    nf = to_normal_form(from_word(w))
-    _emit(
-        "nf",
-        {"word": args.word},
-        {
-            "word": format_word(normal_form_word(nf)),
-            "pos": list(nf.pos),
-            "neg": list(nf.neg),
-            "cells": len(nf.pos) + len(nf.neg),
-        },
-        {},
-    )
-    return 0
-
-
-def _cmd_norm(args) -> int:
+def _cmd_norm(args) -> Report:
     d = from_word(parse_word(args.word))
-    nf = to_normal_form(d)
-    _emit(
-        "norm",
-        {"word": args.word},
-        {
-            "norm": metric.norm(d),
-            "cells": cell_count(d),
-            "special": sorted(metric.special_vertices(d)),
-            "normal_form": format_word(normal_form_word(nf)),
-        },
-        {},
-    )
-    return 0
+    results = {
+        "norm": metric.norm(d),
+        "cells": cell_count(d),
+        "special": sorted(metric.special_vertices(d)),
+        "normal_form": normal_form_text(d),
+    }
+    return results, {}
 
 
-def _cmd_mul(args) -> int:
+def _cmd_mul(args) -> Report:
     product = from_word(parse_word(args.left) + parse_word(args.right))
-    nf = to_normal_form(product)
-    _emit(
-        "mul",
-        {"left": args.left, "right": args.right},
-        {
-            "word": format_word(normal_form_word(nf)),
-            "cells": cell_count(product),
-            "norm": metric.norm(product),
-        },
-        {},
-    )
-    return 0
+    results = {
+        "word": normal_form_text(product),
+        "cells": cell_count(product),
+        "norm": metric.norm(product),
+    }
+    return results, {}
 
 
-def _cmd_geodesic(args) -> int:
-    d = from_word(parse_word(args.word))
-    w = metric.greedy_descent(d)
-    _emit(
-        "geodesic",
-        {"word": args.word},
-        {
-            "word": format_word(w),
-            "length": len(w),
-            "method": "greedy descent",
-            "note": "heuristic by construction; the unit-step property "
-            "guarantees length = norm",
-        },
-        {},
-    )
-    return 0
+def _cmd_geodesic(args) -> Report:
+    w = metric.greedy_descent(from_word(parse_word(args.word)))
+    results = {
+        "word": format_word(w),
+        "length": len(w),
+        "method": "greedy descent",
+        "note": "heuristic by construction; the unit-step property "
+        "guarantees length = norm",
+    }
+    return results, {}
 
 
-def _ratio_table(
-    args, command: str, header: str, columns: List[List[int]], parameters: dict, results: dict
-) -> int:
+def _ratio_table(args, header: str, columns: List[List[int]], results: dict) -> Report:
     """Report columns[0] with its ratios c[n] / c[n-1], as CSV or JSON.
 
     A CSV row is n, the n-th entry of each column and the ratio (empty
@@ -190,63 +145,38 @@ def _ratio_table(
         print(header)
         for n, row in enumerate(zip(*columns)):
             print(n, *row, _decimal_string(ratios[n - 1]) if n else "", sep=",")
-        return 0
+        return None
     results["ratios"] = [{"n": n, **_rational(q)} for n, q in enumerate(ratios, 1)]
-    exact = {f"ratio[{n}]": _decimal_string(q) for n, q in enumerate(ratios, 1)}
-    _emit(command, parameters, results, exact)
-    return 0
+    return results, {f"ratio[{n}]": _decimal_string(q) for n, q in enumerate(ratios, 1)}
 
 
-def _cmd_spheres(args) -> int:
+def _cmd_spheres(args) -> Report:
     table = cayley.enumerate_ball(args.radius, cap=args.cap)
-    spheres = table.sphere_sizes
-    balls = table.ball_sizes
+    spheres, balls = table.sphere_sizes, table.ball_sizes
     return _ratio_table(
         args,
-        "spheres",
         "n,s_n,b_n,ratio",
         [spheres, balls],
-        {"radius": args.radius, "cap": args.cap, "threads": args.threads},
         {"radius": args.radius, "spheres": spheres, "balls": balls},
     )
 
 
-def _cmd_dead_search(args) -> int:
+def _cmd_dead_search(args) -> Report:
     found = cayley.dead_search(args.max_norm, cap=args.cap)
-    _emit(
-        "dead-search",
-        {"max_norm": args.max_norm, "cap": args.cap, "threads": args.threads},
-        {"max_norm": args.max_norm, "count": len(found), "elements": found},
-        {},
-    )
-    return 0
+    return {"max_norm": args.max_norm, "count": len(found), "elements": found}, {}
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args) -> Report:
     counts = growth.series(args.max_n)
-    return _ratio_table(
-        args,
-        "series",
-        "n,c_n,ratio",
-        [counts],
-        {"max_n": args.max_n},
-        {"max_n": args.max_n, "counts": counts},
-    )
+    return _ratio_table(args, "n,c_n,ratio", [counts], {"max_n": args.max_n, "counts": counts})
 
 
-def _cmd_lword(args) -> int:
-    w = parse_word(args.word)
-    state = growth.run_automaton(w)
-    _emit(
-        "lword",
-        {"word": args.word},
-        {"word": args.word, "accepted": state is not None, "state": state},
-        {},
-    )
-    return 0
+def _cmd_lword(args) -> Report:
+    state = growth.run_automaton(parse_word(args.word))
+    return {"word": args.word, "accepted": state is not None, "state": state}, {}
 
 
-def _cmd_pl(args) -> int:
+def _cmd_pl(args) -> Report:
     f = plmaps.from_word_pl(parse_word(args.word))
     exact = {}
     breakpoints = []
@@ -258,13 +188,7 @@ def _cmd_pl(args) -> int:
         exact[f"breakpoints[{idx}].y"] = _decimal_string(
             Fraction(y.num, 1 << y.exp)
         )
-    _emit(
-        "pl",
-        {"word": args.word},
-        {"breakpoints": breakpoints, "tail_offset": f.tail_offset},
-        exact,
-    )
-    return 0
+    return {"breakpoints": breakpoints, "tail_offset": f.tail_offset}, exact
 
 
 def _gamma_report(n: int, m: Optional[int]) -> tuple:
@@ -321,22 +245,21 @@ def _gamma_report(n: int, m: Optional[int]) -> tuple:
     return results, exact
 
 
-def _cmd_gamma(args) -> int:
+def _cmd_gamma(args) -> Report:
     if args.n < 2:
         raise _CLIError(f"--n must be at least 2, got {args.n}")
-    if args.emit_words:
-        if args.m is None:
-            raise _CLIError("--emit-words needs --m to fix the concrete family")
-        concrete = gamma_nm_concrete(args.n, args.m)
-        for d in concrete.origin:
-            print(format_word(normal_form_word(to_normal_form(d))))
-        return 0
-    results, exact = _gamma_report(args.n, args.m)
-    _emit("gamma", {"n": args.n, "m": args.m, "threads": args.threads}, results, exact)
-    return 0
+    if args.m is not None and args.m < 1:
+        raise _CLIError(f"--m must be at least 1, got {args.m}")
+    if not args.emit_words:
+        return _gamma_report(args.n, args.m)
+    if args.m is None:
+        raise _CLIError("--emit-words needs --m to fix the concrete family")
+    for d in gamma_nm_concrete(args.n, args.m).origin:
+        print(normal_form_text(d))
+    return None
 
 
-def _cmd_subgraph(args) -> int:
+def _cmd_subgraph(args) -> Report:
     try:
         with open(args.input, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
@@ -379,8 +302,7 @@ def _cmd_subgraph(args) -> int:
         "folner.four_minus_density": _decimal_string(middle),
         "folner.four_times_ratio": _decimal_string(upper),
     }
-    _emit("subgraph", {"input": args.input}, results, exact)
-    return 0
+    return results, exact
 
 
 @functools.cache
@@ -411,15 +333,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--cap", type=int, default=cayley.DEFAULT_CAP)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, choices=(1,), default=1,
-                   help="reserved; single process")
     p.set_defaults(func=_cmd_spheres)
 
     p = sub.add_parser("dead-search", help="dead elements up to a norm bound")
     p.add_argument("--max-norm", type=int, required=True)
     p.add_argument("--cap", type=int, default=cayley.DEFAULT_CAP)
-    p.add_argument("--threads", type=int, choices=(1,), default=1,
-                   help="reserved; single process")
     p.set_defaults(func=_cmd_dead_search)
 
     p = sub.add_parser("series", help="growth series of the monotone language")
@@ -440,39 +358,37 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--emit-words", action="store_true",
                    help="dump concrete vertex words, one per line")
-    p.add_argument("--threads", type=int, choices=(1,), default=1,
-                   help="reserved; single process")
     p.set_defaults(func=_cmd_gamma)
 
     p = sub.add_parser("subgraph", help="density diagnostics for a set of words")
     p.add_argument("--input", required=True, help="UTF-8 file, one word per line")
     p.set_defaults(func=_cmd_subgraph)
 
+    for name in ("spheres", "dead-search", "gamma"):
+        sub.choices[name].add_argument(
+            "--threads", type=int, choices=(1,), default=1, help="reserved; single process"
+        )
+    parser.subcommands = tuple(sub.choices)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    known = ", ".join(SUBCOMMANDS)
-    usage = f"usage: thompsonf <subcommand> ...\nsubcommands: {known}"
+    parser = _build_parser()
+    usage = f"usage: thompsonf <subcommand> ...\nsubcommands: {', '.join(parser.subcommands)}"
     if argv and argv[0] in ("-h", "--help"):
         print(usage)
         return 0
-    if not argv or argv[0] not in SUBCOMMANDS:
+    if not argv or argv[0] not in parser.subcommands:
         print(usage, file=sys.stderr)
         return 64
-    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        report = args.func(args)
     except SystemExit as exc:  # --help only; errors raise _CLIError
         code = exc.code
         return code if isinstance(code, int) else 0
-    except _CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return args.func(args)
-    except (WordError, NormalFormError, ValueError, _CLIError) as exc:
+    except ValueError as exc:  # _CLIError, WordError, NormalFormError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (cayley.ResourceCapError, growth.ResourceError) as exc:
@@ -484,6 +400,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MemoryError:
         print("error: input too large: out of memory", file=sys.stderr)
         return 2
+    if report is not None:
+        results, exact_values = report
+        envelope = {
+            "schema": SCHEMA,
+            "command": args.command,
+            "parameters": {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED},
+            "results": results,
+            "exact_values": exact_values,
+        }
+        print(json.dumps(envelope))
+    return 0
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Tuple
 
-from .words import GenWord
+from .words import GenWord, format_word
 
 # top and bottom forest codes joined by "|"; see the module docstring
 Diagram = str
@@ -185,6 +185,11 @@ def to_normal_form(d: Diagram) -> NormalForm:
 def normal_form_word(nf: NormalForm) -> GenWord:
     """The word spelled by a normal form."""
     return tuple((i, 1) for i in nf.pos) + tuple((j, -1) for j in reversed(nf.neg))
+
+
+def normal_form_text(d: Diagram) -> str:
+    """The normal-form word of d, written as parse_word reads it."""
+    return format_word(normal_form_word(to_normal_form(d)))
 
 
 def validate_normal_form(nf: NormalForm) -> None:

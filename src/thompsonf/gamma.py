@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .diagrams import Diagram, from_word, mul_letter, normal_form_word, to_normal_form
+from .diagrams import Diagram, from_word, mul_letter, normal_form_text, to_normal_form
 from .subgraphs import Subgraph, full_subgraph
-from .words import format_word
 
 LabeledEdge = Tuple[int, int, int]  # (u, v, label); u == v is a loop
 
@@ -262,11 +261,6 @@ class ConcreteGamma:
         return full_subgraph(self.origin)
 
 
-def _word(d: Diagram) -> str:
-    # a vertex as its normal-form word, for error messages
-    return format_word(normal_form_word(to_normal_form(d)))
-
-
 def gamma_nm_concrete(n: int, m: int) -> ConcreteGamma:
     """Gamma_{n,m} = apply_A(0) ... apply_A(n-2) of xi_path(n, m), named.
 
@@ -299,13 +293,12 @@ def gamma_nm_concrete(n: int, m: int) -> ConcreteGamma:
         names, columns = column_names, column_indices
     for u, v, j in g.edges:
         if mul_letter(names[u], j, 1) != names[v]:
-            raise ConstructionError(
-                f"edge {_word(names[u])!r} -x{j}-> {_word(names[v])!r} failed verification"
-            )
+            u, v = normal_form_text(names[u]), normal_form_text(names[v])
+            raise ConstructionError(f"edge {u!r} -x{j}-> {v!r} failed verification")
     origin: Dict[Diagram, int] = {}
     for d, column in zip(names, columns):
         if d in origin:
-            raise ConstructionError(f"vertex {_word(d)!r} is named twice")
+            raise ConstructionError(f"vertex {normal_form_text(d)!r} is named twice")
         origin[d] = column
     expected = (m + 1) * catalan(n)
     if len(origin) != expected:
@@ -330,12 +323,12 @@ def fullness_check(g: ConcreteGamma) -> bool:
             j = index.get(mul_letter(d, k, 1))
             if (j is not None) != ((i, j, k) in recorded):
                 raise ConstructionError(
-                    f"fullness violated at {_word(d)!r} under x{k}"
+                    f"fullness violated at {normal_form_text(d)!r} under x{k}"
                 )
         for k in (g.n + 1, g.n + 2):
             if mul_letter(d, k, 1) in g.origin:
                 raise ConstructionError(
-                    f"unexpected x{k} edge inside the vertex set at {_word(d)!r}"
+                    f"unexpected x{k} edge inside the vertex set at {normal_form_text(d)!r}"
                 )
     return True
 

@@ -127,18 +127,24 @@ def greedy_descent(d: Diagram) -> GenWord:
     Each step lowers the norm by exactly 1 (neighbour norms differ by
     exactly 1), so the word has length norm(d), and the norm is read
     once up front and then carried down.  A descent direction always
-    exists: the last letter of any minimal word provides one.
+    exists: the last letter of any minimal word provides one.  The
+    letter that undoes the previous step is skipped unread: it leads
+    back up to norm n + 1, so it would never be chosen.
     """
     steps = []
     current = d
     n = norm(d)
+    back = None  # the inverse of the last letter taken
     while n > 0:
         for letter in GENERATOR_LETTERS:
+            if letter == back:
+                continue
             candidate = mul_letter(current, *letter)
             if norm(candidate) < n:
                 steps.append(letter)
                 current = candidate
                 n -= 1
+                back = (letter[0], -letter[1])
                 break
         else:
             raise AssertionError(f"no descent direction at norm {n}")

@@ -251,21 +251,22 @@ class _Chain:
 
     def split_at(self, k: int) -> int:
         """Make the integer k a breakpoint value; return the point's index."""
-        xs, ys = self.xs, self.ys
-        y = (k << self.e) - self.base
-        i = bisect_left(ys, y)
-        if i == len(ys):  # on the slope-1 tail
-            xs.append(xs[-1] + y - ys[-1])
-            ys.append(y)
-        elif ys[i] != y:  # inside the segment from point i-1 to point i
-            dy = ys[i] - ys[i - 1]
-            num = (y - ys[i - 1]) * (xs[i] - xs[i - 1])
-            if _trailing_zeros(num) < _trailing_zeros(dy):
-                self.rescale(_trailing_zeros(dy) - _trailing_zeros(num))
-                return self.split_at(k)
-            xs.insert(i, xs[i - 1] + num // dy)
-            ys.insert(i, y)
-        return i
+        while True:  # a second pass follows a rescale
+            xs, ys = self.xs, self.ys
+            y = (k << self.e) - self.base
+            i = bisect_left(ys, y)
+            if i == len(ys):  # on the slope-1 tail
+                xs.append(xs[-1] + y - ys[-1])
+                ys.append(y)
+            elif ys[i] != y:  # inside the segment from point i-1 to point i
+                dy = ys[i] - ys[i - 1]
+                num = (y - ys[i - 1]) * (xs[i] - xs[i - 1])
+                if _trailing_zeros(num) < _trailing_zeros(dy):
+                    self.rescale(_trailing_zeros(dy) - _trailing_zeros(num))
+                    continue
+                xs.insert(i, xs[i - 1] + num // dy)
+                ys.insert(i, y)
+            return i
 
     def apply(self, k: int, s: int) -> None:
         """Follow the map by f_k^s, which moves y only on the window

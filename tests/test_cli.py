@@ -156,6 +156,14 @@ def test_gamma_n_below_two_exit(capsys, n, extra):
     assert err == f"error: --n must be at least 2, got {n}\n"
 
 
+@pytest.mark.parametrize("m", ["0", "-1"])
+@pytest.mark.parametrize("extra", [(), ("--emit-words",)])
+def test_gamma_m_below_one_exit(capsys, m, extra):
+    code, out, err = run(capsys, "gamma", "--n", "3", "--m", m, *extra)
+    assert (code, out) == (1, "")
+    assert err == f"error: --m must be at least 1, got {m}\n"
+
+
 def test_gamma_emit_words_requires_m(capsys):
     code, out, err = run(capsys, "gamma", "--n", "2", "--emit-words")
     assert code == 1
@@ -340,10 +348,29 @@ def test_module_entry_point():
         ("spheres_5.csv", ("spheres", "--radius", "5", "--format", "csv")),
         ("gamma_3_4.json", ("gamma", "--n", "3", "--m", "4")),
         ("gamma_3_4_words.txt", ("gamma", "--n", "3", "--m", "4", "--emit-words")),
+        ("mul_x1x0_x2inv.json", ("mul", "x1 x0", "x2^-1")),
+        ("geodesic_worked.json", ("geodesic", "x0 x0 x1 x6 x3^-1 x0^-1 x0^-1")),
+        ("spheres_3.json", ("spheres", "--radius", "3")),
+        ("series_6.json", ("series", "--max-n", "6")),
+        ("series_6.csv", ("series", "--max-n", "6", "--format", "csv")),
+        ("dead_search_4.json", ("dead-search", "--max-norm", "4")),
+        ("lword_x1x0x1inv.json", ("lword", "x1 x0 x1^-1")),
+        ("gamma_6.json", ("gamma", "--n", "6")),
+        (
+            "subgraph_gamma_3_4.json",
+            ("subgraph", "--input", "tests/golden/gamma_3_4_words.txt"),
+        ),
     ],
 )
-def test_golden_output(capsys, golden, argv):
+def test_golden_output(capsys, monkeypatch, golden, argv):
+    # the subgraph envelope echoes its --input path, relative to the repo root
+    monkeypatch.chdir(pathlib.Path(__file__).parent.parent)
     expected = (pathlib.Path(__file__).parent / "golden" / golden).read_text()
     code, out, err = run(capsys, *argv)
     assert code == 0
     assert out == expected
+
+
+def test_golden_unknown_subcommand(capsys):
+    expected = (pathlib.Path(__file__).parent / "golden" / "unknown_subcommand.err").read_text()
+    assert run(capsys, "frobnicate") == (64, "", expected)

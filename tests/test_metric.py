@@ -1,9 +1,21 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thompsonf import metric
 from thompsonf.cayley import bfs_norm, enumerate_ball, neighbors
-from thompsonf.diagrams import EPSILON, atomic, cell_count, compose, from_word, invert
+from thompsonf.diagrams import (
+    EPSILON,
+    GENERATOR_LETTERS,
+    atomic,
+    cell_count,
+    compose,
+    from_word,
+    invert,
+    mul_letter,
+)
 from thompsonf.metric import (
     active_vertices,
     diagram_graph,
@@ -146,6 +158,40 @@ def test_greedy_descent_is_geodesic(w):
 
 def test_greedy_descent_identity():
     assert greedy_descent(EPSILON) == ()
+
+
+def _plain_descent(d):
+    # the same descent without the skip: every letter is tried at every step
+    steps = []
+    n = metric.norm(d)
+    while n > 0:
+        for letter in GENERATOR_LETTERS:
+            candidate = mul_letter(d, *letter)
+            if metric.norm(candidate) < n:
+                steps.append(letter)
+                d = candidate
+                n -= 1
+                break
+    return tuple((k, -s) for k, s in reversed(steps))
+
+
+def test_greedy_descent_skips_the_undoing_letter(monkeypatch):
+    rng = random.Random(7)
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return norm(d)
+
+    monkeypatch.setattr(metric, "norm", counted)
+    for length in (10, 25, 40, 60, 80, 100):
+        d = from_word(tuple((rng.randint(0, 3), rng.choice((1, -1))) for _ in range(length)))
+        del calls[:]
+        expected = _plain_descent(d)
+        plain_calls = len(calls)
+        del calls[:]
+        assert greedy_descent(d) == expected
+        assert len(calls) < plain_calls
 
 
 def test_norm_triangle_inequality():
