@@ -15,7 +15,9 @@ subcommands (spheres, series) switch to plain CSV under --format csv,
 and gamma --emit-words prints one word per line; both print no envelope.
 
 Exit codes: 0 success, 1 validation error, 2 resource cap exceeded
-(including recursion depth or memory exhausted), 64 unknown subcommand.
+(including recursion depth or memory exhausted), 64 unknown subcommand,
+141 (128 + SIGPIPE) when the reader closes stdout early, as `| head`
+does; that case prints nothing more.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -260,19 +263,21 @@ def _cmd_gamma(args) -> Report:
 
 
 def _cmd_subgraph(args) -> Report:
+    # one word per line, read as it streams in; a blank line is the
+    # empty word, i.e. the identity.  Lines end where str.splitlines
+    # ends them, so a form feed also starts a new line.
+    elems = []
     try:
         with open(args.input, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+            lines = (part for text in handle for part in text.splitlines())
+            for number, line in enumerate(lines, start=1):
+                try:
+                    w = parse_word(line)
+                except WordError as exc:
+                    raise _CLIError(f"line {number}: {exc}") from exc
+                elems.append(from_word(w))
     except OSError as exc:
         raise _CLIError(f"cannot read {args.input}: {exc}") from exc
-    # one word per line; a blank line is the empty word, i.e. the identity
-    elems = []
-    for number, line in enumerate(lines, start=1):
-        try:
-            w = parse_word(line)
-        except WordError as exc:
-            raise _CLIError(f"line {number}: {exc}") from exc
-        elems.append(from_word(w))
     if not elems:
         raise _CLIError(f"no words in {args.input}")
     y = subgraphs.full_subgraph(elems)
@@ -373,6 +378,19 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does; point stdout at
+        # devnull so that the flush at exit stays quiet (the "Note on
+        # SIGPIPE" in the documentation of the signal module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
+
+
+def _main(argv: Optional[Sequence[str]]) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     usage = f"usage: thompsonf <subcommand> ...\nsubcommands: {', '.join(parser.subcommands)}"

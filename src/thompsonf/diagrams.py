@@ -25,17 +25,18 @@ removes one caret and cancels at most one dipole (J. Belk and K. Brown,
 "Forest diagrams for elements of Thompson's group F", IJAC 2005).  The
 general product compose folds mul_letter over the normal form of its
 right factor.  A caret sits in preorder just before its leftmost leaf,
-so the normal form is read off by splitting the comma-free code at each
-``L``, and from_normal_form writes the string directly.  No reader
-recurses, so trees far deeper than the interpreter's recursion limit
-are handled.
+so the normal form is read off the runs of ``(``, and from_normal_form
+writes the string directly.  No reader recurses, so trees far deeper
+than the interpreter's recursion limit are handled.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Tuple
+from bisect import bisect_right
+from itertools import chain, repeat
+from typing import List, NamedTuple, Tuple
 
-from .words import GenWord, format_word
+from .words import GenWord
 
 # top and bottom forest codes joined by "|"; see the module docstring
 Diagram = str
@@ -120,13 +121,19 @@ def mul_letter(d: Diagram, k: int, s: int) -> Diagram:
     if s == 1:
         if d[i] == "(":
             # read the left subtree of the root caret: each caret adds a
-            # subtree to read, each leaf completes one
+            # subtree to read, each leaf completes one.  With `pending`
+            # leaves still to read and no caret among the next `pending`
+            # characters, those are the leaves, so a step per caret run
             q = i + 1
             pending = 1
-            while pending:
-                j = d.index("L", q)
-                pending += j - q - 1
-                q = j + 1
+            while True:
+                c = d.find("(", q, q + pending)
+                if c < 0:
+                    q += pending
+                    break
+                j = d.index("L", c)
+                pending += (j - c) - (c - q)
+                q = j
             d = d[:i] + d[i + 1:q] + "," + d[q:]
         else:
             j = _leaf(d, d.count("L", bar, i))
@@ -151,7 +158,20 @@ def mul_letter(d: Diagram, k: int, s: int) -> Diagram:
 
 
 def from_word(w: GenWord) -> Diagram:
-    """Fold the letters of w into a canonical diagram; () gives EPSILON."""
+    """The canonical diagram of the word w; () gives EPSILON.
+
+    A word of normal-form shape, letters x_i with nondecreasing i and
+    then letters x_j^-1 with nonincreasing j, whose (pos, neg) passes
+    validate_normal_form, is built by from_normal_form in linear time.
+    Any other word is folded letter by letter with mul_letter.
+    """
+    ks, signs = tuple(zip(*w)) or ((), ())
+    p = signs.count(1)
+    if signs == (1,) * p + (-1,) * (len(signs) - p):
+        try:
+            return from_normal_form(NormalForm(ks[:p], ks[p:][::-1]))
+        except NormalFormError:
+            pass  # a dipole or an unsorted run: fold
     d = EPSILON
     for k, s in w:
         d = mul_letter(d, k, s)
@@ -165,10 +185,24 @@ def compose(d1: Diagram, d2: Diagram) -> Diagram:
     return d1
 
 
+def _caret_runs(f: str) -> List[Tuple[int, int]]:
+    # (i, k) for each run of k carets whose leftmost leaf is leaf i, in
+    # preorder: such carets sit together just before leaf i, and a run
+    # of "(" always ends at a leaf
+    runs = []
+    leaves = j = 0
+    c = f.find("(")
+    while c >= 0:
+        leaves += f.count("L", j, c)
+        j = f.index("L", c)
+        runs.append((leaves, j - c))
+        c = f.find("(", j)
+    return runs
+
+
 def _caret_starts(f: str) -> Tuple[int, ...]:
-    # per caret in preorder, the number of leaves left of its leftmost
-    # leaf; a caret sits just before that leaf in the comma-free code
-    return tuple(i for i, run in enumerate(f.replace(",", "").split("L")) for _ in run)
+    # per caret in preorder, the number of leaves left of its leftmost leaf
+    return tuple(chain.from_iterable(repeat(i, k) for i, k in _caret_runs(f)))
 
 
 def to_normal_form(d: Diagram) -> NormalForm:
@@ -188,21 +222,28 @@ def normal_form_word(nf: NormalForm) -> GenWord:
 
 
 def normal_form_text(d: Diagram) -> str:
-    """The normal-form word of d, written as parse_word reads it."""
-    return format_word(normal_form_word(to_normal_form(d)))
+    """The normal-form word of d, written as parse_word reads it.
+
+    Equal to format_word(normal_form_word(to_normal_form(d))), but each
+    run of carets starting at leaf i is written as one repeated token.
+    """
+    top, _, bottom = d.partition("|")
+    pos = [f"x{i} " * k for i, k in _caret_runs(top)]
+    neg = [f"x{i}^-1 " * k for i, k in _caret_runs(bottom)]
+    return "".join(pos + neg[::-1])[:-1]
 
 
 def validate_normal_form(nf: NormalForm) -> None:
     """Raise NormalFormError unless nf satisfies the uniqueness conditions."""
     pos, neg = nf
     for name, seq in (("pos", pos), ("neg", neg)):
-        if any(i < 0 for i in seq):
+        if seq and min(seq) < 0:
             raise NormalFormError(f"{name} contains a negative index: {seq}")
-        if any(b < a for a, b in zip(seq, seq[1:])):
+        if list(seq) != sorted(seq):
             raise NormalFormError(f"{name} is not nondecreasing: {seq}")
-    union = set(pos) | set(neg)
-    for i in set(pos) & set(neg):
-        if i + 1 not in union:
+    top, bottom = set(pos), set(neg)
+    for i in top & bottom:
+        if i + 1 not in top and i + 1 not in bottom:
             raise NormalFormError(
                 f"index {i} occurs on both sides but {i + 1} occurs on neither"
             )
@@ -216,24 +257,30 @@ def _forest(starts: Tuple[int, ...]) -> Tuple[str, int]:
     # leaf indices `starts`, over the fewest leaves, and that leaf count.
     # h counts leaves minus carets so far; each tree adds 1 to it, and a
     # proper prefix of a tree adds at most 0, so a tree ends exactly
-    # where h reaches a new high
-    if not starts:
-        return "L", 1
-    runs = [0] * (starts[-1] + 1)
-    for i in starts:
-        runs[i] += 1
+    # where h reaches a new high.  One step per run of equal starts
     parts = []
-    h = high = 0
-    for run in runs:
-        parts.append("(" * run + "L")
-        h += 1 - run
+    h = high = leaf = r = 0
+    while r < len(starts):
+        i = starts[r]
+        k = bisect_right(starts, i, r) - r
+        r += k
+        # leaves leaf .. i-1 carry no caret and each lifts h by 1; those
+        # that lift it above high each end a tree
+        gap = i - leaf
+        inner = min(gap, high - h)
+        parts.append("L" * inner + "L," * (gap - inner))
+        h += gap
+        high = max(high, h)
+        parts.append("(" * k + "L")
+        h += 1 - k
         if h > high:
             high = h
             parts.append(",")
+        leaf = i + 1
     # past the last caret, each leaf adds 1 to h, and the last tree ends
     # at the first leaf that lifts h above high
     parts.append("L" * (high - h + 1))
-    return "".join(parts), len(runs) + high - h + 1
+    return "".join(parts), leaf + high - h + 1
 
 
 def from_normal_form(nf: NormalForm) -> Diagram:

@@ -31,6 +31,13 @@ Edge = Tuple[Diagram, Diagram, int]  # (u, v, k) meaning v = u * x_k
 
 @dataclass(frozen=True)
 class Subgraph:
+    """A finite vertex set and the cached table of its vertices' neighbours.
+
+    Each element is stored once: in the table, a neighbour inside the
+    set is that vertex's own string, and each boundary element is one
+    string shared by every vertex next to it.
+    """
+
     vertices: Dict[Diagram, None] = field(repr=False)  # an insertion-ordered set
 
     @property
@@ -45,8 +52,13 @@ class Subgraph:
     @cached_property
     def _neighbours(self) -> Dict[Diagram, Tuple[Diagram, ...]]:
         # per vertex u, u * x_k^s for each generator letter; the edges,
-        # degrees, boundary and matching all read this one table
-        return {d: neighbors(d) for d in self.vertices}
+        # degrees, boundary and matching all read this one table.
+        # `stored` maps each element met so far to its one string
+        stored = dict(zip(self.vertices, self.vertices))
+        return {
+            d: tuple([stored.setdefault(u, u) for u in neighbors(d)])
+            for d in self.vertices
+        }
 
     @cached_property
     def edges(self) -> FrozenSet[Edge]:

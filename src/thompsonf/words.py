@@ -22,17 +22,33 @@ class WordError(ValueError):
 
 _TOKEN = re.compile(r"x(0|[1-9][0-9]*)(\^-1)?\Z")
 
+# the letters of the tokens x0 .. x63 and their inverses, built once;
+# parse_word never adds to it, so its size is fixed
+_LETTERS = {
+    token: (k, s)
+    for k in range(64)
+    for token, s in ((f"x{k}", 1), (f"x{k}^-1", -1))
+}
+
 
 def parse_word(text: str) -> GenWord:
     """Parse a whitespace separated token string into a word.
+
+    A word whose tokens all lie in the fixed table of small subscripts
+    is looked up; any other word goes through the regular expression.
 
     >>> parse_word("x0 x1^-1")
     ((0, 1), (1, -1))
     >>> parse_word("")
     ()
     """
+    tokens = text.split()
+    try:
+        return tuple(map(_LETTERS.__getitem__, tokens))
+    except KeyError:
+        pass
     letters = []
-    for pos, token in enumerate(text.split(), start=1):
+    for pos, token in enumerate(tokens, start=1):
         m = _TOKEN.match(token)
         if m is None:
             raise WordError(f"bad token {token!r} at position {pos}")

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import random
 import subprocess
@@ -205,6 +206,56 @@ def test_subgraph_parse_error_names_line(capsys, tmp_path):
     code, out, err = run(capsys, "subgraph", "--input", str(path))
     assert (code, out) == (1, "")
     assert err == "error: line 3: bad token 'y2' at position 2\n"
+
+
+def test_subgraph_parse_error_after_many_good_lines(capsys, tmp_path):
+    path = tmp_path / "bad.words"
+    path.write_text("x0 x1\n" * 50 + "x1 x0^2\n", encoding="utf-8")
+    code, out, err = run(capsys, "subgraph", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: line 51: bad token 'x0^2' at position 2\n"
+
+
+def test_subgraph_counts_lines_as_splitlines_does(capsys, tmp_path):
+    # a form feed ends a line for str.splitlines, as for the whole-file read
+    path = tmp_path / "ff.words"
+    path.write_text("x0\x0cx1\nzz\n", encoding="utf-8")
+    code, out, err = run(capsys, "subgraph", "--input", str(path))
+    assert err == "error: line 3: bad token 'zz' at position 1\n"
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader takes one line and closes the pipe, as `| head -n 1` does
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "thompsonf.cli", "gamma", "--n", "6", "--m", "40", "--emit-words"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"\n"  # the identity comes first
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) <= 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["norm", "x0"]])
+def test_stdout_closed_before_any_output(argv):
+    # the read end is closed before the process starts, so every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "thompsonf.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
 
 
 def test_unknown_subcommand(capsys):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tuple_oracle as oracle
@@ -16,11 +16,12 @@ from thompsonf.diagrams import (
     invert,
     leaf_count,
     mul_letter,
+    normal_form_text,
     normal_form_word,
     to_normal_form,
     validate_normal_form,
 )
-from thompsonf.words import inverse_word, parse_word
+from thompsonf.words import format_word, inverse_word, parse_word
 
 letters = st.tuples(st.integers(min_value=0, max_value=4), st.sampled_from((1, -1)))
 words = st.lists(letters, max_size=12).map(tuple)
@@ -216,3 +217,48 @@ def test_reduced_and_canonical():
     # trailing common leaf would be a non-canonical sum decomposition
     last_trees = [forest.split(",")[-1] for forest in d.split("|")]
     assert last_trees != ["L", "L"]
+
+
+def _fold(w):
+    # the plain left fold of one-letter products, without the normal-form path
+    d = EPSILON
+    for k, s in w:
+        d = mul_letter(d, k, s)
+    return d
+
+
+subscripts = st.lists(st.integers(min_value=0, max_value=6), max_size=20)
+# letters x_i with nondecreasing i, then x_j^-1 with nonincreasing j;
+# many of these fail validate_normal_form, e.g. x0 x0^-1 (a dipole)
+shaped_words = st.tuples(subscripts, subscripts).map(
+    lambda pn: tuple((i, 1) for i in sorted(pn[0]))
+    + tuple((j, -1) for j in sorted(pn[1], reverse=True))
+)
+valid_normal_forms = long_words.map(lambda w: normal_form_word(to_normal_form(_fold(w))))
+
+
+@given(st.one_of(valid_normal_forms, shaped_words, long_words.map(tuple)))
+@settings(max_examples=150, deadline=None)
+@example(parse_word("x0 x0 x1 x6 x3^-1 x0^-1 x0^-1"))
+@example(((0, 1), (0, -1)))
+@example(((2, 1), (5, 1), (5, -1), (2, -1)))
+@example(((0, 1), (1, 1), (1, -1)))
+def test_from_word_equals_letter_fold(w):
+    assert from_word(w) == _fold(w)
+
+
+# runs of equal caret starts: (subscript, run length) pairs per side
+runs = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=20), st.integers(min_value=1, max_value=60)),
+    max_size=4,
+)
+
+
+@given(runs, runs)
+@settings(max_examples=80, deadline=None)
+@example([(3, 50), (20, 55)], [(0, 60), (19, 1)])
+def test_normal_form_text_matches_letter_rendering(pos_runs, neg_runs):
+    pos = sorted(i for i, k in pos_runs for _ in range(k))
+    neg = sorted(i for i, k in neg_runs for _ in range(k))
+    d = from_word(tuple((i, 1) for i in pos) + tuple((j, -1) for j in reversed(neg)))
+    assert normal_form_text(d) == format_word(normal_form_word(to_normal_form(d)))

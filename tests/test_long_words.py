@@ -9,6 +9,7 @@ import random
 import pytest
 
 from thompsonf.diagrams import (
+    NormalForm,
     cell_count,
     from_normal_form,
     from_word,
@@ -48,3 +49,12 @@ def test_long_word_properties(w):
     # has even length
     assert n <= len(w) and (len(w) - n) % 2 == 0
     assert pl_equal(from_word_pl(normal_form_word(nf)), from_word_pl(w))
+
+
+@pytest.mark.parametrize(
+    "letter, nf",
+    [((0, 1), NormalForm((0,) * 100000, ())), ((1, -1), NormalForm((), (1,) * 100000))],
+)
+def test_long_power_builds_its_normal_form(letter, nf):
+    # x0^100000 and x1^-100000 are normal-form words; values only, no timing
+    assert from_word((letter,) * 100000) == from_normal_form(nf)

@@ -182,3 +182,18 @@ def test_empty_subgraph_rejected():
     object.__setattr__(y, "vertices", {})
     with pytest.raises(ValueError):
         sg.density(y)
+
+
+def test_neighbour_table_stores_each_element_once():
+    # in the ball of radius 2 most neighbours are vertices, and many
+    # boundary elements neighbour several vertices; each is one object
+    y = sg.full_subgraph(enumerate_ball(2)._by_diagram)
+    vertex_objects = {id(d) for d in y.vertices}
+    by_value = {}
+    for near in y._neighbours.values():
+        for u in near:
+            if u in y.vertices:
+                assert id(u) in vertex_objects
+            assert by_value.setdefault(u, u) is u
+    assert set(by_value) - set(y.vertices) == sg.boundary(y)
+    assert len(by_value) == y.size + len(sg.boundary(y))

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from thompsonf import words as words_module
 from thompsonf.words import (
     WordError,
     format_word,
@@ -61,3 +62,26 @@ def test_free_reduce_fixpoint(w):
 def test_inverse_word_cancels(w):
     assert free_reduce(w + inverse_word(w)) == ()
     assert inverse_word(inverse_word(w)) == w
+
+
+def test_parse_error_position_after_table_tokens():
+    # the earlier tokens are in the fixed table, x100 and the bad token not
+    with pytest.raises(WordError, match=r"^bad token 'x0\^2' at position 5$"):
+        parse_word("x0 x1^-1 x6 x100 x0^2 x1")
+    with pytest.raises(WordError, match=r"^bad token 'y' at position 3$"):
+        parse_word("x0 x63^-1 y")
+
+
+def test_token_table_keeps_its_size():
+    size = len(words_module._LETTERS)
+    text = " ".join(f"x{k}" if k % 2 else f"x{k}^-1" for k in range(10000))
+    assert parse_word(text) == tuple((k, 1 if k % 2 else -1) for k in range(10000))
+    assert len(words_module._LETTERS) == size
+
+
+wide_letters = st.tuples(st.integers(min_value=0, max_value=200), st.sampled_from((1, -1)))
+
+
+@given(st.lists(wide_letters, max_size=30).map(tuple))
+def test_round_trip_past_the_table(w):
+    assert parse_word(format_word(w)) == w
