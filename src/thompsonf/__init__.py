@@ -35,9 +35,7 @@ from .diagrams import (
     validate_normal_form,
 )
 from .metric import (
-    DiagramGraph,
     active_vertices,
-    diagram_graph,
     greedy_descent,
     is_dead,
     norm,
@@ -47,10 +45,10 @@ from .cayley import (
     BallTable,
     ResourceCapError,
     bfs_norm,
+    count_spheres,
     dead_search,
     enumerate_ball,
     neighbors,
-    ratio_report,
 )
 from .subgraphs import (
     MatchingResult,
@@ -66,8 +64,6 @@ from .subgraphs import (
 )
 from .growth import (
     collision_check,
-    count_words,
-    count_words_bruteforce,
     is_l_word,
     rate_estimate,
     run_automaton,

@@ -1,16 +1,27 @@
-"""Breadth-first enumeration of the Cayley graph of F over {x0, x1}.
+"""Spheres of the Cayley graph of F over {x0, x1}: by search and by count.
 
-Canonical diagrams make exact deduplication a hash lookup, so balls are
-enumerated layer by layer without ever solving a word problem pairwise.
-The resulting table doubles as an independent distance oracle for the
-length formula.  The same search finds dead vertices (elements whose
-norm drops in all four generator directions) as it expands them.
+Breadth-first search enumerates balls layer by layer, with canonical
+diagrams as hash keys, so no word problem is solved pairwise.  Its table
+is an independent distance oracle for the length formula, and the same
+search finds dead vertices (all four neighbours closer to the identity).
+
+count_spheres lists no element.  An element is its normal form: c_v
+carets start at leaf v in the top forest and d_v in the bottom one, any
+finite pair of sequences with no v where c_v, d_v >= 1 and c_{v+1} =
+d_{v+1} = 0.  Its norm (metric) is local in v, so one scan of the leaves
+counts all normal forms.  Per forest it keeps the open slots h (c_v at
+a tree start, h - 1 + c_v otherwise) and, inside the first tree, the
+lowest h so far; a new low makes vertex v+1 near vertex 0.  Leaf v
+costs c_v + d_v, plus 2 when vertex v is active and not near.  A leaf
+that is a bare tree in both forests is active on every path that goes
+on, so a path ends only at a caret start, and not where both forests
+start one.  States that agree merge their counts per norm.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -21,7 +32,7 @@ DEFAULT_CAP = 10_000_000
 
 
 class ResourceCapError(RuntimeError):
-    """Enumeration exceeded the caller's element cap."""
+    """Enumeration or counting exceeded the caller's element cap."""
 
     def __init__(self, cap: int, completed_radius: int):
         super().__init__(
@@ -143,9 +154,81 @@ def dead_search(max_norm: int, cap: int = DEFAULT_CAP) -> List[str]:
     return sorted(found)
 
 
-def ratio_report(table: BallTable) -> List[Fraction]:
-    """Exact consecutive sphere ratios s_n / s_{n-1} for 1 <= n <= radius."""
-    if table.radius < 2:
-        raise ValueError("ratio report needs radius at least 2")
-    s = table.sphere_sizes
-    return [Fraction(s[n], s[n - 1]) for n in range(1, len(s))]
+def _forest_step(slots: int, low: int, carets: int) -> Tuple[int, int, bool]:
+    # a leaf with `carets` caret starts in a forest with `slots` open
+    # slots, 0 at a tree start: the open slots after it, the first tree's
+    # low (0 once that tree is closed) and whether the leaf set a new low
+    slots = slots - 1 + carets if slots else carets
+    return slots, min(slots, low), slots < low
+
+
+def _sphere_counts(radius: int) -> List[int]:
+    # s_0..s_radius by the leaf scan of the module docstring.  A state's
+    # counts per norm are the base 2^width digits of one integer, so a
+    # leaf of cost k shifts them k digits.  No digit overflows: each
+    # prefix of norm n < radius ends, through one more caret, in its own
+    # element of norm at most n + 3, and b_{n+3} < 2^width.
+    width = 2 * radius + 8
+    live = (1 << width * radius) - 1  # norms below radius can go on
+    total = 1  # the identity
+    # open slots and first-tree low per forest (radius + 1 before leaf 0),
+    # vertex v near, both forests started a caret at v - 1
+    states = {(0, radius + 1, 0, radius + 1, True, False): 1}
+    while states:
+        following: Dict[tuple, int] = defaultdict(int)
+        for (top, top_low, bottom, bottom_low, near, both), x in states.items():
+            budget = radius - ((x & -x).bit_length() - 1) // width
+            charge = 0 if near else 2  # for an active vertex v
+            tops = [_forest_step(top, top_low, c) for c in range(budget + 1)]
+            bottoms = [_forest_step(bottom, bottom_low, d) for d in range(budget + 1)]
+            for c, (top_slots, top_low2, top_near) in enumerate(tops):
+                for d in range(budget + 1 - c):
+                    if c or d:
+                        cost = c + d + charge
+                    elif both:
+                        continue  # reduced: a caret starts at v after both did at v - 1
+                    else:
+                        cost = 0 if top or bottom else charge
+                    if cost > budget:
+                        break
+                    y = x << width * cost
+                    if (c or d) and not (c and d):
+                        total += y  # leaf v holds the last caret start
+                    y &= live
+                    if y:
+                        bottom_slots, bottom_low2, bottom_near = bottoms[d]
+                        key = (top_slots, top_low2, bottom_slots, bottom_low2,
+                               top_near or bottom_near, bool(c and d))
+                        following[key] += y
+        states = following
+    digit = (1 << width) - 1
+    return [total >> width * n & digit for n in range(radius + 1)]
+
+
+def count_spheres(radius: int, cap: int = DEFAULT_CAP) -> List[int]:
+    """Exact sphere sizes s_0..s_radius, counted without storing elements.
+
+    Equal to enumerate_ball(radius, cap).sphere_sizes, errors included:
+    ResourceCapError(cap, r) for the least r < radius with ball size
+    b_{r+1} > cap, ValueError for a negative radius or cap.  The count
+    runs to radius 1, 2, 4, ... in turn and stops at the first ball past
+    the cap, so the cap, not the radius, bounds the work.
+
+    >>> count_spheres(5)
+    [1, 4, 12, 36, 108, 314]
+    """
+    if cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
+    reach = 1
+    while True:
+        reach = min(reach, radius)
+        spheres = _sphere_counts(reach)
+        balls = list(accumulate(spheres))
+        for r in range(reach):
+            if balls[r + 1] > cap:
+                raise ResourceCapError(cap, r)
+        if reach == radius:
+            return spheres
+        reach *= 2

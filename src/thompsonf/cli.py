@@ -28,6 +28,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cayley, growth, metric, plmaps, subgraphs
@@ -154,8 +155,8 @@ def _ratio_table(args, header: str, columns: List[List[int]], results: dict) -> 
 
 
 def _cmd_spheres(args) -> Report:
-    table = cayley.enumerate_ball(args.radius, cap=args.cap)
-    spheres, balls = table.sphere_sizes, table.ball_sizes
+    spheres = cayley.count_spheres(args.radius, cap=args.cap)
+    balls = list(accumulate(spheres))
     return _ratio_table(
         args,
         "n,s_n,b_n,ratio",

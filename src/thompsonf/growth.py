@@ -98,11 +98,6 @@ def series(max_n: int) -> List[int]:
     return out
 
 
-def count_words(n: int) -> int:
-    """Number of L-words of length exactly n."""
-    return series(n)[n]
-
-
 def recurrence_check(max_n: int) -> bool:
     """c_n = 4c_{n-1} - 4c_{n-2} + c_{n-3} for 4 <= n <= max_n."""
     c = series(max_n)
@@ -145,10 +140,6 @@ def bruteforce_series(max_n: int) -> List[int]:
     for word in _l_words(max_n):
         counts[len(word)] += 1
     return counts
-
-
-def count_words_bruteforce(n: int) -> int:
-    return bruteforce_series(n)[n]
 
 
 def rate_estimate(n: int) -> float:

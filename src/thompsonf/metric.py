@@ -18,50 +18,16 @@ leftmost leaf is v, and it is exactly ``,`` when leaf v is a tree of its
 own.  Distance at least 2 from vertex 0 needs no search: vertex 0 is
 only ever the left end of an arc, so a vertex v is that far exactly
 when v != 0 and {0, v} is not an arc.  The arcs at vertex 0 are the
-spans of the left spine of each first tree.
+spans of the left spine of each first tree.  tests/graph_oracle.py
+builds the whole graph as the oracle for this shortcut.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Set
+from typing import Set
 
 from .diagrams import EPSILON, GENERATOR_LETTERS, Diagram, mul_letter
 from .words import GenWord
-
-
-class DiagramGraph(NamedTuple):
-    vertex_count: int
-    arcs: frozenset  # of (a, b) pairs with a < b
-
-
-def _spans(f: str) -> list:
-    # (first leaf, one past the last leaf) of every node of forest code f,
-    # leaves included, in preorder.  An open caret's entry holds its first
-    # leaf; its stack slot is its index while the left child is pending,
-    # and the complement of its index while the right child is.
-    out: list = []
-    stack: list = []
-    n = 0
-    for c in f:
-        if c == "(":
-            stack.append(len(out))
-            out.append(n)
-        elif c == "L":
-            out.append((n, n + 1))
-            n += 1
-            while stack and stack[-1] < 0:
-                i = ~stack.pop()
-                out[i] = (out[i], n)
-            if stack:
-                stack[-1] = ~stack[-1]
-    return out
-
-
-def diagram_graph(d: Diagram) -> DiagramGraph:
-    """Vertices 0..L and the deduplicated span arcs of both forests."""
-    top, _, bottom = d.partition("|")
-    spans = _spans(top)
-    return DiagramGraph(spans[-1][1] + 1, frozenset(spans + _spans(bottom)))
 
 
 def _read(d: Diagram) -> tuple:

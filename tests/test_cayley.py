@@ -1,3 +1,5 @@
+import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,11 +7,12 @@ import pytest
 from thompsonf.cayley import (
     ResourceCapError,
     bfs_norm,
+    count_spheres,
     dead_search,
     enumerate_ball,
     neighbors,
-    ratio_report,
 )
+from thompsonf.cli import main
 from thompsonf.diagrams import EPSILON, atomic, canonical_key, from_word, invert
 from thompsonf.metric import norm
 from thompsonf.words import parse_word
@@ -93,15 +96,70 @@ def test_dead_search_validates():
         dead_search(0)
 
 
-def test_ratio_report():
-    table = enumerate_ball(5)
-    ratios = ratio_report(table)
-    assert ratios[0] == Fraction(4, 1)
-    assert ratios == [
+def test_ratio_report(capsys):
+    # spheres reports the exact consecutive ratios s_n / s_{n-1}
+    assert main(["spheres", "--radius", "5"]) == 0
+    ratios = json.loads(capsys.readouterr().out)["results"]["ratios"]
+    assert [Fraction(q["num"], q["den"]) for q in ratios] == [
         Fraction(b, a) for a, b in zip(KNOWN_SPHERES, KNOWN_SPHERES[1:6])
     ]
 
 
-def test_ratio_report_needs_radius_two():
-    with pytest.raises(ValueError):
-        ratio_report(enumerate_ball(1))
+def test_ratio_table_below_radius_two(capsys):
+    assert main(["spheres", "--radius", "0", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "n,s_n,b_n,ratio\n0,1,1,\n"
+    assert main(["spheres", "--radius", "1"]) == 0
+    ratios = json.loads(capsys.readouterr().out)["results"]["ratios"]
+    assert ratios == [{"n": 1, "num": 4, "den": 1}]
+
+
+@pytest.fixture(scope="module")
+def ball_10():
+    return enumerate_ball(10)
+
+
+def test_count_spheres_matches_bfs(ball_10):
+    for r in range(11):
+        assert count_spheres(r) == ball_10.sphere_sizes[: r + 1]
+
+
+def test_count_spheres_beyond_bfs():
+    # s_11..s_13 as BFS gives them (enumerate_ball(13), about 260 MB)
+    assert count_spheres(13)[11:] == [156_570, 431_238, 1_180_968]
+
+
+def _sizes_or_cap(count):
+    # the sphere sizes, or the cap error's (cap, completed radius)
+    try:
+        return count()
+    except ResourceCapError as exc:
+        return exc.cap, exc.completed_radius
+
+
+def test_count_spheres_cap_matches_bfs(ball_10):
+    # caps at, just below and just above every ball size through radius 8
+    balls = ball_10.ball_sizes[:9]
+    caps = sorted({0} | {b + k for b in balls for k in (-1, 0, 1)})
+    for radius in range(9):
+        for cap in caps:
+            counted = _sizes_or_cap(lambda: count_spheres(radius, cap))
+            searched = _sizes_or_cap(lambda: enumerate_ball(radius, cap).sphere_sizes)
+            assert counted == searched, (radius, cap)
+
+
+def test_count_spheres_validates_like_bfs():
+    for count in (count_spheres, enumerate_ball):
+        with pytest.raises(ValueError, match="cap must be nonnegative, got -1"):
+            count(-1, cap=-1)  # the cap is checked first
+        with pytest.raises(ValueError, match="radius must be nonnegative, got -2"):
+            count(-2)
+
+
+def test_spheres_cap_bounds_the_work(capsys):
+    start = time.perf_counter()
+    assert main(["spheres", "--radius", "100"]) == 2
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: element cap 10000000 exceeded; completed radius 14\n"
+    assert elapsed < 5

@@ -5,8 +5,6 @@ from thompsonf.growth import (
     TRANSITIONS,
     bruteforce_series,
     collision_check,
-    count_words,
-    count_words_bruteforce,
     is_l_word,
     rate_estimate,
     recurrence_check,
@@ -38,13 +36,13 @@ def test_series_known_values():
 
 
 def test_count_words():
-    assert count_words(0) == 1
-    assert count_words(9) == 11554
+    assert series(0) == [1]
+    assert series(9)[9] == 11554
 
 
 def test_series_matches_bruteforce():
     assert bruteforce_series(10) == series(10)
-    assert count_words_bruteforce(5) == 244
+    assert bruteforce_series(5)[5] == 244
 
 
 def test_bruteforce_cap():
@@ -116,13 +114,14 @@ def test_counts_by_automaton_equal_scan():
     # string and vice versa; spot-check by full enumeration
     from itertools import product
 
+    counts = series(6)
     for n in range(7):
         brute = sum(
             1
             for word in product(((0, 1), (0, -1), (1, 1), (1, -1)), repeat=n)
             if is_l_word(tuple(word))
         )
-        assert brute == count_words(n)
+        assert brute == counts[n]
 
 
 def test_collision_check_injective():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_oracle import diagram_graph
 from thompsonf import metric
 from thompsonf.cayley import bfs_norm, enumerate_ball, neighbors
 from thompsonf.diagrams import (
@@ -18,7 +19,6 @@ from thompsonf.diagrams import (
 )
 from thompsonf.metric import (
     active_vertices,
-    diagram_graph,
     greedy_descent,
     is_dead,
     norm,
