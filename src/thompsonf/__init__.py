@@ -43,6 +43,7 @@ from .metric import (
 )
 from .cayley import (
     BallTable,
+    CountLimitError,
     ResourceCapError,
     bfs_norm,
     count_spheres,

@@ -2,8 +2,10 @@
 
 Breadth-first search enumerates balls layer by layer, with canonical
 diagrams as hash keys, so no word problem is solved pairwise.  Its table
-is an independent distance oracle for the length formula, and the same
-search finds dead vertices (all four neighbours closer to the identity).
+is an independent distance oracle for the length formula.  The same
+search finds dead vertices (all four neighbours closer to the identity)
+of norm at most m in the ball of radius m: the graph is bipartite, so
+an element of layer r + 1 is dead when layer r reaches it four times.
 
 count_spheres lists no element.  An element is its normal form: c_v
 carets start at leaf v in the top forest and d_v in the bottom one, any
@@ -20,15 +22,20 @@ start one.  States that agree merge their counts per norm.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, groupby
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .diagrams import EPSILON, GENERATOR_LETTERS, Diagram, canonical_key, mul_letter
 from .metric import is_dead
 
 DEFAULT_CAP = 10_000_000
+# the largest truncation radius count_spheres runs.  The count's memory
+# grows as about radius^5.4: 56 MB at radius 30, 263 MB at 42 and 670 MB
+# at 50 (7 minutes; 2-vCPU VM, Python 3.11), so about 1 GB near 54.
+MAX_COUNT_RADIUS = 50
 
 
 class ResourceCapError(RuntimeError):
@@ -39,6 +46,18 @@ class ResourceCapError(RuntimeError):
             f"element cap {cap} exceeded; completed radius {completed_radius}"
         )
         self.cap = cap
+        self.completed_radius = completed_radius
+
+
+class CountLimitError(RuntimeError):
+    """A sphere count would run past MAX_COUNT_RADIUS, near 1 GB of memory."""
+
+    def __init__(self, limit: int, completed_radius: int):
+        super().__init__(
+            f"sphere counts stop at radius {limit} (memory); "
+            f"completed radius {completed_radius}"
+        )
+        self.limit = limit
         self.completed_radius = completed_radius
 
 
@@ -134,23 +153,30 @@ def bfs_norm(d: Diagram, cap: int) -> Optional[int]:
 def dead_search(max_norm: int, cap: int = DEFAULT_CAP) -> List[str]:
     """Canonical keys of all dead elements of norm at most max_norm.
 
-    Runs BFS to radius max_norm + 1 and tests each candidate as it is
-    expanded.  An element is dead exactly when all four neighbours sit
-    one layer closer to the identity; candidates passing that distance
-    test are confirmed with the length-formula predicate before being
-    reported.
+    Runs BFS to radius max_norm, so cap bounds the ball of that radius.
+    The exponent sum, a homomorphism to Z, fixes the parity of the
+    distance, so neighbour distances differ by exactly 1 and an element
+    of layer r + 1 is dead exactly when all four of its edges come from
+    layer r.  While layer r is expanded, each element of layer r + 1
+    counts the edges that reach it.  Elements reached four times are
+    confirmed with the length-formula predicate before being reported.
     """
     if max_norm < 1:
         raise ValueError("max_norm must be at least 1")
     dist: Dict[Diagram, int] = {}
     found = []
-    for d, r, nbs in _bfs(max_norm + 1, cap, dist):
-        if r and all(dist.get(nb) == r - 1 for nb in nbs):
-            if not is_dead(d):  # pragma: no cover - would falsify the formula
-                raise AssertionError(
-                    f"BFS and length formula disagree at {canonical_key(d)}"
-                )
-            found.append(canonical_key(d))
+    for r, layer in groupby(_bfs(max_norm, cap, dist), key=itemgetter(1)):
+        # dist holds all of layer r - 1; any other neighbour is in layer r + 1
+        edges_in = Counter(
+            nb for _, _, nbs in layer for nb in nbs if dist.get(nb) != r - 1
+        )
+        for d, n in edges_in.items():
+            if n == 4:
+                if not is_dead(d):  # pragma: no cover - would falsify the formula
+                    raise AssertionError(
+                        f"BFS and length formula disagree at {canonical_key(d)}"
+                    )
+                found.append(canonical_key(d))
     return sorted(found)
 
 
@@ -212,7 +238,9 @@ def count_spheres(radius: int, cap: int = DEFAULT_CAP) -> List[int]:
     ResourceCapError(cap, r) for the least r < radius with ball size
     b_{r+1} > cap, ValueError for a negative radius or cap.  The count
     runs to radius 1, 2, 4, ... in turn and stops at the first ball past
-    the cap, so the cap, not the radius, bounds the work.
+    the cap, so the cap, not the radius, bounds the work.  Memory grows
+    with the radius alone, so a count that would run past
+    MAX_COUNT_RADIUS raises CountLimitError with the radius it completed.
 
     >>> count_spheres(5)
     [1, 4, 12, 36, 108, 314]
@@ -221,9 +249,8 @@ def count_spheres(radius: int, cap: int = DEFAULT_CAP) -> List[int]:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    reach = 1
+    reach = min(1, radius)
     while True:
-        reach = min(reach, radius)
         spheres = _sphere_counts(reach)
         balls = list(accumulate(spheres))
         for r in range(reach):
@@ -231,4 +258,7 @@ def count_spheres(radius: int, cap: int = DEFAULT_CAP) -> List[int]:
                 raise ResourceCapError(cap, r)
         if reach == radius:
             return spheres
-        reach *= 2
+        following = min(2 * reach, radius)
+        if following > MAX_COUNT_RADIUS:
+            raise CountLimitError(MAX_COUNT_RADIUS, reach)
+        reach = following

@@ -410,7 +410,9 @@ def _main(argv: Optional[Sequence[str]]) -> int:
     except ValueError as exc:  # _CLIError, WordError, NormalFormError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (cayley.ResourceCapError, growth.ResourceError) as exc:
+    except (
+        cayley.ResourceCapError, cayley.CountLimitError, growth.ResourceError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

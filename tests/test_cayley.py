@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from thompsonf import cayley
 from thompsonf.cayley import (
+    CountLimitError,
     ResourceCapError,
     bfs_norm,
     count_spheres,
@@ -91,6 +93,27 @@ def test_dead_search_norm_11():
     ]
 
 
+def test_dead_search_matches_bfs_definition(ball_10):
+    # the definition read off one BFS table: an element at distance r
+    # whose four neighbours all read r - 1 (radius 9 would hold them)
+    for m in range(1, 9):
+        expected = sorted(
+            canonical_key(d)
+            for d, r in ball_10._by_diagram.items()
+            if 1 <= r <= m and all(ball_10.distance(nb) == r - 1 for nb in neighbors(d))
+        )
+        assert dead_search(m) == expected, m
+
+
+def test_dead_search_cap_bounds_its_radius(ball_10):
+    # the cap bounds the ball of radius max_norm: b_7 = 3,957 elements
+    assert ball_10.ball_sizes[7] == 3957
+    assert dead_search(7, cap=3957) == []
+    with pytest.raises(ResourceCapError) as exc:
+        dead_search(7, cap=3956)
+    assert exc.value.completed_radius == 6
+
+
 def test_dead_search_validates():
     with pytest.raises(ValueError):
         dead_search(0)
@@ -163,3 +186,19 @@ def test_spheres_cap_bounds_the_work(capsys):
     assert captured.out == ""
     assert captured.err == "error: element cap 10000000 exceeded; completed radius 14\n"
     assert elapsed < 5
+
+
+def test_count_spheres_radius_limit(monkeypatch, capsys):
+    monkeypatch.setattr(cayley, "MAX_COUNT_RADIUS", 5)
+    assert count_spheres(5) == KNOWN_SPHERES[:6]  # truncations 1, 2, 4, 5
+    with pytest.raises(CountLimitError) as exc:
+        count_spheres(9, cap=10**12)  # 1, 2, 4, then 8 > 5
+    assert (exc.value.limit, exc.value.completed_radius) == (5, 4)
+    with pytest.raises(ResourceCapError):
+        count_spheres(9, cap=100)  # the cap still answers first
+    assert main(["spheres", "--radius", "9", "--cap", str(10**12)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: sphere counts stop at radius 5 (memory); completed radius 4\n"
+    )
