@@ -73,6 +73,7 @@ from .growth import (
 from .gamma import (
     ConcreteGamma,
     LabeledGraph,
+    SizeLimitError,
     apply_A,
     bar,
     closed_a,

@@ -2,10 +2,12 @@
 
 Breadth-first search enumerates balls layer by layer, with canonical
 diagrams as hash keys, so no word problem is solved pairwise.  Its table
-is an independent distance oracle for the length formula.  The same
-search finds dead vertices (all four neighbours closer to the identity)
-of norm at most m in the ball of radius m: the graph is bipartite, so
-an element of layer r + 1 is dead when layer r reaches it four times.
+is an independent distance oracle for the length formula.  The graph is
+bipartite, so each element of layer r + 1 records which letters lead
+back to layer r as layer r reaches it, and is then multiplied only by
+the other letters: each edge is one product.  The same walk finds dead
+vertices (all four neighbours closer to the identity) of norm at most m
+in the ball of radius m: all four letters lead back.
 
 count_spheres lists no element.  An element is its normal form: c_v
 carets start at leaf v in the top forest and d_v in the bottom one, any
@@ -22,10 +24,9 @@ start one.  States that agree merge their counts per norm.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import accumulate, groupby
-from operator import itemgetter
+from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .diagrams import EPSILON, GENERATOR_LETTERS, Diagram, canonical_key, mul_letter
@@ -78,36 +79,56 @@ class BallTable:
         return self._by_diagram.get(d)
 
 
-def _bfs(
-    radius: int, cap: int, dist: Dict[Diagram, int]
-) -> Iterator[Tuple[Diagram, int, Tuple[Diagram, ...]]]:
-    """Fill the empty dist with the BFS ball of the given radius.
+# per back mask, the letters a layered walk still multiplies: (k, s) and
+# the bit of the letter x_k^-s that leads back from the product
+_FORWARD = tuple(
+    tuple(
+        (k, s, 1 << GENERATOR_LETTERS.index((k, -s)))
+        for i, (k, s) in enumerate(GENERATOR_LETTERS)
+        if not back >> i & 1
+    )
+    for back in range(16)
+)
+_ALL_BACK = 15  # all four letters lead back
 
-    Yields each element d of distance r < radius with its neighbours as
-    it is expanded.  At that moment every neighbour at distance r - 1 is
-    in dist, and no neighbour at distance r or r + 1 reads r - 1.
-    Raises ResourceCapError if the element count would exceed cap,
-    reporting the last completed radius, and ValueError for a negative
-    radius or cap.
+
+def _walk(
+    radius: int, cap: int, table: Dict[Diagram, int]
+) -> Iterator[List[Diagram]]:
+    """Fill the empty table with the BFS ball of the given radius.
+
+    Each value is r << 4 | back: r is the distance from the identity and
+    bit i of back is set when GENERATOR_LETTERS[i] leads to layer r - 1.
+    Yields each layer r + 1 once layer r is expanded; its back masks are
+    then complete.  The graph is bipartite, so a letter not in the mask
+    leads to layer r + 1, and each edge is multiplied once, from the end
+    nearer the identity.  Elements are found in the order a plain BFS
+    over neighbors finds them.  Raises ResourceCapError if the element
+    count would exceed cap, reporting the last completed radius, and
+    ValueError for a negative radius or cap.
     """
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    dist[EPSILON] = 0
-    frontier = [EPSILON]
+    table[EPSILON] = 0
+    layer = [EPSILON]
     for r in range(radius):
-        next_frontier = []
-        for d in frontier:
-            nbs = neighbors(d)
-            yield d, r, nbs
-            for nb in nbs:
-                if nb not in dist:
-                    if len(dist) >= cap:
+        found = (r + 1) << 4
+        following = []
+        for d in layer:
+            for k, s, back in _FORWARD[table[d] & _ALL_BACK]:
+                nb = mul_letter(d, k, s)
+                seen = table.get(nb)
+                if seen is None:
+                    if len(table) >= cap:
                         raise ResourceCapError(cap, r)
-                    dist[nb] = r + 1
-                    next_frontier.append(nb)
-        frontier = next_frontier
+                    table[nb] = found | back
+                    following.append(nb)
+                else:
+                    table[nb] = seen | back
+        layer = following
+        yield layer
 
 
 def enumerate_ball(radius: int, cap: int = DEFAULT_CAP) -> BallTable:
@@ -118,11 +139,9 @@ def enumerate_ball(radius: int, cap: int = DEFAULT_CAP) -> BallTable:
     radius or cap.
     """
     dist: Dict[Diagram, int] = {}
-    for _ in _bfs(radius, cap, dist):
-        pass
-    sphere_sizes = [0] * (radius + 1)
-    for r in dist.values():
-        sphere_sizes[r] += 1
+    sphere_sizes = [1] + [len(layer) for layer in _walk(radius, cap, dist)]
+    for d, value in dist.items():
+        dist[d] = value >> 4
     return BallTable(
         radius=radius,
         sphere_sizes=sphere_sizes,
@@ -140,43 +159,41 @@ def bfs_norm(d: Diagram, cap: int) -> Optional[int]:
     ValueError.  A ball of at most cap elements has radius below cap,
     so the cap, not the radius, ends the search.
     """
-    dist: Dict[Diagram, int] = {}
+    table: Dict[Diagram, int] = {}
     try:
-        for _ in _bfs(cap, cap, dist):
-            if d in dist:
+        for _ in _walk(cap, cap, table):
+            if d in table:
                 break
     except ResourceCapError:
-        pass
-    return dist.get(d)
+        pass  # the layer cut short still holds what it found
+    value = table.get(d)
+    return None if value is None else value >> 4
 
 
 def dead_search(max_norm: int, cap: int = DEFAULT_CAP) -> List[str]:
     """Canonical keys of all dead elements of norm at most max_norm.
 
-    Runs BFS to radius max_norm, so cap bounds the ball of that radius.
-    The exponent sum, a homomorphism to Z, fixes the parity of the
-    distance, so neighbour distances differ by exactly 1 and an element
-    of layer r + 1 is dead exactly when all four of its edges come from
-    layer r.  While layer r is expanded, each element of layer r + 1
-    counts the edges that reach it.  Elements reached four times are
-    confirmed with the length-formula predicate before being reported.
+    Walks the ball of radius max_norm, so cap bounds that ball.  The
+    exponent sum, a homomorphism to Z, fixes the parity of the distance,
+    so neighbour distances differ by exactly 1: an element is dead
+    exactly when all four letters lead back one layer, which its back
+    mask records once the layer before it is expanded.  Each such
+    element is confirmed with the length-formula predicate before being
+    reported.
     """
     if max_norm < 1:
         raise ValueError("max_norm must be at least 1")
-    dist: Dict[Diagram, int] = {}
+    table: Dict[Diagram, int] = {}
+    for _ in _walk(max_norm, cap, table):
+        pass
     found = []
-    for r, layer in groupby(_bfs(max_norm, cap, dist), key=itemgetter(1)):
-        # dist holds all of layer r - 1; any other neighbour is in layer r + 1
-        edges_in = Counter(
-            nb for _, _, nbs in layer for nb in nbs if dist.get(nb) != r - 1
-        )
-        for d, n in edges_in.items():
-            if n == 4:
-                if not is_dead(d):  # pragma: no cover - would falsify the formula
-                    raise AssertionError(
-                        f"BFS and length formula disagree at {canonical_key(d)}"
-                    )
-                found.append(canonical_key(d))
+    for d, value in table.items():
+        if value & _ALL_BACK == _ALL_BACK:
+            if not is_dead(d):  # pragma: no cover - would falsify the formula
+                raise AssertionError(
+                    f"BFS and length formula disagree at {canonical_key(d)}"
+                )
+            found.append(canonical_key(d))
     return sorted(found)
 
 

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cayley, growth, metric, plmaps, subgraphs
 from .gamma import (
+    SizeLimitError,
     bar,
     catalan,
     closed_a,
@@ -196,6 +197,9 @@ def _cmd_pl(args) -> Report:
 
 
 def _gamma_report(n: int, m: Optional[int]) -> tuple:
+    # the concrete family first: it is the larger, so its size limit
+    # refuses before the abstract graph is built
+    concrete = None if m is None else gamma_nm_concrete(n, m)
     g = gamma_graph(n)
     ranks = rank_counts(g)
     a_row = [ranks.get(k, 0) for k in range(1, n + 1)]
@@ -227,8 +231,7 @@ def _gamma_report(n: int, m: Optional[int]) -> tuple:
         "checks": checks,
     }
     exact = {"density": _decimal_string(density)}
-    if m is not None:
-        concrete = gamma_nm_concrete(n, m)
+    if concrete is not None:
         concrete_bar = bar(concrete.graph)
         bar_density = concrete_bar.density()
         columns = column_partition(concrete)
@@ -411,7 +414,8 @@ def _main(argv: Optional[Sequence[str]]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (
-        cayley.ResourceCapError, cayley.CountLimitError, growth.ResourceError
+        cayley.ResourceCapError, cayley.CountLimitError, growth.ResourceError,
+        SizeLimitError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

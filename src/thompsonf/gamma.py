@@ -37,6 +37,33 @@ from .subgraphs import Subgraph, full_subgraph
 
 LabeledEdge = Tuple[int, int, int]  # (u, v, label); u == v is a loop
 
+# the most vertices gamma and gamma_nm_concrete build.  On a 2-vCPU VM
+# (Python 3.11) the `gamma` report peaks at 406 MB for Gamma_13 (742,900
+# vertices), 646 MB for Gamma_{12,3} (832,048) and 714 MB for
+# Gamma_{11,16} (999,362); Gamma_14 would pass 1 GB.  A concrete
+# vertex's string grows with m, so a large m costs more per vertex.
+MAX_GAMMA_VERTICES = 1_000_000
+
+
+class SizeLimitError(RuntimeError):
+    """A Gamma family would have more than MAX_GAMMA_VERTICES vertices."""
+
+    def __init__(self, family: str, limit: int):
+        super().__init__(f"{family} has more than {limit} vertices (memory)")
+        self.limit = limit
+
+
+def _refuse_above_limit(family: str, n: int, copies: int) -> None:
+    # copies * Catalan(n), built up from Catalan(1) = 1 and stopped once
+    # past the limit, so a huge n costs no big-integer arithmetic
+    count = copies
+    for k in range(1, n):
+        if count > MAX_GAMMA_VERTICES:
+            break
+        count = count * 2 * (2 * k + 1) // (k + 2)
+    if count > MAX_GAMMA_VERTICES:
+        raise SizeLimitError(family, MAX_GAMMA_VERTICES)
+
 
 @dataclass(frozen=True)
 class LabeledGraph:
@@ -117,9 +144,14 @@ def apply_A(i: int, g: LabeledGraph) -> LabeledGraph:
 
 
 def gamma(n: int) -> LabeledGraph:
-    """Gamma_1 = xi_single(1); Gamma_{k+1} = apply_A(0, psi(Gamma_k))."""
+    """Gamma_1 = xi_single(1); Gamma_{k+1} = apply_A(0, psi(Gamma_k)).
+
+    Gamma_n has Catalan(n) vertices; above MAX_GAMMA_VERTICES it raises
+    SizeLimitError before building anything.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
+    _refuse_above_limit(f"Gamma_{n}", n, 1)
     g = xi_single(1)
     for _ in range(n - 1):
         g = apply_A(0, psi(g))
@@ -270,10 +302,13 @@ def gamma_nm_concrete(n: int, m: int) -> ConcreteGamma:
     multiplication by x_i^{-1}, and it keeps its head's seed column.
     Every edge (u, v, j) is then checked as v = u * x_j, and the names
     as pairwise distinct.  The result has (m+1) Catalan(n) vertices, all
-    reduced monomials in x_0..x_n with nonpositive exponents.
+    reduced monomials in x_0..x_n with nonpositive exponents.  Above
+    MAX_GAMMA_VERTICES vertices it raises SizeLimitError before building
+    anything.
     """
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
+    _refuse_above_limit(f"Gamma_{{{n},{m}}}", n, m + 1)
     g = xi_path(n, m)
     names = [from_word(())]
     for _ in range(m):

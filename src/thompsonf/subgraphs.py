@@ -23,10 +23,15 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
-from .cayley import neighbors
-from .diagrams import GENERATOR_LETTERS, Diagram
+from .diagrams import GENERATOR_LETTERS, Diagram, mul_letter
 
 Edge = Tuple[Diagram, Diagram, int]  # (u, v, k) meaning v = u * x_k
+# per generator x_k: the positions of x_k and x_k^-1 in GENERATOR_LETTERS
+_GENERATORS = tuple(
+    (i, k, GENERATOR_LETTERS.index((k, -1)))
+    for i, (k, s) in enumerate(GENERATOR_LETTERS)
+    if s == 1
+)
 
 
 @dataclass(frozen=True)
@@ -52,13 +57,25 @@ class Subgraph:
     @cached_property
     def _neighbours(self) -> Dict[Diagram, Tuple[Diagram, ...]]:
         # per vertex u, u * x_k^s for each generator letter; the edges,
-        # degrees, boundary and matching all read this one table.
+        # degrees, boundary and matching all read this one table.  Each
+        # u * x_k = v inside the set also fills v's x_k^-1 slot with u,
+        # so x_k^-1 is multiplied only where no vertex leads in by x_k.
         # `stored` maps each element met so far to its one string
         stored = dict(zip(self.vertices, self.vertices))
-        return {
-            d: tuple([stored.setdefault(u, u) for u in neighbors(d)])
-            for d in self.vertices
-        }
+        table = {d: [None] * len(GENERATOR_LETTERS) for d in self.vertices}
+        for d, near in table.items():
+            for i, k, inverse in _GENERATORS:
+                u = mul_letter(d, k, 1)
+                near[i] = u = stored.setdefault(u, u)
+                if u in table:
+                    table[u][inverse] = d
+        for d, near in table.items():
+            for _, k, inverse in _GENERATORS:
+                if near[inverse] is None:
+                    u = mul_letter(d, k, -1)
+                    near[inverse] = stored.setdefault(u, u)
+            table[d] = tuple(near)
+        return table
 
     @cached_property
     def edges(self) -> FrozenSet[Edge]:

@@ -53,7 +53,54 @@ def test_cap_raises():
     with pytest.raises(ResourceCapError) as exc:
         enumerate_ball(6, cap=100)
     assert exc.value.cap == 100
-    assert 0 <= exc.value.completed_radius < 6
+    # a cap c with b_r <= c < b_{r+1} completes exactly radius r
+    balls = [1, 5, 17, 53, 161, 475]  # b_0..b_5
+    for r, (low, high) in enumerate(zip(balls, balls[1:])):
+        for cap in range(low, high):
+            with pytest.raises(ResourceCapError) as exc:
+                enumerate_ball(6, cap=cap)
+            assert exc.value.completed_radius == r, cap
+
+
+def _reference_ball(radius):
+    # plain BFS over neighbors: every element multiplied by all four letters
+    dist = {EPSILON: 0}
+    layer = [EPSILON]
+    for r in range(radius):
+        following = []
+        for d in layer:
+            for nb in neighbors(d):
+                if nb not in dist:
+                    dist[nb] = r + 1
+                    following.append(nb)
+        layer = following
+    return list(dist.items())
+
+
+def test_ball_matches_reference_bfs_in_order():
+    # skipping the letters back keeps the discovery order, which the cap's
+    # raise points and the order of the table depend on
+    for r in range(7):
+        assert list(enumerate_ball(r)._by_diagram.items()) == _reference_ball(r), r
+
+
+def test_dead_search_multiplies_each_edge_once(monkeypatch, ball_10):
+    # the edges from B_6 outward, each from its end nearer the identity
+    edges = sum(
+        ball_10.distance(nb) == r + 1
+        for d, r in ball_10._by_diagram.items() if r <= 6
+        for nb in neighbors(d)
+    )
+    calls = [0]
+    real = cayley.mul_letter
+
+    def counted(d, k, s):
+        calls[0] += 1
+        return real(d, k, s)
+
+    monkeypatch.setattr(cayley, "mul_letter", counted)
+    assert dead_search(7) == []
+    assert calls[0] == edges == 4108  # a plain BFS makes 4 b_6 = 5,524
 
 
 def test_negative_radius_rejected():
@@ -77,6 +124,9 @@ def test_bfs_norm():
     assert bfs_norm(atomic(2), cap=1_000) == 3
     # cap too small to ever reach the target
     assert bfs_norm(from_word(parse_word("x3 x3")), cap=50) is None
+    # b_6 = 1,381 < 3,000 < b_7 = 3,957: the cap cuts layer 7 short, and
+    # the target is among the elements of it found before the cap
+    assert bfs_norm(from_word(((2, 1), (1, 1), (2, 1))), cap=3000) == 7
 
 
 def test_dead_search_empty_at_small_norm():

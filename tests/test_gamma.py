@@ -8,6 +8,7 @@ from thompsonf.diagrams import from_word, mul_letter
 from thompsonf.gamma import (
     ConstructionError,
     LabeledGraph,
+    SizeLimitError,
     apply_A,
     bar,
     catalan,
@@ -29,6 +30,7 @@ from thompsonf.gamma import (
     xi_path,
     xi_single,
 )
+from thompsonf.cli import main
 from thompsonf.subgraphs import density
 from thompsonf.words import parse_word
 
@@ -239,3 +241,27 @@ def test_construction_error_names_repeated_vertex(monkeypatch):
     monkeypatch.setattr(gamma_module, "mul_letter", lambda d, k, s: mul_letter(d, 0, s))
     with pytest.raises(ConstructionError, match=r"^vertex 'x0\^-1' is named twice$"):
         gamma_nm_concrete(2, 2)
+
+
+def test_size_limit_refuses_before_building(monkeypatch, capsys):
+    # Catalan(5) = 42 and 3 Catalan(4) = 42: at the limit both build, one
+    # vertex below it both refuse; no large n is ever run
+    monkeypatch.setattr(gamma_module, "MAX_GAMMA_VERTICES", 42)
+    assert gamma(5).vertex_count == 42
+    assert gamma_nm_concrete(4, 2).size == 42
+    monkeypatch.setattr(gamma_module, "MAX_GAMMA_VERTICES", 41)
+    with monkeypatch.context() as patch:
+        patch.setattr(gamma_module, "apply_A", None)  # nothing may be built
+        with pytest.raises(SizeLimitError, match=r"^Gamma_5 has more than 41 vertices \(memory\)$"):
+            gamma(5)
+        with pytest.raises(SizeLimitError, match=r"^Gamma_\{4,2\} has more than 41 "):
+            gamma_nm_concrete(4, 2)
+        for argv, family in (
+            (["gamma", "--n", "5"], "Gamma_5"),
+            (["gamma", "--n", "4", "--m", "2", "--emit-words"], "Gamma_{4,2}"),
+            (["gamma", "--n", "2", "--m", "40"], "Gamma_{2,40}"),  # Gamma_2 fits
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {family} has more than 41 vertices (memory)\n"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import flow_oracle
 import thompsonf.subgraphs as sg
-from thompsonf.cayley import enumerate_ball
+from thompsonf.cayley import enumerate_ball, neighbors
 from thompsonf.diagrams import EPSILON, atomic, from_word
 from thompsonf.words import parse_word
 
@@ -197,3 +197,26 @@ def test_neighbour_table_stores_each_element_once():
             assert by_value.setdefault(u, u) is u
     assert set(by_value) - set(y.vertices) == sg.boundary(y)
     assert len(by_value) == y.size + len(sg.boundary(y))
+
+
+def test_neighbour_table_multiplies_each_inner_edge_once(monkeypatch):
+    # x0 and x1 for every vertex v; x_k^-1 only where no vertex u of the
+    # set has u * x_k = v, so each edge inside the set is one product
+    calls = [0]
+    real = sg.mul_letter
+
+    def counted(d, k, s):
+        calls[0] += 1
+        return real(d, k, s)
+
+    rng = random.Random(47)
+    for size in (1, 2, 10, 60, len(BALL4)):
+        chosen = rng.sample(BALL4, size)
+        expected = {d: neighbors(d) for d in chosen}  # four products each
+        missing = sum(near[i] not in expected for near in expected.values() for i in (1, 3))
+        calls[0] = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(sg, "mul_letter", counted)
+            y = sg.full_subgraph(chosen)
+            assert y._neighbours == expected
+        assert calls[0] == 2 * size + missing
