@@ -107,10 +107,11 @@ def _cmd_nf(args) -> Report:
 
 def _cmd_norm(args) -> Report:
     d = from_word(parse_word(args.word))
+    n, special = metric.norm_and_special(d)
     results = {
-        "norm": metric.norm(d),
+        "norm": n,
         "cells": cell_count(d),
-        "special": sorted(metric.special_vertices(d)),
+        "special": sorted(special),
         "normal_form": normal_form_text(d),
     }
     return results, {}

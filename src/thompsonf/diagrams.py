@@ -91,6 +91,21 @@ def _leaf(d: Diagram, p: int) -> int:
     return j
 
 
+def _tree_end(d: str, q: int) -> int:
+    # index just past the tree whose code starts at d[q]: each caret adds
+    # a subtree to read, each leaf completes one.  With `pending` leaves
+    # still to read and no caret among the next `pending` characters,
+    # those are the leaves, so a step per caret run
+    pending = 1
+    while True:
+        c = d.find("(", q, q + pending)
+        if c < 0:
+            return q + pending
+        j = d.index("L", c)
+        pending += (j - c) - (c - q)
+        q = j
+
+
 def mul_letter(d: Diagram, k: int, s: int) -> Diagram:
     """Product d * x_k^s (s = 1 or -1) as a canonical diagram.
 
@@ -120,20 +135,7 @@ def mul_letter(d: Diagram, k: int, s: int) -> Diagram:
         i = d.index(",", i) + 1
     if s == 1:
         if d[i] == "(":
-            # read the left subtree of the root caret: each caret adds a
-            # subtree to read, each leaf completes one.  With `pending`
-            # leaves still to read and no caret among the next `pending`
-            # characters, those are the leaves, so a step per caret run
-            q = i + 1
-            pending = 1
-            while True:
-                c = d.find("(", q, q + pending)
-                if c < 0:
-                    q += pending
-                    break
-                j = d.index("L", c)
-                pending += (j - c) - (c - q)
-                q = j
+            q = _tree_end(d, i + 1)  # the end of the root's left subtree
             d = d[:i] + d[i + 1:q] + "," + d[q:]
         else:
             j = _leaf(d, d.count("L", bar, i))

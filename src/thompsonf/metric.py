@@ -20,13 +20,60 @@ only ever the left end of an arc, so a vertex v is that far exactly
 when v != 0 and {0, v} is not an arc.  The arcs at vertex 0 are the
 spans of the left spine of each first tree.  tests/graph_oracle.py
 builds the whole graph as the oracle for this shortcut.
+
+Norm deltas.  A letter changes the norm by exactly 1, and the sign is
+read off a window of d, without building the product (_norm_deltas).
+The cell count moves by +1 for a leaf split or a join and by -1 for a
+root removal or a dipole, the four branches of diagrams.mul_letter, so
+only the special count needs reading.  Let bottom tree t have s_t
+leaves, a missing tree counting as a padded leaf tree (as mul_letter
+pads it, with a leaf tree on top), let p be 0 for x0 and s0 for x1, and
+w = s0 + s1, where bottom tree 2 starts.  Then special status changes
+at most at one vertex:
+
+- Active status changes only at p and p + a, where a is the leaf count
+  of the left part: the root's left subtree for a root removal, tree k
+  for a join.  A root removal drops the bottom caret at p and can make
+  bottom leaves p and p + a trees; a join does the reverse.  A leaf
+  split makes top leaf p a caret and adds vertex p + 1, never active:
+  its leaf is a right child on top and a leaf tree below.  A dipole
+  removes the top caret at p and vertex p + 1, which was never active.
+  The two renumber the vertices above p by +1 and above p + 1 by -1,
+  and each vertex keeps its status.
+- The rightmost caret start moves only inside [0, p], beyond the
+  renumbering, so a bridge can appear or vanish only at a leaf left of
+  p that is a tree in the bottom forest.  There is none for x0, and
+  for x1 it lies in bottom tree 0, which is then the single leaf at
+  vertex 0.
+- The top spine follows the renumbering; a leaf split at 0 adds the
+  new vertex 1.  The bottom spine moves only for x0: a root removal
+  drops its end s0, a join adds the end w, and a leaf split or dipole
+  keeps it {1}.
+- Vertex 0 is never special, and neither is s0, the end of bottom tree
+  0's root.  For x0, p + a is s0 (join) or the end of the root's left
+  subtree (root removal), on the bottom spine before and after.  For
+  x1, p is s0.
+
+So a leaf split adds 1 and a dipole takes 1 off.  For x0, a root
+removal takes 1 off and adds 2 when s0 becomes special: active and not
+near in the top forest, now that its bottom arc is gone.  A join adds
+1 and takes 2 off when w was special; it gains a bottom arc.  For x1,
+a root removal takes 1 off and adds 2 when the right subtree is a leaf
+and s0 + a becomes a bridge head: a top leaf tree with a caret right
+of it, not near in the top forest.  A join adds 1 and takes 2 off when
+bottom tree 2 is a leaf and w was such a bridge head.  The tests hold
+this against the norm difference on the radius-8 ball and on long
+words, CI on the radius-10 ball, and greedy_descent certifies every
+word it returns.
 """
 
 from __future__ import annotations
 
-from typing import Set
+from itertools import accumulate
+from operator import sub
+from typing import Iterator, List, Set, Tuple
 
-from .diagrams import EPSILON, GENERATOR_LETTERS, Diagram, mul_letter
+from .diagrams import EPSILON, GENERATOR_LETTERS, Diagram, _tree_end, mul_letter
 from .words import GenWord
 
 
@@ -72,46 +119,127 @@ def special_vertices(d: Diagram) -> Set[int]:
 
 def norm(d: Diagram) -> int:
     """The x0,x1 word length of the element represented by d."""
+    return norm_and_special(d)[0]
+
+
+def norm_and_special(d: Diagram) -> Tuple[int, Set[int]]:
+    """norm(d) and special_vertices(d) from one read of the diagram."""
     cells, _, special = _read(d)
-    return cells + 2 * len(special)
+    return cells + 2 * len(special), special
+
+
+def _last_start(f: str) -> int:
+    # the leftmost leaf of the last caret in preorder, the forest's
+    # rightmost caret start; -1 without carets
+    c = f.rfind("(")
+    return f.count("L", 0, c) if c >= 0 else -1
+
+
+def _top_near(pieces: List[str], v: int) -> bool:
+    # {0, v} is a top arc: as in _read, the count of leaves minus carets
+    # and commas reaches a new high at leaf v - 1.  It is 1 after each
+    # whole tree, so only the first tree's left spine sets new highs.
+    # h[i] is that count at leaf i, less 2, computed in C
+    h = list(map(sub, range(v), accumulate(map(len, pieces[:v]))))
+    last = h.pop()
+    return not h or last > max(h)
+
+
+def _bridge(pieces: List[str], v: int, top: str, bottom: str) -> bool:
+    # top leaf v is a tree, a caret of either forest starts right of it,
+    # and v is not near vertex 0 in the top forest
+    return (
+        pieces[v] == ","
+        and max(_last_start(top), _last_start(bottom)) > v
+        and not _top_near(pieces, v)
+    )
+
+
+def _special(pieces: List[str], v: int, start: bool, whole: bool, top: str, bottom: str) -> bool:
+    # vertex v is active and not near in the top forest, where `start`
+    # says a bottom caret starts at v and `whole` that bottom leaf v is a
+    # tree; the bottom spine is the caller's part
+    if start or pieces[v][-1:] == "(":
+        return not _top_near(pieces, v)
+    return whole and _bridge(pieces, v, top, bottom)
+
+
+def _norm_deltas(d: Diagram) -> Iterator[int]:
+    # norm(mul_letter(d, k, s)) - norm(d) for each letter of
+    # GENERATOR_LETTERS in turn, read off the window of the module
+    # docstring; lazily, so a caller can stop at the first it needs
+    top, _, bottom = d.partition("|")
+    # bottom trees 0, 1 and 2; a missing tree is a padded leaf
+    trees = bottom.split(",", 3)[:3]
+    trees += ["L"] * (3 - len(trees))
+    t0, t1, t2 = trees
+    s0 = t0.count("L")
+    w = s0 + t1.count("L")  # where bottom tree 2 starts
+    # what precedes top leaves 0..w, with "," before leaf 0 and a padded
+    # leaf tree past the last leaf
+    pieces = ("," + top).split("L", w + 1)
+    pieces[-1:] = [","] * (w + 2 - len(pieces))
+    # x0: a leaf split is +1; a root removal takes s0 off the bottom spine
+    if t0 == "L":
+        yield 1
+    else:
+        yield 2 * _special(pieces, s0, t1[0] == "(", t1 == "L", top, bottom) - 1
+    # x0^-1: a dipole at leaf 0 is -1; a join puts w on the bottom spine
+    if t0 == t1 == "L" and pieces[0][-1] == "(" and pieces[1] == "":
+        yield -1
+    else:
+        yield 1 - 2 * _special(pieces, w, t2[0] == "(", t2 == "L", top, bottom)
+    # x1: a leaf split is +1; a root removal over a leaf right subtree
+    # makes bottom leaf s0 + a a tree, a the left subtree's leaf count
+    if t1 == "L":
+        yield 1
+    else:
+        q = _tree_end(t1, 1)
+        yield 2 * (t1[q:] == "L" and _bridge(pieces, s0 + t1.count("L", 1, q), top, bottom)) - 1
+    # x1^-1: a dipole at leaf s0 is -1; a join over a leaf tree 2 makes
+    # bottom leaf w part of a tree
+    if t1 == t2 == "L" and pieces[s0][-1:] == "(" and pieces[w] == "":
+        yield -1
+    else:
+        yield 1 - 2 * (t2 == "L" and _bridge(pieces, w, top, bottom))
 
 
 def is_dead(d: Diagram) -> bool:
     """True when right multiplication by every generator letter lowers the norm.
 
-    The identity is rejected: it has no descent directions at all.
+    That is, all four norm deltas are -1, the same predicate the
+    descent steps by.  The identity is rejected: it has no descent
+    directions at all.
     """
     if d == EPSILON:
         raise ValueError("the identity diagram is not in the domain of is_dead")
-    n = norm(d)
-    return all(norm(mul_letter(d, k, s)) < n for k, s in GENERATOR_LETTERS)
+    return all(delta < 0 for delta in _norm_deltas(d))
 
 
 def greedy_descent(d: Diagram) -> GenWord:
     """A word for d found by always stepping to a lower-norm neighbour.
 
-    Each step lowers the norm by exactly 1 (neighbour norms differ by
-    exactly 1), so the word has length norm(d), and the norm is read
-    once up front and then carried down.  A descent direction always
+    The norm is read once.  Each step reads the norm deltas of the
+    current diagram in GENERATOR_LETTERS order, takes the first letter
+    whose delta is -1, and multiplies once.  A descent direction always
     exists: the last letter of any minimal word provides one.  The
-    letter that undoes the previous step is skipped unread: it leads
-    back up to norm n + 1, so it would never be chosen.
+    letter that undoes the previous step is skipped: it leads back up.
+    The descent certifies itself: it must reach EPSILON in exactly
+    norm(d) steps, so the word it returns is geodesic even if a delta
+    were wrong; otherwise it raises AssertionError.
     """
-    steps = []
-    current = d
     n = norm(d)
+    steps = []
     back = None  # the inverse of the last letter taken
-    while n > 0:
-        for letter in GENERATOR_LETTERS:
-            if letter == back:
-                continue
-            candidate = mul_letter(current, *letter)
-            if norm(candidate) < n:
-                steps.append(letter)
-                current = candidate
-                n -= 1
-                back = (letter[0], -letter[1])
+    for _ in range(n):
+        for letter, delta in zip(GENERATOR_LETTERS, _norm_deltas(d)):
+            if delta < 0 and letter != back:
                 break
         else:
-            raise AssertionError(f"no descent direction at norm {n}")
+            raise AssertionError(f"no descent direction at norm {n - len(steps)}")
+        steps.append(letter)
+        d = mul_letter(d, *letter)
+        back = (letter[0], -letter[1])
+    if d != EPSILON:
+        raise AssertionError(f"{n} descent steps did not reach the identity")
     return tuple((k, -s) for k, s in reversed(steps))

@@ -1,11 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from graph_oracle import diagram_graph
-from thompsonf import metric
+from thompsonf import cli, metric
 from thompsonf.cayley import bfs_norm, enumerate_ball, neighbors
 from thompsonf.diagrams import (
     EPSILON,
@@ -176,6 +176,7 @@ def _plain_descent(d):
 
 
 def test_greedy_descent_skips_the_undoing_letter(monkeypatch):
+    # the same words as the descent by full norm reads, from one norm read
     rng = random.Random(7)
     calls = []
 
@@ -186,12 +187,112 @@ def test_greedy_descent_skips_the_undoing_letter(monkeypatch):
     monkeypatch.setattr(metric, "norm", counted)
     for length in (10, 25, 40, 60, 80, 100):
         d = from_word(tuple((rng.randint(0, 3), rng.choice((1, -1))) for _ in range(length)))
-        del calls[:]
         expected = _plain_descent(d)
-        plain_calls = len(calls)
         del calls[:]
         assert greedy_descent(d) == expected
-        assert len(calls) < plain_calls
+        assert calls == [d]
+
+
+def _deltas_by_norm(d):
+    n = norm(d)
+    return tuple(norm(mul_letter(d, k, s)) - n for k, s in GENERATOR_LETTERS)
+
+
+def test_norm_deltas_match_norm_on_ball_8():
+    for d in enumerate_ball(8)._by_diagram:
+        deltas = _deltas_by_norm(d)
+        assert tuple(metric._norm_deltas(d)) == deltas, d
+        if d != EPSILON:
+            assert is_dead(d) == (deltas == (-1, -1, -1, -1)), d
+
+
+@given(
+    st.integers(min_value=100, max_value=1500),
+    st.integers(min_value=0, max_value=20),
+    st.randoms(use_true_random=False),
+)
+# shrinking 1500-letter words takes minutes; the failing diagram is in
+# the assertion message either way
+@settings(max_examples=30, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+def test_norm_deltas_match_norm_on_long_words(length, top_index, rng):
+    d = from_word(tuple((rng.randint(0, top_index), rng.choice((1, -1))) for _ in range(length)))
+    for _ in range(3):
+        assert tuple(metric._norm_deltas(d)) == _deltas_by_norm(d), d
+        d = mul_letter(d, rng.randint(0, 1), rng.choice((1, -1)))
+
+
+def _branch(d, k, s):
+    # the mul_letter branch that d * x_k^s takes, read off the shape of d
+    top, _, bottom = d.partition("|")
+    trees = bottom.split(",")
+    padded = " padded" if len(trees) < k + (1 if s == 1 else 2) else ""
+    trees += ["L"] * 3
+    if s == 1:
+        if trees[k] == "L":
+            return "split" + padded
+        return "removal a=1" if trees[k].startswith("(L") else "removal a>1"
+    p = sum(t.count("L") for t in trees[:k])
+    before = ("," + top).split("L")  # what precedes each top leaf
+    if (
+        trees[k] == trees[k + 1] == "L"
+        and p + 2 < len(before)
+        and before[p].endswith("(")
+        and before[p + 1] == ""
+    ):
+        return "dipole under a caret" if before[p].endswith("((") else "dipole"
+    return "join" + padded
+
+
+@pytest.mark.parametrize(
+    "word, letter, branch, delta",
+    [
+        # x0: leaf split at p = 0, root removals, s0 far or near
+        ("x0", (0, 1), "split", 1),
+        ("", (0, 1), "split", 1),
+        ("x0^-1", (0, 1), "removal a=1", -1),
+        ("x2 x0^-1", (0, 1), "removal a=1", 1),
+        ("x3 x1^-1 x0^-1", (0, 1), "removal a=1", 1),
+        ("x0^-1 x0^-1", (0, 1), "removal a>1", -1),
+        ("x3 x0^-1 x0^-1", (0, 1), "removal a>1", 1),
+        ("x4 x2^-1 x0^-1 x0^-1", (0, 1), "removal a>1", 1),
+        # x0^-1: dipoles at 0, joins, w special or not
+        ("x0", (0, -1), "dipole", -1),
+        ("x0 x0", (0, -1), "dipole under a caret", -1),
+        ("x1", (0, -1), "join", 1),
+        ("x2", (0, -1), "join", -1),
+        ("x0^-1", (0, -1), "join padded", 1),
+        # x1: leaf split at p = s0 > 0, root removals, bridge at s0 + a
+        ("x1", (1, 1), "split", 1),
+        ("x0^-1", (1, 1), "split padded", 1),
+        ("x1^-1", (1, 1), "removal a=1", -1),
+        ("x3 x1^-1", (1, 1), "removal a=1", 1),
+        ("x0 x2^-1 x1^-1", (1, 1), "removal a=1", -1),
+        ("x1^-1 x1^-1", (1, 1), "removal a>1", -1),
+        ("x4 x1^-1 x1^-1", (1, 1), "removal a>1", 1),
+        # x1^-1: dipoles at s0, joins, a bridge at w ending or not
+        ("x1", (1, -1), "dipole", -1),
+        ("x1 x1", (1, -1), "dipole under a caret", -1),
+        ("x0 x2", (1, -1), "join", 1),
+        ("x3", (1, -1), "join", -1),
+        ("x0^-1", (1, -1), "join padded", 1),
+        ("x0 x1^-1", (1, -1), "join padded", 1),
+    ],
+)
+def test_norm_delta_branches(word, letter, branch, delta):
+    d = from_word(parse_word(word))
+    assert _branch(d, *letter) == branch
+    deltas = dict(zip(GENERATOR_LETTERS, metric._norm_deltas(d)))
+    assert deltas[letter] == norm(mul_letter(d, *letter)) - norm(d) == delta
+
+
+@pytest.mark.parametrize("wrong", [-1, 1])
+def test_corrupted_delta_prints_no_word(monkeypatch, capsys, wrong):
+    # every letter claimed to descend walks off the geodesics; none
+    # claimed leaves no step: either way no word comes out
+    monkeypatch.setattr(metric, "_norm_deltas", lambda d: iter((wrong,) * 4))
+    with pytest.raises(AssertionError):
+        cli.main(["geodesic", "x0 x1 x3^-1"])
+    assert capsys.readouterr().out == ""
 
 
 def test_norm_triangle_inequality():
