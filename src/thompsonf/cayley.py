@@ -5,9 +5,8 @@ diagrams as hash keys, so no word problem is solved pairwise.  Its table
 is an independent distance oracle for the length formula.  The graph is
 bipartite, so each element of layer r + 1 records which letters lead
 back to layer r as layer r reaches it, and is then multiplied only by
-the other letters: each edge is one product.  The same walk finds dead
-vertices (all four neighbours closer to the identity) of norm at most m
-in the ball of radius m: all four letters lead back.
+the other letters: each edge is one product.  It is the oracle for the
+two scans below, which store no ball.
 
 count_spheres lists no element.  An element is its normal form: c_v
 carets start at leaf v in the top forest and d_v in the bottom one, any
@@ -19,7 +18,8 @@ lowest h so far; a new low makes vertex v+1 near vertex 0.  Leaf v
 costs c_v + d_v, plus 2 when vertex v is active and not near.  A leaf
 that is a bare tree in both forests is active on every path that goes
 on, so a path ends only at a caret start, and not where both forests
-start one.  States that agree merge their counts per norm.
+start one.  States that agree merge their counts per norm.  dead_search
+walks the scan depth first instead, one normal form per path.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .diagrams import EPSILON, GENERATOR_LETTERS, Diagram, canonical_key, mul_letter
+from .diagrams import (
+    EPSILON, GENERATOR_LETTERS, Diagram, NormalForm, canonical_key, from_normal_form, mul_letter,
+)
 from .metric import is_dead
 
 DEFAULT_CAP = 10_000_000
@@ -173,28 +175,73 @@ def bfs_norm(d: Diagram, cap: int) -> Optional[int]:
 def dead_search(max_norm: int, cap: int = DEFAULT_CAP) -> List[str]:
     """Canonical keys of all dead elements of norm at most max_norm.
 
-    Walks the ball of radius max_norm, so cap bounds that ball.  The
-    exponent sum, a homomorphism to Z, fixes the parity of the distance,
-    so neighbour distances differ by exactly 1: an element is dead
-    exactly when all four letters lead back one layer, which its back
-    mask records once the layer before it is expanded.  Each such
-    element is confirmed with the length-formula predicate before being
-    reported.
+    Dead means all four norm deltas are -1.  Let bottom tree 1 start at
+    leaf s0 and tree 2 at w.  A bridge head is a top leaf tree that is
+    not top-near (near vertex 0 in the top forest) with a caret starting
+    right of it.  By the cases of metric._norm_deltas, x0 and x1 are +1
+    when bottom tree 0 or 1 is a leaf.  If both are carets, a caret
+    starts at s0, so x0 is -1 iff s0 is top-near; x1^-1 is -1 iff tree 2
+    is a leaf and w a bridge head, which makes w special and x0^-1 -1;
+    x1 is -1 unless tree 1's root has a leaf right subtree and w - 1 is
+    a bridge head.  So d is dead iff bottom trees 0 and 1 are carets, s0
+    is top-near, tree 2 is a leaf at a bridge head w, and not both: tree
+    1's right subtree is a leaf and top leaf w - 1 is a tree that is not
+    top-near (a caret right of w is right of w - 1).
+
+    A depth-first walk over the leaf scan of the module docstring tests
+    this leaf by leaf, on an explicit stack.  Tree 1's right subtree is
+    leaf w - 1 when its spine low (the scan's low restarted at s0) is new
+    at leaf w - 2.  No vertex past w is near, so w costs 2, a caret start
+    past it 3 or more, and every path past w ends dead.  A path goes on
+    only while its norm leaves 6 for the rest in bottom tree 0, 5 in tree
+    1 and 3 past w.  Each hit is confirmed with metric.is_dead.
+
+    The cap bounds the ball of radius max_norm: count_spheres checks it
+    and raises ResourceCapError where that ball passes it.  s_1 = 4 and
+    s_{r+1} <= 3 s_r, so b_m <= 2 * 3^m - 1, and a larger cap is not
+    counted.
     """
     if max_norm < 1:
         raise ValueError("max_norm must be at least 1")
-    table: Dict[Diagram, int] = {}
-    for _ in _walk(max_norm, cap, table):
-        pass
+    if cap < 2 * 3 ** min(max_norm, cap.bit_length()) - 1:  # 3^bits > cap
+        count_spheres(max_norm, cap)
     found = []
-    for d, value in table.items():
-        if value & _ALL_BACK == _ALL_BACK:
-            if not is_dead(d):  # pragma: no cover - would falsify the formula
-                raise AssertionError(
-                    f"BFS and length formula disagree at {canonical_key(d)}"
-                )
-            found.append(canonical_key(d))
-    return sorted(found)
+    big = max_norm + 1
+    # leaf v, norm so far, bottom trees closed before v (3 past w), the
+    # scan's state, tree 1's spine low new at v - 1, the normal form so far
+    stack = [(0, 0, 0, 0, big, 0, big, True, False, False, (), ())]
+    while stack:
+        v, cost, closed, top, top_low, bottom, bottom_low, near, both, right, pos, neg = stack.pop()
+        if closed == 1 and not bottom:
+            bottom_low = big  # tree 1 starts at s0
+        if closed == 2 and (top or near) or closed == 1 and not (bottom or near):
+            continue  # w is no bridge head, or s0 is not top-near
+        charge = 0 if near else 2
+        for c in range(max_norm - cost + 1):
+            top2, top_low2, top_new = _forest_step(top, top_low, c)
+            for d in range(max_norm - cost - c + 1):
+                if both and not (c or d):
+                    continue
+                k = cost + (c + d + charge if c or d else 0 if top or bottom else charge)
+                if k > max_norm or closed == 2 and (c or d):
+                    break
+                if closed < 2 and not (bottom or d):
+                    continue  # bottom trees 0 and 1 are carets
+                bottom2, bottom_low2, bottom_new = _forest_step(bottom, bottom_low, d)
+                if closed == 1 and not bottom2 and right and not (top or c or near):
+                    continue  # a leaf right subtree under a bridge head w - 1
+                p, q = pos + (v,) * c, neg + (v,) * d
+                if closed == 3 and (c or d) and not (c and d):
+                    found.append(from_normal_form(NormalForm(p, q)))
+                after = min(closed + (not bottom2), 3)
+                if k + (6, 5, 5, 3)[after] <= max_norm:
+                    stack.append((v + 1, k, after, top2, top_low2, bottom2, bottom_low2,
+                                  top_new or bottom_new and not after, bool(c and d),
+                                  bottom_new, p, q))
+    for d in found:
+        if not is_dead(d):  # pragma: no cover - would falsify the condition
+            raise AssertionError(f"dead condition and norm deltas disagree at {canonical_key(d)}")
+    return sorted(map(canonical_key, found))
 
 
 def _forest_step(slots: int, low: int, carets: int) -> Tuple[int, int, bool]:

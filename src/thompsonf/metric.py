@@ -135,33 +135,46 @@ def _last_start(f: str) -> int:
     return f.count("L", 0, c) if c >= 0 else -1
 
 
-def _top_near(pieces: List[str], v: int) -> bool:
-    # {0, v} is a top arc: as in _read, the count of leaves minus carets
-    # and commas reaches a new high at leaf v - 1.  It is 1 after each
-    # whole tree, so only the first tree's left spine sets new highs.
-    # h[i] is that count at leaf i, less 2, computed in C
-    h = list(map(sub, range(v), accumulate(map(len, pieces[:v]))))
-    last = h.pop()
-    return not h or last > max(h)
+class _TopLeaves:
+    # the top forest for _norm_deltas, split only as far as a read
+    # reaches; piece(v) is what precedes leaf v as in _read, "," past it
+    def __init__(self, top: str, bottom: str, leaves: int):
+        self.top, self.bottom, self.leaves = top, bottom, leaves
+        self.pieces: List[str] = []
 
+    def piece(self, v: int) -> str:
+        if len(self.pieces) <= v < self.leaves:
+            self.pieces = ("," + self.top).split("L", v + 1)[:-1]
+        return self.pieces[v] if v < self.leaves else ","
 
-def _bridge(pieces: List[str], v: int, top: str, bottom: str) -> bool:
-    # top leaf v is a tree, a caret of either forest starts right of it,
-    # and v is not near vertex 0 in the top forest
-    return (
-        pieces[v] == ","
-        and max(_last_start(top), _last_start(bottom)) > v
-        and not _top_near(pieces, v)
-    )
+    def near(self, v: int) -> bool:
+        # {0, v} is a top arc: as in _read, the count of leaves minus
+        # carets and commas reaches a new high at leaf v - 1.  It is 1
+        # after each whole tree, so only the first tree's left spine sets
+        # new highs.  h[i] is that count at leaf i, less 2, computed in C
+        if v > self.top.partition(",")[0].count("L"):
+            return False
+        self.piece(v - 1)
+        h = list(map(sub, range(v), accumulate(map(len, self.pieces[:v]))))
+        last = h.pop()
+        return not h or last > max(h)
 
+    def bridge(self, v: int) -> bool:
+        # top leaf v is a tree, a caret of either forest starts right of
+        # it, and v is not near vertex 0 in the top forest
+        return (
+            max(_last_start(self.top), _last_start(self.bottom)) > v
+            and self.piece(v) == ","
+            and not self.near(v)
+        )
 
-def _special(pieces: List[str], v: int, start: bool, whole: bool, top: str, bottom: str) -> bool:
-    # vertex v is active and not near in the top forest, where `start`
-    # says a bottom caret starts at v and `whole` that bottom leaf v is a
-    # tree; the bottom spine is the caller's part
-    if start or pieces[v][-1:] == "(":
-        return not _top_near(pieces, v)
-    return whole and _bridge(pieces, v, top, bottom)
+    def special(self, v: int, start: bool, whole: bool) -> bool:
+        # vertex v is active and not near in the top forest, where `start`
+        # says a bottom caret starts at v and `whole` that bottom leaf v
+        # is a tree; the bottom spine is the caller's part
+        if start or self.piece(v)[-1:] == "(":
+            return not self.near(v)
+        return whole and self.bridge(v)
 
 
 def _norm_deltas(d: Diagram) -> Iterator[int]:
@@ -170,38 +183,36 @@ def _norm_deltas(d: Diagram) -> Iterator[int]:
     # docstring; lazily, so a caller can stop at the first it needs
     top, _, bottom = d.partition("|")
     # bottom trees 0, 1 and 2; a missing tree is a padded leaf
-    trees = bottom.split(",", 3)[:3]
-    trees += ["L"] * (3 - len(trees))
-    t0, t1, t2 = trees
+    trees = bottom.split(",", 3)
+    t0, t1, t2 = trees[:3] + ["L"] * (3 - len(trees))
     s0 = t0.count("L")
     w = s0 + t1.count("L")  # where bottom tree 2 starts
-    # what precedes top leaves 0..w, with "," before leaf 0 and a padded
-    # leaf tree past the last leaf
-    pieces = ("," + top).split("L", w + 1)
-    pieces[-1:] = [","] * (w + 2 - len(pieces))
+    # the leaf count, or past w, where reads stop, when more trees follow
+    leaves = (s0, w, w + t2.count("L"), w + 1)[len(trees) - 1]
+    window = _TopLeaves(top, bottom, leaves)
     # x0: a leaf split is +1; a root removal takes s0 off the bottom spine
     if t0 == "L":
         yield 1
     else:
-        yield 2 * _special(pieces, s0, t1[0] == "(", t1 == "L", top, bottom) - 1
+        yield 2 * window.special(s0, t1[0] == "(", t1 == "L") - 1
     # x0^-1: a dipole at leaf 0 is -1; a join puts w on the bottom spine
-    if t0 == t1 == "L" and pieces[0][-1] == "(" and pieces[1] == "":
+    if t0 == t1 == "L" and window.piece(1) == "" and window.piece(0)[-1] == "(":
         yield -1
     else:
-        yield 1 - 2 * _special(pieces, w, t2[0] == "(", t2 == "L", top, bottom)
+        yield 1 - 2 * window.special(w, t2[0] == "(", t2 == "L")
     # x1: a leaf split is +1; a root removal over a leaf right subtree
     # makes bottom leaf s0 + a a tree, a the left subtree's leaf count
     if t1 == "L":
         yield 1
     else:
         q = _tree_end(t1, 1)
-        yield 2 * (t1[q:] == "L" and _bridge(pieces, s0 + t1.count("L", 1, q), top, bottom)) - 1
+        yield 2 * (t1[q:] == "L" and window.bridge(s0 + t1.count("L", 1, q))) - 1
     # x1^-1: a dipole at leaf s0 is -1; a join over a leaf tree 2 makes
     # bottom leaf w part of a tree
-    if t1 == t2 == "L" and pieces[s0][-1:] == "(" and pieces[w] == "":
+    if t1 == t2 == "L" and window.piece(w) == "" and window.piece(s0)[-1:] == "(":
         yield -1
     else:
-        yield 1 - 2 * (t2 == "L" and _bridge(pieces, w, top, bottom))
+        yield 1 - 2 * (t2 == "L" and window.bridge(w))
 
 
 def is_dead(d: Diagram) -> bool:

@@ -3,8 +3,7 @@
 Each test records its verdict through the verdict fixture (conftest
 replays the lines in a terminal summary section), then asserts.
 Expected total runtime is well under two minutes on commodity hardware;
-the rank-12 gamma checks of criterion 6 are the long pole, ahead of the
-radius-10 ball inside criterion 3's dead-element search.
+the rank-12 gamma checks of criterion 6 are the long pole.
 """
 
 import math
@@ -83,7 +82,7 @@ def test_criterion_03_dead_vertex(verdict):
         3,
         ok,
         f"worked element has norm 11, neighbor norms {neighbor_norms}, "
-        f"no dead element of norm <= 10 in the radius-10 ball",
+        f"no dead element of norm <= 10",
     )
 
 

@@ -1,10 +1,12 @@
 import json
 import time
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
-from thompsonf import cayley
+from thompsonf import cayley, diagrams, metric
 from thompsonf.cayley import (
     CountLimitError,
     ResourceCapError,
@@ -16,7 +18,7 @@ from thompsonf.cayley import (
 )
 from thompsonf.cli import main
 from thompsonf.diagrams import EPSILON, atomic, canonical_key, from_word, invert
-from thompsonf.metric import norm
+from thompsonf.metric import is_dead, norm
 from thompsonf.words import parse_word
 
 KNOWN_SPHERES = [1, 4, 12, 36, 108, 314, 906, 2576, 7280, 20352]
@@ -84,23 +86,21 @@ def test_ball_matches_reference_bfs_in_order():
         assert list(enumerate_ball(r)._by_diagram.items()) == _reference_ball(r), r
 
 
-def test_dead_search_multiplies_each_edge_once(monkeypatch, ball_10):
-    # the edges from B_6 outward, each from its end nearer the identity
-    edges = sum(
-        ball_10.distance(nb) == r + 1
-        for d, r in ball_10._by_diagram.items() if r <= 6
-        for nb in neighbors(d)
-    )
+def test_dead_search_multiplies_nothing(monkeypatch):
+    # the walk reads normal forms; it builds no neighbour and no ball
     calls = [0]
-    real = cayley.mul_letter
+    real = diagrams.mul_letter
 
     def counted(d, k, s):
         calls[0] += 1
         return real(d, k, s)
 
-    monkeypatch.setattr(cayley, "mul_letter", counted)
+    for module in (cayley, diagrams, metric):
+        monkeypatch.setattr(module, "mul_letter", counted)
+    monkeypatch.setattr(cayley, "enumerate_ball", None)
     assert dead_search(7) == []
-    assert calls[0] == edges == 4108  # a plain BFS makes 4 b_6 = 5,524
+    assert dead_search(11) == dead_search(11, cap=244_823)  # b_11: the count runs
+    assert calls[0] == 0
 
 
 def test_negative_radius_rejected():
@@ -145,8 +145,8 @@ def test_dead_search_norm_11():
 
 def test_dead_search_matches_bfs_definition(ball_10):
     # the definition read off one BFS table: an element at distance r
-    # whose four neighbours all read r - 1 (radius 9 would hold them)
-    for m in range(1, 9):
+    # whose four neighbours all read r - 1 (the radius-10 ball holds them)
+    for m in range(1, 10):
         expected = sorted(
             canonical_key(d)
             for d, r in ball_10._by_diagram.items()
@@ -162,6 +162,68 @@ def test_dead_search_cap_bounds_its_radius(ball_10):
     with pytest.raises(ResourceCapError) as exc:
         dead_search(7, cap=3956)
     assert exc.value.completed_radius == 6
+
+
+def test_dead_search_cap_at_every_ball(ball_10):
+    # cap = b_m answers; one less stops at radius m - 1, as the BFS did
+    for m in range(1, 9):
+        b = ball_10.ball_sizes[m]
+        assert dead_search(m, cap=b) == []
+        with pytest.raises(ResourceCapError) as exc:
+            dead_search(m, cap=b - 1)
+        assert (exc.value.cap, exc.value.completed_radius) == (b - 1, m - 1)
+
+
+def test_ball_bound_skips_the_count():
+    # b_m <= 2 * 3^m - 1, so dead_search need not count below that cap
+    balls = list(accumulate(count_spheres(12)))
+    assert all(b <= 2 * 3**m - 1 for m, b in enumerate(balls))
+    assert balls[1] == 2 * 3 - 1  # tight at m = 1
+
+
+def test_dead_search_cap_error_is_one_line(capsys):
+    assert main(["dead-search", "--max-norm", "12", "--cap", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: element cap 100000 exceeded; completed radius 10\n"
+    # a huge norm bound costs no power of 3 that size: the default cap
+    # stops the count at radius 14
+    start = time.perf_counter()
+    assert main(["dead-search", "--max-norm", str(10**9)]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: element cap 10000000 exceeded; completed radius 14\n"
+
+
+def _from_key(key):
+    # the diagram of a canonical key: drop the ")" and cut each forest
+    # into trees where leaves outnumber carets
+    forests = []
+    for code in key.replace(")", "").split("|"):
+        trees, start, h = [], 0, 0
+        for i, c in enumerate(code):
+            h += 1 if c == "L" else -1
+            if h == 1:
+                trees.append(code[start:i + 1])
+                start, h = i + 1, 0
+        forests.append(",".join(trees))
+    return "|".join(forests)
+
+
+def test_dead_search_norm_13():
+    # past the BFS check of CI (norm 12): every hit is dead by the length
+    # formula, and the counts per norm are 4, 8 and 52
+    found = dead_search(13)
+    assert len(found) == 64
+    norms = []
+    for key in found:
+        d = _from_key(key)
+        assert canonical_key(d) == key
+        assert is_dead(d)
+        norms.append(norm(d))
+    assert Counter(norms) == {11: 4, 12: 8, 13: 52}
+    assert dead_search(12) == sorted(k for k, n in zip(found, norms) if n <= 12)
 
 
 def test_dead_search_validates():

@@ -193,6 +193,25 @@ def test_greedy_descent_skips_the_undoing_letter(monkeypatch):
         assert calls == [d]
 
 
+def test_descent_splits_the_top_only_as_far_as_it_reads(monkeypatch):
+    # x0^-n and x1^-n read past the last top leaf, or test a bridge with
+    # no caret to its right: no step splits the top forest.  x0^n reads
+    # top leaves 0 and 1 (a dipole at leaf 0)
+    longest = [0]
+
+    class Recorded(metric._TopLeaves):
+        def piece(self, v):
+            found = super().piece(v)
+            longest[0] = max(longest[0], len(self.pieces))
+            return found
+
+    monkeypatch.setattr(metric, "_TopLeaves", Recorded)
+    for letter, split in (((0, -1), 0), ((1, -1), 0), ((0, 1), 2)):
+        longest[0] = 0
+        assert greedy_descent(from_word((letter,) * 500)) == (letter,) * 500
+        assert longest[0] == split, letter
+
+
 def _deltas_by_norm(d):
     n = norm(d)
     return tuple(norm(mul_letter(d, k, s)) - n for k, s in GENERATOR_LETTERS)
