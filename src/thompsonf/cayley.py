@@ -18,8 +18,20 @@ lowest h so far; a new low makes vertex v+1 near vertex 0.  Leaf v
 costs c_v + d_v, plus 2 when vertex v is active and not near.  A leaf
 that is a bare tree in both forests is active on every path that goes
 on, so a path ends only at a caret start, and not where both forests
-start one.  States that agree merge their counts per norm.  dead_search
-walks the scan depth first instead, one normal form per path.
+start one.  States that agree merge their counts per norm.
+
+count_spheres runs each leaf as two half-steps: it chooses c_v first,
+merges the states with c_v > 0 that then agree (c_v = 0 merges too few
+to be worth it), and chooses d_v after.  It also merges mirror states.
+Swapping the forests is inversion, which keeps the norm, and the leaf
+step is symmetric in the two forests: the cost is c_v + d_v plus the
+charge (a bare leaf in both costs it only where both forests are at a
+tree start), v + 1 is near when either forest sets a new low, "both" is
+c_v and d_v, a path ends where exactly one of c_v, d_v is nonzero, and
+the first state is its own mirror.  So a state and its mirror have the
+same future, and each leaf ends by ordering the two forests' (slots,
+low) pairs.  dead_search walks the scan depth first instead, one
+normal form per path.
 """
 
 from __future__ import annotations
@@ -36,8 +48,9 @@ from .metric import is_dead
 
 DEFAULT_CAP = 10_000_000
 # the largest truncation radius count_spheres runs.  The count's memory
-# grows as about radius^5.4: 56 MB at radius 30, 263 MB at 42 and 670 MB
-# at 50 (7 minutes; 2-vCPU VM, Python 3.11), so about 1 GB near 54.
+# grows as about radius^5.4: 35 MB at radius 30, 137 MB at 42 and 311 MB
+# at 50 (80-100 s; fresh process, 2-vCPU VM, Python 3.11), so about 1 GB
+# near 63.
 MAX_COUNT_RADIUS = 50
 
 
@@ -203,7 +216,7 @@ def dead_search(max_norm: int, cap: int = DEFAULT_CAP) -> List[str]:
     """
     if max_norm < 1:
         raise ValueError("max_norm must be at least 1")
-    if cap < 2 * 3 ** min(max_norm, cap.bit_length()) - 1:  # 3^bits > cap
+    if not _cap_cannot_bind(max_norm, cap):
         count_spheres(max_norm, cap)
     found = []
     big = max_norm + 1
@@ -244,6 +257,13 @@ def dead_search(max_norm: int, cap: int = DEFAULT_CAP) -> List[str]:
     return sorted(map(canonical_key, found))
 
 
+def _cap_cannot_bind(radius: int, cap: int) -> bool:
+    # s_1 = 4 and s_{r+1} <= 3 s_r, so b_radius <= 2 * 3^radius - 1: a cap
+    # of at least that never binds.  3^bits > cap, so no larger power is
+    # needed to tell
+    return cap >= 2 * 3 ** min(radius, cap.bit_length()) - 1
+
+
 def _forest_step(slots: int, low: int, carets: int) -> Tuple[int, int, bool]:
     # a leaf with `carets` caret starts in a forest with `slots` open
     # slots, 0 at a tree start: the open slots after it, the first tree's
@@ -253,44 +273,71 @@ def _forest_step(slots: int, low: int, carets: int) -> Tuple[int, int, bool]:
 
 
 def _sphere_counts(radius: int) -> List[int]:
-    # s_0..s_radius by the leaf scan of the module docstring.  A state's
-    # counts per norm are the base 2^width digits of one integer, so a
-    # leaf of cost k shifts them k digits.  No digit overflows: each
-    # prefix of norm n < radius ends, through one more caret, in its own
-    # element of norm at most n + 3, and b_{n+3} < 2^width.
+    # s_0..s_radius by the leaf scan of the module docstring, one leaf as
+    # two half-steps.  A state's counts per norm are the base 2^width
+    # digits of one integer, so a leaf of cost k shifts them k digits.
+    # A digit at or below radius never overflows: it counts distinct
+    # prefixes (a prefix and its mirror are two), and each prefix of norm
+    # n < radius ends, through one more caret, in its own element of norm
+    # at most n + 3, where b_{n+3} < 2^width.  A half-step prefix with
+    # c_v > 0 is already a complete element (d_v = 0).  Digits above
+    # radius are dropped, and their carries only move up.
     width = 2 * radius + 8
     live = (1 << width * radius) - 1  # norms below radius can go on
+    # x * rows[charge] shifts x by each cost 1 + charge..radius of c_v = 0, d_v > 0
+    rows = {charge: sum(1 << width * k for k in range(1 + charge, radius + 1)) for charge in (0, 2)}
     total = 1  # the identity
-    # open slots and first-tree low per forest (radius + 1 before leaf 0),
-    # vertex v near, both forests started a caret at v - 1
-    states = {(0, radius + 1, 0, radius + 1, True, False): 1}
+    span = radius + 2  # a forest's open slots and first-tree low as slots * span + low
+    # the lesser forest, the other, vertex v near, both forests started a
+    # caret at v - 1; the first tree's low is radius + 1 before leaf 0
+    states: Dict[tuple, int] = defaultdict(int)
+    states[(radius + 1, radius + 1, True, False)] = 1
+    following: Dict[tuple, int] = defaultdict(int)
     while states:
-        following: Dict[tuple, int] = defaultdict(int)
-        for (top, top_low, bottom, bottom_low, near, both), x in states.items():
+        halves: Dict[tuple, int] = defaultdict(int)  # c_v > 0, the leaf's cost so far paid
+        while states:
+            (top, bottom, near, both), x = states.popitem()
+            top, top_low = divmod(top, span)
+            bottom, bottom_low = divmod(bottom, span)
             budget = radius - ((x & -x).bit_length() - 1) // width
             charge = 0 if near else 2  # for an active vertex v
-            tops = [_forest_step(top, top_low, c) for c in range(budget + 1)]
-            bottoms = [_forest_step(bottom, bottom_low, d) for d in range(budget + 1)]
-            for c, (top_slots, top_low2, top_near) in enumerate(tops):
-                for d in range(budget + 1 - c):
-                    if c or d:
-                        cost = c + d + charge
-                    elif both:
-                        continue  # reduced: a caret starts at v after both did at v - 1
-                    else:
-                        cost = 0 if top or bottom else charge
-                    if cost > budget:
-                        break
-                    y = x << width * cost
-                    if (c or d) and not (c and d):
-                        total += y  # leaf v holds the last caret start
-                    y &= live
-                    if y:
-                        bottom_slots, bottom_low2, bottom_near = bottoms[d]
-                        key = (top_slots, top_low2, bottom_slots, bottom_low2,
-                               top_near or bottom_near, bool(c and d))
-                        following[key] += y
-        states = following
+            # c_v = 0 merges too few states to wait for a half-step
+            total += x * rows[charge]  # any d_v > 0 ends the path at leaf v
+            top_base = top - 1 if top else 0  # top slots after c_v = 0
+            top_new = top_base < top_low
+            p = top_base * span + (top_base if top_new else top_low)
+            bottom_base = bottom - 1 if bottom else 0
+            if not both and (top or bottom or charge < budget):  # c_v = d_v = 0
+                q = bottom_base * span + (bottom_base if bottom_base < bottom_low else bottom_low)
+                near = top_new or bottom_base < bottom_low
+                y = x if top or bottom else x << width * charge & live
+                following[(p, q, near, False) if p < q else (q, p, near, False)] += y
+            y = x << width * charge
+            for slots in range(bottom_base + 1, bottom_base + budget - charge):  # d_v > 0
+                y = y << width & live
+                q = slots * span + (slots if slots < bottom_low else bottom_low)
+                near = top_new or slots < bottom_low
+                following[(p, q, near, False) if p < q else (q, p, near, False)] += y
+            x <<= width * charge
+            for slots in range(top_base + 1, top_base + budget - charge + 1):  # c_v > 0
+                x <<= width
+                halves[(slots, slots if slots < top_low else top_low, slots < top_low,
+                        bottom, bottom_low)] += x
+        while halves:
+            (top, top_low, top_new, bottom, bottom_low), y = halves.popitem()
+            total += y  # d_v = 0: leaf v holds the last caret start
+            budget = radius - ((y & -y).bit_length() - 1) // width
+            p = top * span + top_low
+            bottom_base = bottom - 1 if bottom else 0
+            both = False
+            y &= live
+            for slots in range(bottom_base, bottom_base + budget):
+                q = slots * span + (slots if slots < bottom_low else bottom_low)
+                near = top_new or slots < bottom_low
+                following[(p, q, near, both) if p < q else (q, p, near, both)] += y
+                both = True
+                y = y << width & live
+        states, following = following, states
     digit = (1 << width) - 1
     return [total >> width * n & digit for n in range(radius + 1)]
 
@@ -300,11 +347,13 @@ def count_spheres(radius: int, cap: int = DEFAULT_CAP) -> List[int]:
 
     Equal to enumerate_ball(radius, cap).sphere_sizes, errors included:
     ResourceCapError(cap, r) for the least r < radius with ball size
-    b_{r+1} > cap, ValueError for a negative radius or cap.  The count
-    runs to radius 1, 2, 4, ... in turn and stops at the first ball past
-    the cap, so the cap, not the radius, bounds the work.  Memory grows
-    with the radius alone, so a count that would run past
-    MAX_COUNT_RADIUS raises CountLimitError with the radius it completed.
+    b_{r+1} > cap, ValueError for a negative radius or cap.  A cap of at
+    least 2 * 3^radius - 1, which b_radius never passes, cannot bind, and
+    the count runs to the radius at once.  Otherwise it runs to radius
+    1, 2, 4, ... in turn and stops at the first ball past the cap, so the
+    cap, not the radius, bounds the work.  Memory grows with the radius
+    alone, so a count that would run past MAX_COUNT_RADIUS raises
+    CountLimitError with the radius it completed.
 
     >>> count_spheres(5)
     [1, 4, 12, 36, 108, 314]
@@ -313,6 +362,8 @@ def count_spheres(radius: int, cap: int = DEFAULT_CAP) -> List[int]:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
+    if radius <= MAX_COUNT_RADIUS and _cap_cannot_bind(radius, cap):
+        return _sphere_counts(radius)
     reach = min(1, radius)
     while True:
         spheres = _sphere_counts(reach)

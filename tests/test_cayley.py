@@ -6,6 +6,7 @@ from itertools import accumulate
 
 import pytest
 
+import count_oracle
 from thompsonf import cayley, diagrams, metric
 from thompsonf.cayley import (
     CountLimitError,
@@ -263,6 +264,14 @@ def test_count_spheres_beyond_bfs():
     assert count_spheres(13)[11:] == [156_570, 431_238, 1_180_968]
 
 
+def test_count_spheres_matches_full_step_oracle():
+    # through radius 20, past what BFS reaches, against the counter that
+    # runs each leaf as one full step and keeps mirror states apart
+    expected = count_oracle.sphere_counts(20)
+    for r in range(21):
+        assert count_spheres(r, cap=10**12) == expected[: r + 1], r
+
+
 def _sizes_or_cap(count):
     # the sphere sizes, or the cap error's (cap, completed radius)
     try:
@@ -277,6 +286,17 @@ def test_count_spheres_cap_matches_bfs(ball_10):
     caps = sorted({0} | {b + k for b in balls for k in (-1, 0, 1)})
     for radius in range(9):
         for cap in caps:
+            counted = _sizes_or_cap(lambda: count_spheres(radius, cap))
+            searched = _sizes_or_cap(lambda: enumerate_ball(radius, cap).sphere_sizes)
+            assert counted == searched, (radius, cap)
+
+
+def test_count_spheres_cap_edges(ball_10):
+    # b_r is the least cap that answers and 2 * 3^r - 1 the least that
+    # skips the cap checks
+    for radius in range(1, 8):
+        b = ball_10.ball_sizes[radius]
+        for cap in (b - 1, b, 2 * 3**radius - 2, 2 * 3**radius - 1):
             counted = _sizes_or_cap(lambda: count_spheres(radius, cap))
             searched = _sizes_or_cap(lambda: enumerate_ball(radius, cap).sphere_sizes)
             assert counted == searched, (radius, cap)
@@ -302,7 +322,7 @@ def test_spheres_cap_bounds_the_work(capsys):
 
 def test_count_spheres_radius_limit(monkeypatch, capsys):
     monkeypatch.setattr(cayley, "MAX_COUNT_RADIUS", 5)
-    assert count_spheres(5) == KNOWN_SPHERES[:6]  # truncations 1, 2, 4, 5
+    assert count_spheres(5) == KNOWN_SPHERES[:6]  # the cap cannot bind: one count
     with pytest.raises(CountLimitError) as exc:
         count_spheres(9, cap=10**12)  # 1, 2, 4, then 8 > 5
     assert (exc.value.limit, exc.value.completed_radius) == (5, 4)
