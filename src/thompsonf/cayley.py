@@ -267,7 +267,8 @@ def _cap_cannot_bind(radius: int, cap: int) -> bool:
 def _forest_step(slots: int, low: int, carets: int) -> Tuple[int, int, bool]:
     # a leaf with `carets` caret starts in a forest with `slots` open
     # slots, 0 at a tree start: the open slots after it, the first tree's
-    # low (0 once that tree is closed) and whether the leaf set a new low
+    # low (0 once that tree is closed) and whether the leaf set a new low.
+    # _sphere_counts inlines this same rule; change both together
     slots = slots - 1 + carets if slots else carets
     return slots, min(slots, low), slots < low
 

@@ -322,6 +322,8 @@ def test_spheres_cap_bounds_the_work(capsys):
 
 def test_count_spheres_radius_limit(monkeypatch, capsys):
     monkeypatch.setattr(cayley, "MAX_COUNT_RADIUS", 5)
+    # b_5 = 475 < 2 * 3^5 - 1, so this cap could bind: truncations 1, 2, 4, 5
+    assert count_spheres(5, cap=475) == KNOWN_SPHERES[:6]
     assert count_spheres(5) == KNOWN_SPHERES[:6]  # the cap cannot bind: one count
     with pytest.raises(CountLimitError) as exc:
         count_spheres(9, cap=10**12)  # 1, 2, 4, then 8 > 5
