@@ -351,10 +351,11 @@ def count_spheres(radius: int, cap: int = DEFAULT_CAP) -> List[int]:
     b_{r+1} > cap, ValueError for a negative radius or cap.  A cap of at
     least 2 * 3^radius - 1, which b_radius never passes, cannot bind, and
     the count runs to the radius at once.  Otherwise it runs to radius
-    1, 2, 4, ... in turn and stops at the first ball past the cap, so the
-    cap, not the radius, bounds the work.  Memory grows with the radius
-    alone, so a count that would run past MAX_COUNT_RADIUS raises
-    CountLimitError with the radius it completed.
+    1, 2, 4, ... in turn, each cut short where the ball is expected to
+    pass the cap, and stops at the first ball past the cap, so the cap,
+    not the radius, bounds the work.  Memory grows with the radius alone,
+    so a count that would run past MAX_COUNT_RADIUS raises CountLimitError
+    with the radius it completed.
 
     >>> count_spheres(5)
     [1, 4, 12, 36, 108, 314]
@@ -374,7 +375,17 @@ def count_spheres(radius: int, cap: int = DEFAULT_CAP) -> List[int]:
                 raise ResourceCapError(cap, r)
         if reach == radius:
             return spheres
+        # stop one past where the ball, extrapolated at the last sphere
+        # ratio, passes the cap; the counts are exact, so an estimate that
+        # falls short costs one more round only
         following = min(2 * reach, radius)
+        sphere, ball, ratio = spheres[-1], balls[-1], spheres[-1] / spheres[-2]
+        for r in range(reach + 1, following):
+            sphere *= ratio
+            ball += sphere
+            if ball > cap:
+                following = r + 1
+                break
         if following > MAX_COUNT_RADIUS:
             raise CountLimitError(MAX_COUNT_RADIUS, reach)
         reach = following

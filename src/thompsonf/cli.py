@@ -85,6 +85,19 @@ def _decimal_string(x: Fraction, places: int = 12) -> str:
     return f"{sign}{whole}." + "".join(digits)
 
 
+def _dyadic_decimal(num: int, exp: int) -> str:
+    """_decimal_string(Fraction(num, 2**exp)) for num >= 0, by shifts."""
+    whole = num >> exp
+    rem = num - (whole << exp)
+    if not rem:
+        return str(whole)
+    scaled = rem * 10**12
+    digits = f"{scaled >> exp:012d}"
+    if not scaled & ((1 << exp) - 1):  # the expansion ended: no padding zeros
+        digits = digits.rstrip("0")
+    return f"{whole}.{digits}"
+
+
 def _rational(x: Fraction) -> Dict[str, int]:
     return {"num": x.numerator, "den": x.denominator}
 
@@ -188,12 +201,8 @@ def _cmd_pl(args) -> Report:
     breakpoints = []
     for idx, (x, y) in enumerate(f.points):
         breakpoints.append({"x": str(x), "y": str(y)})
-        exact[f"breakpoints[{idx}].x"] = _decimal_string(
-            Fraction(x.num, 1 << x.exp)
-        )
-        exact[f"breakpoints[{idx}].y"] = _decimal_string(
-            Fraction(y.num, 1 << y.exp)
-        )
+        exact[f"breakpoints[{idx}].x"] = _dyadic_decimal(x.num, x.exp)
+        exact[f"breakpoints[{idx}].y"] = _dyadic_decimal(y.num, y.exp)
     return {"breakpoints": breakpoints, "tail_offset": f.tail_offset}, exact
 
 

@@ -13,19 +13,24 @@ Dyadic numbers are kept as num / 2^exp with exp >= 0 and num odd unless
 exp = 0.  Deliberately not Fraction: a non-dyadic intermediate value is
 a bug and must be impossible to represent, not silently handled.
 
+Every map is validated and put in canonical form by one integer
+canonicaliser, _canonical, which reads breakpoints as integers over a
+common 2^e and builds a Dyadic only for each point it keeps; plmap()
+lifts its dyadic points to their largest exponent and goes through it.
 from_word_pl builds the map of a word one letter at a time on integer
 breakpoints over a common power of two: f_k^+-1 changes y only on a
 window starting at k, so each letter inserts at most two breakpoints,
 rescales y inside the window, shifts it beyond, and merges slopes only
-at the window's ends.  The result is validated once by plmap().
+at the window's ends.  It hands the integer chain to _canonical once.
 compose_pl is the general product, and the tests hold from_word_pl
 against the left fold of compose_pl over the generator maps.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import List, Tuple
 
 from .words import GenWord
@@ -79,9 +84,6 @@ class Dyadic:
     def __str__(self) -> str:
         return f"{self.num}/2^{self.exp}"
 
-    def is_integer(self) -> bool:
-        return self.exp == 0
-
     def as_integer(self) -> int:
         if self.exp != 0:
             raise ValueError(f"{self} is not an integer")
@@ -109,22 +111,9 @@ ONE = dyadic(1)
 Point = Tuple[Dyadic, Dyadic]
 
 
-def _odd_part_and_exp(n: int) -> Tuple[int, int]:
-    if n == 0:
-        raise ValueError("zero has no odd part")
-    e = _trailing_zeros(n)
-    return n >> e, e
-
-
-def _slope_exponent(dy: Dyadic, dx: Dyadic) -> int:
-    """e with dy/dx = 2**e; raises when the ratio is not a power of two."""
-    if dy.num <= 0 or dx.num <= 0:
-        raise ValueError("breakpoints must strictly increase")
-    oy, ey = _odd_part_and_exp(dy.num)
-    ox, ex = _odd_part_and_exp(dx.num)
-    if oy != ox:
-        raise ValueError(f"slope {dy}/{dx} is not a power of two")
-    return (ey - dy.exp) - (ex - dx.exp)
+def _two_adic(d: Dyadic) -> int:
+    """The exponent of 2 in d != 0: log2 of d when d is a power of two."""
+    return _trailing_zeros(d.num) - d.exp
 
 
 @dataclass(frozen=True)
@@ -137,36 +126,54 @@ class PLMap:
     tail_offset: int
 
 
-def _collinear(p: Point, q: Point, r: Point) -> bool:
-    return (q[1] - p[1]) * (r[0] - q[0]) == (r[1] - q[1]) * (q[0] - p[0])
+def _canonical(xs: List[int], ys: List[int], e: int) -> PLMap:
+    """The PLMap through the points (xs[i], ys[i]) / 2^e with slope 1
+    beyond the last: the one place where a map is validated and normalized.
+
+    Checks that the chain starts at (0, 0), strictly increases and has
+    power-of-two slopes; drops interior collinear points and a final
+    slope-1 segment (absorbed by the tail); checks that the tail offset
+    is an integer.  A Dyadic is built only for each point kept.
+    """
+    if not xs or xs[0] or ys[0]:
+        raise ValueError("a PL map must start at (0, 0)")
+    kept_x, kept_y = [0], [0]
+    slope = None  # log2 of the last kept segment's slope
+    chain = zip(xs, ys)
+    next(chain)
+    for x, y in chain:
+        dx, dy = x - kept_x[-1], y - kept_y[-1]
+        if dx <= 0 or dy <= 0:
+            raise ValueError("breakpoints must strictly increase")
+        ex, ey = _trailing_zeros(dx), _trailing_zeros(dy)
+        if dy >> ey != dx >> ex:
+            raise ValueError(f"slope {dyadic(dy, e)}/{dyadic(dx, e)} is not a power of two")
+        if ey - ex == slope:  # collinear: the point replaces the last kept one
+            kept_x[-1], kept_y[-1] = x, y
+        else:
+            kept_x.append(x)
+            kept_y.append(y)
+            slope = ey - ex
+    # no two kept segments in a row share a slope, so one slope-1 segment
+    # at most merges into the tail
+    if slope == 0:
+        del kept_x[-1], kept_y[-1]
+    offset = kept_y[-1] - kept_x[-1]
+    if offset & ((1 << e) - 1):
+        raise ValueError(f"{dyadic(offset, e)} is not an integer")
+    points = tuple((dyadic(x, e), dyadic(y, e)) for x, y in zip(kept_x, kept_y))
+    return PLMap(points=points, tail_offset=offset >> e)
 
 
 def plmap(points: List[Point]) -> PLMap:
-    """Validate and normalize a breakpoint chain starting at (0, 0).
-
-    Drops interior collinear points and any final run of slope-1
-    segments (absorbed by the tail); checks strict monotonicity and
-    power-of-two slopes along the way.
-    """
-    if not points or points[0] != (ZERO, ZERO):
-        raise ValueError("a PL map must start at (0, 0)")
-    kept: List[Point] = [points[0]]
-    for p in points[1:]:
-        _slope_exponent(p[1] - kept[-1][1], p[0] - kept[-1][0])  # validates
-        while len(kept) >= 2 and _collinear(kept[-2], kept[-1], p):
-            kept.pop()
-        kept.append(p)
-    # merge a trailing slope-1 segment into the tail
-    while len(kept) >= 2:
-        x, y = kept[-1]
-        px, py = kept[-2]
-        if y - py == x - px:
-            kept.pop()
-        else:
-            break
-    x_last, y_last = kept[-1]
-    offset = y_last - x_last
-    return PLMap(points=tuple(kept), tail_offset=offset.as_integer())
+    """Validate and normalize a breakpoint chain starting at (0, 0):
+    _canonical on the points lifted to their largest exponent."""
+    e = max((c.exp for p in points for c in p), default=0)
+    return _canonical(
+        [x.num << (e - x.exp) for x, _ in points],
+        [y.num << (e - y.exp) for _, y in points],
+        e,
+    )
 
 
 def pl_identity() -> PLMap:
@@ -189,20 +196,11 @@ def evaluate(f: PLMap, x: Dyadic) -> Dyadic:
     if x < ZERO:
         raise ValueError("the domain is [0, infinity)")
     points = f.points
-    last_x, last_y = points[-1]
-    if not x < last_x:
-        return x + (last_y - last_x)
-    lo, hi = 0, len(points) - 1
-    while lo + 1 < hi:  # points[lo].x <= x < points[hi].x
-        mid = (lo + hi) // 2
-        if points[mid][0] <= x:
-            lo = mid
-        else:
-            hi = mid
-    x0, y0 = points[lo]
-    x1, y1 = points[hi]
-    e = _slope_exponent(y1 - y0, x1 - x0)
-    return y0 + (x - x0).scale2(e)
+    hi = bisect_right(points, x, key=itemgetter(0))
+    if hi == len(points):  # on the tail
+        return x + (points[-1][1] - points[-1][0])
+    (x0, y0), (x1, y1) = points[hi - 1], points[hi]
+    return y0 + (x - x0).scale2(_two_adic(y1 - y0) - _two_adic(x1 - x0))
 
 
 def invert_pl(f: PLMap) -> PLMap:
@@ -304,22 +302,19 @@ class _Chain:
         while len(ys) > 1 and ys[-1] - ys[-2] == xs[-1] - xs[-2]:
             del xs[-1], ys[-1]
 
-    def points(self) -> List[Point]:
-        e, base = self.e, self.base
-        return [(dyadic(x, e), dyadic(y + base, e)) for x, y in zip(self.xs, self.ys)]
-
 
 def from_word_pl(w: GenWord) -> PLMap:
     """The map of a word, letters applied left to right; () is the identity.
 
     Equal to the left fold of compose_pl over generator_map(k) and its
     inverse, but each letter is a local edit of integer breakpoints (see
-    _Chain.apply), and plmap() validates the result once at the end.
+    _Chain.apply), and _canonical validates the result once at the end.
     """
     chain = _Chain()
     for k, s in w:
         chain.apply(k, s)
-    result = plmap(chain.points())
+    base = chain.base
+    result = _canonical(chain.xs, [y + base for y in chain.ys], chain.e)
     assert result.tail_offset == sum(s for _, s in w)
     return result
 

@@ -302,6 +302,32 @@ def test_count_spheres_cap_edges(ball_10):
             assert counted == searched, (radius, cap)
 
 
+def test_count_spheres_stops_near_the_cap(monkeypatch, capsys):
+    # caps that first bind at radius 2..18 of a radius-18 count: the error
+    # the full count gives, with no truncation past one beyond the first
+    # radius whose ball passes the cap
+    balls = list(accumulate(count_spheres(18, cap=10**12)))
+    truncations = []
+
+    def recorded(reach):
+        truncations.append(reach)
+        return counter(reach)
+
+    counter = cayley._sphere_counts
+    monkeypatch.setattr(cayley, "_sphere_counts", recorded)
+    for first in range(2, 19):
+        for cap in (balls[first - 1], balls[first] - 1):
+            truncations.clear()
+            with pytest.raises(ResourceCapError) as exc:
+                count_spheres(18, cap)
+            assert (exc.value.cap, exc.value.completed_radius) == (cap, first - 1)
+            assert max(truncations) <= first + 1, (cap, truncations)
+    assert main(["spheres", "--radius", "18", "--cap", str(balls[15])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: element cap {balls[15]} exceeded; completed radius 15\n"
+
+
 def test_count_spheres_validates_like_bfs():
     for count in (count_spheres, enumerate_ball):
         with pytest.raises(ValueError, match="cap must be nonnegative, got -1"):

@@ -4,9 +4,11 @@ import pathlib
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
-
+from hypothesis import given
+from hypothesis import strategies as st
 
 from thompsonf import cli, plmaps
 from thompsonf.cli import main
@@ -122,6 +124,19 @@ def test_pl_long_word(capsys):
     rebuilt = plmap(points)
     assert list(rebuilt.points) == points
     assert rebuilt.tail_offset == results["tail_offset"]
+
+
+@given(st.integers(min_value=0, max_value=2**80), st.integers(min_value=0, max_value=80))
+def test_dyadic_decimal_matches_fraction(num, exp):
+    assert cli._dyadic_decimal(num, exp) == cli._decimal_string(Fraction(num, 2**exp))
+
+
+def test_dyadic_decimal_keeps_cut_zeros():
+    # an expansion cut at 12 places keeps its zeros; one that ended drops none
+    assert cli._dyadic_decimal(5, 15) == "0.000152587890"
+    assert cli._dyadic_decimal(1, 40) == "0.000000000000"
+    assert cli._dyadic_decimal(3, 0) == "3"
+    assert cli._dyadic_decimal(5, 3) == "0.625"
 
 
 def test_dead_search(capsys):

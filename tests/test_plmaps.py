@@ -9,6 +9,7 @@ from thompsonf.plmaps import (
     ONE,
     ZERO,
     Dyadic,
+    PLMap,
     compose_pl,
     dyadic,
     evaluate,
@@ -126,6 +127,37 @@ class TestNormalization:
     def test_must_increase(self):
         with pytest.raises(ValueError):
             plmap([(ZERO, ZERO), (ONE, ONE), (ONE, dyadic(2))])
+
+    def test_tail_offset_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="1/2\\^1 is not an integer"):
+            plmap([(ZERO, ZERO), (ONE, dyadic(1, 1))])
+
+    def test_mixed_exponents(self):
+        # exponents 0 to 4 in one chain; the collinear points (3/4, 3/2)
+        # and (9/8, 33/16) and the final slope-1 segment are dropped
+        f = plmap(
+            [
+                (ZERO, ZERO),
+                (dyadic(1, 2), dyadic(1, 1)),
+                (dyadic(3, 2), dyadic(3, 1)),
+                (ONE, dyadic(2)),
+                (dyadic(9, 3), dyadic(33, 4)),
+                (dyadic(3, 1), dyadic(9, 2)),
+                (dyadic(2), dyadic(13, 2)),
+                (dyadic(5, 1), dyadic(7, 1)),
+                (dyadic(4), dyadic(5)),
+            ]
+        )
+        assert f == PLMap(
+            points=(
+                (ZERO, ZERO),
+                (ONE, dyadic(2)),
+                (dyadic(3, 1), dyadic(9, 2)),
+                (dyadic(2), dyadic(13, 2)),
+                (dyadic(5, 1), dyadic(7, 1)),
+            ),
+            tail_offset=1,
+        )
 
 
 class TestGroupStructure:
