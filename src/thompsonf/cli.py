@@ -279,16 +279,21 @@ def _cmd_gamma(args) -> Report:
 def _cmd_subgraph(args) -> Report:
     # one word per line, read as it streams in; a blank line is the
     # empty word, i.e. the identity.  Lines end where str.splitlines
-    # ends them, so a form feed also starts a new line.
+    # ends them, so a form feed also starts a new line.  A leading BOM
+    # is dropped; an undecodable byte becomes a lone surrogate, which no
+    # token matches, so it is found only on a line that fails to parse
     elems = []
     try:
-        with open(args.input, encoding="utf-8") as handle:
+        with open(args.input, encoding="utf-8-sig", errors="surrogateescape") as handle:
             lines = (part for text in handle for part in text.splitlines())
             for number, line in enumerate(lines, start=1):
                 try:
                     w = parse_word(line)
                 except WordError as exc:
-                    raise _CLIError(f"line {number}: {exc}") from exc
+                    escaped = [ord(c) - 0xDC00 for c in line if "\udc80" <= c <= "\udcff"]
+                    if escaped:
+                        exc = f"byte 0x{escaped[0]:02x} of {args.input} is not UTF-8"
+                    raise _CLIError(f"line {number}: {exc}") from None
                 elems.append(from_word(w))
     except OSError as exc:
         raise _CLIError(f"cannot read {args.input}: {exc}") from exc

@@ -239,19 +239,22 @@ def validate_normal_form(nf: NormalForm) -> None:
     """Raise NormalFormError unless nf satisfies the uniqueness conditions."""
     pos, neg = nf
     for name, seq in (("pos", pos), ("neg", neg)):
-        if seq and min(seq) < 0:
-            raise NormalFormError(f"{name} contains a negative index: {seq}")
-        if list(seq) != sorted(seq):
-            raise NormalFormError(f"{name} is not nondecreasing: {seq}")
-    top, bottom = set(pos), set(neg)
-    for i in top & bottom:
-        if i + 1 not in top and i + 1 not in bottom:
-            raise NormalFormError(
-                f"index {i} occurs on both sides but {i + 1} occurs on neither"
-            )
-    # implied by the condition above, kept as an explicit guard
-    if pos and neg and pos[-1] == neg[-1]:
-        raise NormalFormError(f"equal final indices {pos[-1]} on both sides")
+        if seq:
+            ordered = sorted(seq)  # one pass over a sorted run; its least entry first
+            if ordered[0] < 0:
+                raise NormalFormError(f"{name} contains a negative index: {seq}")
+            if ordered != list(seq):
+                raise NormalFormError(f"{name} is not nondecreasing: {seq}")
+    if pos and neg:
+        top, bottom = set(pos), set(neg)
+        for i in top & bottom:
+            if i + 1 not in top and i + 1 not in bottom:
+                raise NormalFormError(
+                    f"index {i} occurs on both sides but {i + 1} occurs on neither"
+                )
+        # implied by the condition above, kept as an explicit guard
+        if pos[-1] == neg[-1]:
+            raise NormalFormError(f"equal final indices {pos[-1]} on both sides")
 
 
 def _forest(starts: Tuple[int, ...]) -> Tuple[str, int]:
@@ -259,7 +262,8 @@ def _forest(starts: Tuple[int, ...]) -> Tuple[str, int]:
     # leaf indices `starts`, over the fewest leaves, and that leaf count.
     # h counts leaves minus carets so far; each tree adds 1 to it, and a
     # proper prefix of a tree adds at most 0, so a tree ends exactly
-    # where h reaches a new high.  One step per run of equal starts
+    # where h reaches a new high.  One step, and one append, per run of
+    # equal starts
     parts = []
     h = high = leaf = r = 0
     while r < len(starts):
@@ -267,17 +271,17 @@ def _forest(starts: Tuple[int, ...]) -> Tuple[str, int]:
         k = bisect_right(starts, i, r) - r
         r += k
         # leaves leaf .. i-1 carry no caret and each lifts h by 1; those
-        # that lift it above high each end a tree
+        # that lift it above high each end a tree.  The run's k >= 1
+        # carets and leaf i then add 1 - k <= 0, so leaf i ends none
         gap = i - leaf
-        inner = min(gap, high - h)
-        parts.append("L" * inner + "L," * (gap - inner))
-        h += gap
-        high = max(high, h)
-        parts.append("(" * k + "L")
+        inner = high - h
+        if gap > inner:
+            h = high = h + gap
+            parts.append("L" * inner + "L," * (gap - inner) + "(" * k + "L")
+        else:
+            h += gap
+            parts.append("L" * gap + "(" * k + "L")
         h += 1 - k
-        if h > high:
-            high = h
-            parts.append(",")
         leaf = i + 1
     # past the last caret, each leaf adds 1 to h, and the last tree ends
     # at the first leaf that lifts h above high
@@ -291,10 +295,10 @@ def from_normal_form(nf: NormalForm) -> Diagram:
     >>> from_normal_form(NormalForm((0, 0, 1), (0,)))
     '((L(LLL|(LL,L,L'
     """
-    nf = NormalForm(tuple(nf.pos), tuple(nf.neg))
-    validate_normal_form(nf)
-    top, top_leaves = _forest(nf.pos)
-    bottom, bottom_leaves = _forest(nf.neg)
+    pos, neg = tuple(nf.pos), tuple(nf.neg)
+    validate_normal_form((pos, neg))
+    top, top_leaves = _forest(pos)
+    bottom, bottom_leaves = _forest(neg)
     leaves = max(top_leaves, bottom_leaves)
     return top + ",L" * (leaves - top_leaves) + "|" + bottom + ",L" * (leaves - bottom_leaves)
 

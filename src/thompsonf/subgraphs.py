@@ -3,17 +3,17 @@
 A subgraph is a finite vertex set of canonical diagrams together with
 all induced generator edges.  Only the vertex set is stored: one table
 of each vertex's four neighbours gives the edges, the degrees, the
-boundary and the matching.  A diagram is its own vertex name: all of
-these are keyed by the hashable Diagram itself.  Density is the
+boundary and the matching.  The table runs on integers: B1(Y) is
+numbered once, and the results keyed by diagram (edges, boundary,
+matching) translate through that numbering when asked.  Density is the
 average degree 2E/V as an exact rational; for the two-generator
 Cayley graph the bookkeeping quantity q(Y) = 3q0 + 2q1 + q2 - q4 over
 the degree profile satisfies q(Y) = 3V - 2E, so q(Y) >= 0 iff
-density(Y) <= 3.  The module also
-computes boundaries, the isoperimetric sandwich
-#dY/#Y <= 4 - density <= 4 #dY/#Y, the doubling inequality
-#B1(Y) >= 2#Y, and perfect (2,1)-matchings from B1(Y) onto Y, found
-by alternating-path search, returning a Hall-type violating subset on
-failure.
+density(Y) <= 3.  The module also computes boundaries, the
+isoperimetric sandwich #dY/#Y <= 4 - density <= 4 #dY/#Y, the doubling
+inequality #B1(Y) >= 2#Y, and perfect (2,1)-matchings from B1(Y) onto
+Y, found by alternating-path search, returning a Hall-type violating
+subset on failure.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .diagrams import GENERATOR_LETTERS, Diagram, mul_letter
@@ -36,11 +37,11 @@ _GENERATORS = tuple(
 
 @dataclass(frozen=True)
 class Subgraph:
-    """A finite vertex set and the cached table of its vertices' neighbours.
+    """A finite vertex set and the cached integer table of its neighbours.
 
-    Each element is stored once: in the table, a neighbour inside the
-    set is that vertex's own string, and each boundary element is one
-    string shared by every vertex next to it.
+    B1(Y) is numbered once: the vertices 0..V-1 in their own order, then
+    each boundary element as first met.  Per vertex, the table holds the
+    numbers of its four neighbours, so an entry below V is a vertex.
     """
 
     vertices: Dict[Diagram, None] = field(repr=False)  # an insertion-ordered set
@@ -52,59 +53,51 @@ class Subgraph:
     @property
     def edge_count(self) -> int:
         # each edge is seen once from either end
-        return sum(self._degrees.values()) // 2
+        return sum(self._degrees) // 2
 
     @cached_property
-    def _neighbours(self) -> Dict[Diagram, Tuple[Diagram, ...]]:
-        # per vertex u, u * x_k^s for each generator letter; the edges,
-        # degrees, boundary and matching all read this one table.  Each
-        # u * x_k = v inside the set also fills v's x_k^-1 slot with u,
-        # so x_k^-1 is multiplied only where no vertex leads in by x_k.
-        # `stored` maps each element met so far to its one string
-        stored = dict(zip(self.vertices, self.vertices))
-        table = {d: [None] * len(GENERATOR_LETTERS) for d in self.vertices}
-        for d, near in table.items():
+    def _numbered(self) -> Tuple[Dict[Diagram, int], List[Tuple[int, ...]]]:
+        # (the numbering of B1(Y), per vertex u the numbers of u * x_k^s
+        # for each generator letter), read by all the rest.  Each
+        # u * x_k = v inside the set also fills v's x_k^-1 slot with u, so
+        # x_k^-1 is multiplied only where no vertex leads in by x_k
+        b1 = dict(zip(self.vertices, range(len(self.vertices))))
+        n = len(b1)
+        table = [[-1] * len(GENERATOR_LETTERS) for _ in range(n)]
+        for v, d in enumerate(self.vertices):
+            near = table[v]
             for i, k, inverse in _GENERATORS:
-                u = mul_letter(d, k, 1)
-                near[i] = u = stored.setdefault(u, u)
-                if u in table:
-                    table[u][inverse] = d
-        for d, near in table.items():
+                near[i] = u = b1.setdefault(mul_letter(d, k, 1), len(b1))
+                if u < n:
+                    table[u][inverse] = v
+        for v, d in enumerate(self.vertices):
+            near = table[v]
             for _, k, inverse in _GENERATORS:
-                if near[inverse] is None:
-                    u = mul_letter(d, k, -1)
-                    near[inverse] = stored.setdefault(u, u)
-            table[d] = tuple(near)
-        return table
+                if near[inverse] < 0:
+                    near[inverse] = b1.setdefault(mul_letter(d, k, -1), len(b1))
+            table[v] = tuple(near)
+        return b1, table
 
     @cached_property
     def edges(self) -> FrozenSet[Edge]:
         """Every (u, v, k) inside the set with v = u * x_k."""
+        vertices = list(self.vertices)
         return frozenset(
-            (d, v, k)
-            for d, near in self._neighbours.items()
-            for (k, s), v in zip(GENERATOR_LETTERS, near)
-            if s == 1 and v in self.vertices
+            (d, vertices[near[i]], k)
+            for d, near in zip(vertices, self._numbered[1])
+            for i, k, _ in _GENERATORS
+            if near[i] < len(vertices)
         )
 
     @cached_property
-    def _degrees(self) -> Dict[Diagram, int]:
+    def _degrees(self) -> List[int]:
         # q_value, min_degree and edge_count all read this, so it is built once
-        deg = {}
-        for d, near in self._neighbours.items():
-            if d in near:
-                raise AssertionError(
-                    f"loop under x{GENERATOR_LETTERS[near.index(d)][0]}"
-                )
-            deg[d] = sum(u in self.vertices for u in near)
-        return deg
-
-    @cached_property
-    def _boundary(self) -> FrozenSet[Diagram]:
-        return frozenset(
-            u for near in self._neighbours.values() for u in near
-            if u not in self.vertices
-        )
+        n = len(self.vertices)
+        table = self._numbered[1]
+        for v, near in enumerate(table):
+            if v in near:
+                raise AssertionError(f"loop under x{GENERATOR_LETTERS[near.index(v)][0]}")
+        return [sum(u < n for u in near) for near in table]
 
 
 def full_subgraph(elems: Iterable[Diagram]) -> Subgraph:
@@ -125,23 +118,16 @@ def density(y: Subgraph) -> Fraction:
     return Fraction(2 * y.edge_count, len(y.vertices))
 
 
-def degree_profile(y: Subgraph) -> Tuple[int, int, int, int, int]:
-    """Vertex counts q0..q4 by degree."""
-    q = [0, 0, 0, 0, 0]
-    for d in y._degrees.values():
-        q[d] += 1
-    return tuple(q)
-
-
 def q_value(y: Subgraph) -> int:
-    """3q0 + 2q1 + q2 - q4; nonnegative exactly when density <= 3."""
-    q0, q1, q2, _, q4 = degree_profile(y)
-    return 3 * q0 + 2 * q1 + q2 - q4
+    """3q0 + 2q1 + q2 - q4, q_d the number of vertices of degree d;
+    nonnegative exactly when density <= 3."""
+    weight = (3, 2, 1, 0, -1)  # of each vertex, by its degree
+    return sum(weight[d] for d in y._degrees)
 
 
 def boundary(y: Subgraph) -> FrozenSet[Diagram]:
     """B1(Y) \\ Y, the vertices at distance exactly 1 from Y."""
-    return y._boundary
+    return frozenset(islice(y._numbered[0], len(y.vertices), None))
 
 
 class DoublingReport(NamedTuple):
@@ -152,7 +138,7 @@ class DoublingReport(NamedTuple):
 
 def doubling_check(y: Subgraph) -> DoublingReport:
     """Compare #B1(Y) = #Y + #dY against 2 #Y."""
-    b1 = len(y.vertices) + len(y._boundary)
+    b1 = len(y._numbered[0])
     return DoublingReport(b1 >= 2 * len(y.vertices), b1, 2 * len(y.vertices))
 
 
@@ -160,7 +146,7 @@ def folner_inequalities(y: Subgraph) -> Tuple[Fraction, Fraction, Fraction]:
     """(#dY/#Y, 4 - density, 4 #dY/#Y), asserting the sandwich holds."""
     if not y.vertices:
         raise ValueError("empty subgraph")
-    ratio = Fraction(len(y._boundary), len(y.vertices))
+    ratio = Fraction(len(y._numbered[0]) - len(y.vertices), len(y.vertices))
     mid = 4 - density(y)
     if not ratio <= mid <= 4 * ratio:
         raise AssertionError(f"isoperimetric sandwich failed: {ratio}, {mid}")
@@ -170,18 +156,12 @@ def folner_inequalities(y: Subgraph) -> Tuple[Fraction, Fraction, Fraction]:
 def min_degree(y: Subgraph) -> int:
     if not y.vertices:
         raise ValueError("empty subgraph")
-    return min(y._degrees.values())
+    return min(y._degrees)
 
 
 class MatchingResult(NamedTuple):
     assignment: Optional[Dict[Diagram, Diagram]]  # B1-vertex -> Y-vertex it serves
     witness: Optional[Set[Diagram]]  # Y' with #B1(Y') < 2 #Y' when infeasible
-
-
-def _b1_adjacency(y: Subgraph) -> Dict[Diagram, List[Diagram]]:
-    """For each Y-vertex, the vertices of B1(Y) at distance <= 1, itself last."""
-    # distinct by simplicity of the Cayley graph, but dedupe defensively
-    return {d: list(dict.fromkeys((*near, d))) for d, near in y._neighbours.items()}
 
 
 def two_one_matching(y: Subgraph) -> MatchingResult:
@@ -200,47 +180,58 @@ def two_one_matching(y: Subgraph) -> MatchingResult:
     from a vertex left short in any maximum assignment, so it does not
     depend on the vertex order.
     """
-    adjacency = _b1_adjacency(y)
-    # B1(Y) numbered once: Y in its own order, then the rest as first met
-    index = {d: i for i, d in enumerate(y.vertices)}
-    for near in adjacency.values():
-        for u in near:
-            index.setdefault(u, len(index))
-    claims = [[index[u] for u in adjacency[d]] for d in y.vertices]
-    holder = [-1] * len(index)  # B1-vertex -> the Y-vertex holding it
-    stuck = [False] * len(claims)  # Y-vertices inside a Hall set
-    for i in range(len(claims)):
-        for _ in range(2):
-            via = {i: -1}  # Y-vertex -> the held B1-vertex it was reached by
-            came = {}  # B1-vertex -> the Y-vertex that reached it
-            queue = [i]
-            free = -1
-            for v in queue:
-                for j in claims[v]:
-                    if j not in came:
-                        came[j] = v
-                        w = holder[j]
-                        if w < 0:
-                            free = j
-                            break
-                        if w not in via and not stuck[w]:
-                            via[w] = j
-                            queue.append(w)
-                if free >= 0:
-                    break
-            if free < 0:
-                for v in queue:
-                    stuck[v] = True
-                break
-            j = free
-            while j >= 0:
-                v = came[j]
-                holder[j] = v
-                j = via[v]
+    b1, table = y._numbered
+    # each vertex's neighbours in letter order, then the vertex itself
+    # last (distinct by simplicity of the Cayley graph, deduped defensively)
+    claims = [list(dict.fromkeys((*near, v))) for v, near in enumerate(table)]
+    holder, stuck = _claim_two(claims, len(b1))
     vertices = list(y.vertices)
     if any(stuck):
         witness = {d for d, s in zip(vertices, stuck) if s}
         return MatchingResult(assignment=None, witness=witness)
-    b1 = list(index)
-    assignment = {b1[j]: vertices[v] for j, v in enumerate(holder) if v >= 0}
+    assignment = {u: vertices[v] for u, v in zip(b1, holder) if v >= 0}
     return MatchingResult(assignment=assignment, witness=None)
+
+
+def _claim_two(claims: List[List[int]], b1_size: int) -> Tuple[List[int], List[bool]]:
+    # the search of two_one_matching on numbers: Y-vertex i claims from
+    # claims[i], and B1-vertex j < len(claims) is Y-vertex j.  Returns,
+    # per B1-vertex, the Y-vertex holding it (-1 when free), and per
+    # Y-vertex whether it lies in a Hall set
+    holder = [-1] * b1_size
+    stuck = [False] * len(claims)
+    for i, own in enumerate(claims):
+        for _ in range(2):
+            # the search would take the first free vertex of i's own list
+            # before it looks further, so that one is claimed directly
+            for j in own:
+                if holder[j] < 0:
+                    holder[j] = i
+                    break
+            else:
+                via = {i: -1}  # Y-vertex -> the held B1-vertex it was reached by
+                came = {}  # B1-vertex -> the Y-vertex that reached it
+                queue = [i]
+                free = -1
+                for v in queue:
+                    for j in claims[v]:
+                        if j not in came:
+                            came[j] = v
+                            w = holder[j]
+                            if w < 0:
+                                free = j
+                                break
+                            if w not in via and not stuck[w]:
+                                via[w] = j
+                                queue.append(w)
+                    if free >= 0:
+                        break
+                if free < 0:
+                    for v in queue:
+                        stuck[v] = True
+                    break
+                while free >= 0:
+                    v = came[free]
+                    holder[free] = v
+                    free = via[v]
+    return holder, stuck

@@ -239,6 +239,22 @@ def test_subgraph_counts_lines_as_splitlines_does(capsys, tmp_path):
     assert err == "error: line 3: bad token 'zz' at position 1\n"
 
 
+def test_subgraph_skips_a_leading_bom(capsys, tmp_path):
+    path = tmp_path / "bom.words"
+    path.write_bytes(b"\xef\xbb\xbfx0\n\nx1\nx0 x1\n")
+    results = run_json(capsys, "subgraph", "--input", str(path))["results"]
+    assert (results["size"], results["edges"]) == (4, 3)
+
+
+def test_subgraph_undecodable_byte_names_file_and_line(capsys, tmp_path):
+    # past the first read-ahead chunk, so the line is counted, not guessed
+    path = tmp_path / "latin1.words"
+    path.write_bytes(b"x0 x1\n" * 2000 + b"x1 x0\xe9\nx0\n")
+    code, out, err = run(capsys, "subgraph", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: line 2001: byte 0xe9 of {path} is not UTF-8\n"
+
+
 def test_closed_stdout_exits_quietly():
     # the reader takes one line and closes the pipe, as `| head -n 1` does
     proc = subprocess.Popen(

@@ -191,16 +191,33 @@ def test_canonical_key_separates(w):
 
 
 def test_validate_normal_form_rejects():
-    with pytest.raises(NormalFormError):
-        validate_normal_form(((1, 0), ()))  # decreasing
-    with pytest.raises(NormalFormError):
-        validate_normal_form(((-1,), ()))  # negative subscript
-    with pytest.raises(NormalFormError):
-        # 1 in both sides but neither side contains 2
+    with pytest.raises(NormalFormError, match=r"^pos is not nondecreasing: \(1, 0\)$"):
+        validate_normal_form(((1, 0), ()))
+    with pytest.raises(NormalFormError, match=r"^neg is not nondecreasing: \(0, 2, 1\)$"):
+        validate_normal_form(((), (0, 2, 1)))
+    with pytest.raises(NormalFormError, match=r"^pos contains a negative index: \(-1,\)$"):
+        validate_normal_form(((-1,), ()))
+    # negative is reported first, also when the sequence is unsorted
+    with pytest.raises(NormalFormError, match=r"^pos contains a negative index: \(0, -1\)$"):
+        validate_normal_form(((0, -1), ()))
+    with pytest.raises(NormalFormError, match=r"^neg contains a negative index: \(-2, 3\)$"):
+        validate_normal_form(((0,), (-2, 3)))
+    # 1 in both sides but neither side contains 2
+    with pytest.raises(NormalFormError, match=r"^index 1 occurs on both sides but 2 occurs on neither$"):
         validate_normal_form(((1,), (1,)))
     # same, with the offending index not final
-    with pytest.raises(NormalFormError):
-        validate_normal_form(((1, 5), (1, 5)))
+    with pytest.raises(NormalFormError, match=r"^index 1 occurs on both sides but 2 occurs on neither$"):
+        validate_normal_form(((1, 5), (0, 1)))
+    # equal final indices i always break the rule above for i, whose
+    # message therefore comes first: the final-index guard never fires
+    # on its own
+    with pytest.raises(NormalFormError, match=r"^index 5 occurs on both sides but 6 occurs on neither$"):
+        validate_normal_form(((0, 5), (5,)))
+
+
+def test_from_normal_form_inverts_to_normal_form_on_ball():
+    for d in enumerate_ball(7)._by_diagram:
+        assert from_normal_form(to_normal_form(d)) == d
 
 
 def test_validate_normal_form_accepts():

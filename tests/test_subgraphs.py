@@ -1,7 +1,6 @@
 import itertools
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +9,20 @@ from hypothesis import strategies as st
 import flow_oracle
 import thompsonf.subgraphs as sg
 from thompsonf.cayley import enumerate_ball, neighbors
-from thompsonf.diagrams import EPSILON, atomic, from_word
+from thompsonf.diagrams import EPSILON, GENERATOR_LETTERS, atomic, from_word, mul_letter
 from thompsonf.words import parse_word
 
 
 def elems(*texts):
     return [from_word(parse_word(t)) for t in texts]
+
+
+def b1_adjacency(y):
+    # per vertex, the B1-vertices at distance <= 1 that it claims, as
+    # diagrams: its four neighbours in letter order, then itself last
+    b1, table = y._numbered
+    names = list(b1)
+    return {d: [names[u] for u in (*near, v)] for v, (d, near) in enumerate(zip(y.vertices, table))}
 
 
 def test_single_vertex():
@@ -95,7 +102,7 @@ def test_doubling_and_matching_on_random_sets():
         assert result.witness is None
         assignment = result.assignment
         assert assignment is not None
-        adjacency = sg._b1_adjacency(y)
+        adjacency = b1_adjacency(y)
         counts = {k: 0 for k in y.vertices}
         for uk, yk in assignment.items():
             assert uk in adjacency[yk]
@@ -103,38 +110,38 @@ def test_doubling_and_matching_on_random_sets():
         assert all(c == 2 for c in counts.values())
 
 
-def test_matching_witness_on_synthetic_obstruction(monkeypatch):
+def test_matching_witness_on_synthetic_obstruction():
     # three vertices forced to share two service vertices: Hall fails on
     # the pair that only reaches "c"; the witness is every vertex reachable
     # by alternating paths from one left short, which is the same for every
-    # maximum assignment, so no input order changes it
-    k0, k1, k2 = elems("", "x0", "x0 x0")
+    # maximum assignment, so no input order changes it.  The search core
+    # runs on numbers: Y-vertex i is B1-vertex i, and a, b, c follow
     fake = {
-        k0: [k0, "a", "b"],
-        k1: ["c"],
-        k2: ["c"],
+        "k0": ["k0", "a", "b"],
+        "k1": ["c"],
+        "k2": ["c"],
     }
-    monkeypatch.setattr(sg, "_b1_adjacency", lambda _y: fake)
-    for order in itertools.permutations((k0, k1, k2)):
-        result = sg.two_one_matching(sg.full_subgraph(order))
-        assert result.assignment is None
-        assert result.witness == {k1, k2}
-    served = {u for yk in result.witness for u in fake[yk]}
-    assert len(served) < 2 * len(result.witness)
+    for order in itertools.permutations(fake):
+        number = {**{d: i for i, d in enumerate(order)}, "a": 3, "b": 4, "c": 5}
+        claims = [[number[u] for u in fake[d]] for d in order]
+        holder, stuck = sg._claim_two(claims, len(number))
+        witness = {d for d, s in zip(order, stuck) if s}
+        assert witness == {"k1", "k2"}
+    served = {u for yk in witness for u in fake[yk]}
+    assert len(served) < 2 * len(witness)
 
 
 BALL4 = list(enumerate_ball(4)._by_diagram)
 
 
-def _agrees_with_flow_oracle(y, adjacency):
-    result = sg.two_one_matching(y)
-    assignment, witness = flow_oracle.two_one_matching(y.vertices, adjacency)
-    assert (result.assignment is None) == (assignment is None)
-    assert result.witness == witness
-    if result.assignment is not None:
+def _agrees_with_flow_oracle(vertices, adjacency, assignment, witness):
+    expected_assignment, expected_witness = flow_oracle.two_one_matching(vertices, adjacency)
+    assert (assignment is None) == (expected_assignment is None)
+    assert witness == expected_witness
+    if assignment is not None:
         # each Y-vertex gets exactly two distinct B1-vertices within distance 1
-        served = dict.fromkeys(y.vertices, 0)
-        for u, d in result.assignment.items():
+        served = dict.fromkeys(vertices, 0)
+        for u, d in assignment.items():
             assert u in adjacency[d]
             served[d] += 1
         assert set(served.values()) == {2}
@@ -144,21 +151,22 @@ def _agrees_with_flow_oracle(y, adjacency):
 @settings(max_examples=60, deadline=None)
 def test_matching_agrees_with_flow_oracle_on_ball(chosen):
     y = sg.full_subgraph(chosen)
-    _agrees_with_flow_oracle(y, sg._b1_adjacency(y))
+    result = sg.two_one_matching(y)
+    _agrees_with_flow_oracle(y.vertices, b1_adjacency(y), *result)
 
 
 @given(st.lists(st.lists(st.integers(0, 11), max_size=4), min_size=1, max_size=8))
 @settings(max_examples=200, deadline=None)
 def test_matching_agrees_with_flow_oracle_on_fake_adjacency(claims):
-    # B1 label k < #Y is the Y-vertex k itself, any other k a vertex outside Y
-    ys = BALL4[: len(claims)]
-    fake = {
-        d: list(dict.fromkeys(ys[k] if k < len(ys) else k for k in near))
-        for d, near in zip(ys, claims)
-    }
-    y = sg.full_subgraph(ys)
-    with mock.patch.object(sg, "_b1_adjacency", lambda _y: fake):
-        _agrees_with_flow_oracle(y, fake)
+    # fed to the search core: B1-vertex k < #Y is the Y-vertex k itself,
+    # any other k a vertex outside Y
+    fake = [list(dict.fromkeys(near)) for near in claims]
+    holder, stuck = sg._claim_two(fake, 12)
+    if any(stuck):
+        assignment, witness = None, {v for v, s in enumerate(stuck) if s}
+    else:
+        assignment, witness = {j: v for j, v in enumerate(holder) if v >= 0}, None
+    _agrees_with_flow_oracle(range(len(fake)), dict(enumerate(fake)), assignment, witness)
 
 
 def test_subgraph_ignores_vertex_order():
@@ -186,17 +194,17 @@ def test_empty_subgraph_rejected():
 
 def test_neighbour_table_stores_each_element_once():
     # in the ball of radius 2 most neighbours are vertices, and many
-    # boundary elements neighbour several vertices; each is one object
+    # boundary elements neighbour several vertices; each is numbered
+    # once, the vertices first in their own order and as the same objects
     y = sg.full_subgraph(enumerate_ball(2)._by_diagram)
-    vertex_objects = {id(d) for d in y.vertices}
-    by_value = {}
-    for near in y._neighbours.values():
-        for u in near:
-            if u in y.vertices:
-                assert id(u) in vertex_objects
-            assert by_value.setdefault(u, u) is u
-    assert set(by_value) - set(y.vertices) == sg.boundary(y)
-    assert len(by_value) == y.size + len(sg.boundary(y))
+    b1, table = y._numbered
+    assert list(b1.values()) == list(range(len(b1)))
+    assert all(u is d for u, d in zip(b1, y.vertices))
+    names = list(b1)
+    for d, near in zip(y.vertices, table):
+        assert [names[u] for u in near] == [mul_letter(d, k, s) for k, s in GENERATOR_LETTERS]
+    assert set(names[y.size:]) == sg.boundary(y)
+    assert len(b1) == y.size + len(sg.boundary(y))
 
 
 def test_neighbour_table_multiplies_each_inner_edge_once(monkeypatch):
@@ -218,5 +226,7 @@ def test_neighbour_table_multiplies_each_inner_edge_once(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(sg, "mul_letter", counted)
             y = sg.full_subgraph(chosen)
-            assert y._neighbours == expected
+            b1, table = y._numbered
+        names = list(b1)
+        assert {d: tuple(names[u] for u in near) for d, near in zip(y.vertices, table)} == expected
         assert calls[0] == 2 * size + missing
