@@ -45,7 +45,6 @@ from .cayley import (
     BallTable,
     CountLimitError,
     ResourceCapError,
-    bfs_norm,
     count_spheres,
     dead_search,
     enumerate_ball,

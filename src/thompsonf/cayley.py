@@ -1,12 +1,10 @@
 """Spheres of the Cayley graph of F over {x0, x1}: by search and by count.
 
 Breadth-first search enumerates balls layer by layer, with canonical
-diagrams as hash keys, so no word problem is solved pairwise.  Its table
-is an independent distance oracle for the length formula.  The graph is
-bipartite, so each element of layer r + 1 records which letters lead
-back to layer r as layer r reaches it, and is then multiplied only by
-the other letters: each edge is one product.  It is the oracle for the
-two scans below, which store no ball.
+diagrams as hash keys, so no word problem is solved pairwise.  It uses
+only the letter products and canonical equality, so its table is an
+independent distance oracle for the length formula, and the oracle for
+the two scans below, which store no ball.
 
 count_spheres lists no element.  An element is its normal form: c_v
 carets start at leaf v in the top forest and d_v in the bottom one, any
@@ -39,7 +37,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .diagrams import (
     EPSILON, GENERATOR_LETTERS, Diagram, NormalForm, canonical_key, from_normal_form, mul_letter,
@@ -94,95 +92,34 @@ class BallTable:
         return self._by_diagram.get(d)
 
 
-# per back mask, the letters a layered walk still multiplies: (k, s) and
-# the bit of the letter x_k^-s that leads back from the product
-_FORWARD = tuple(
-    tuple(
-        (k, s, 1 << GENERATOR_LETTERS.index((k, -s)))
-        for i, (k, s) in enumerate(GENERATOR_LETTERS)
-        if not back >> i & 1
-    )
-    for back in range(16)
-)
-_ALL_BACK = 15  # all four letters lead back
+def enumerate_ball(radius: int, cap: int = DEFAULT_CAP) -> BallTable:
+    """Exact BFS ball of the given radius around the identity.
 
-
-def _walk(
-    radius: int, cap: int, table: Dict[Diagram, int]
-) -> Iterator[List[Diagram]]:
-    """Fill the empty table with the BFS ball of the given radius.
-
-    Each value is r << 4 | back: r is the distance from the identity and
-    bit i of back is set when GENERATOR_LETTERS[i] leads to layer r - 1.
-    Yields each layer r + 1 once layer r is expanded; its back masks are
-    then complete.  The graph is bipartite, so a letter not in the mask
-    leads to layer r + 1, and each edge is multiplied once, from the end
-    nearer the identity.  Elements are found in the order a plain BFS
-    over neighbors finds them.  Raises ResourceCapError if the element
-    count would exceed cap, reporting the last completed radius, and
-    ValueError for a negative radius or cap.
+    Plain breadth-first search, layer by layer: each element of layer r
+    is multiplied by all four letters (neighbors), and a product not yet
+    in the table joins layer r + 1.  Raises ResourceCapError if the
+    element count would exceed cap, reporting the last completed radius,
+    and ValueError for a negative radius or cap.
     """
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    table[EPSILON] = 0
+    dist = {EPSILON: 0}
     layer = [EPSILON]
+    sphere_sizes = [1]
     for r in range(radius):
-        found = (r + 1) << 4
         following = []
         for d in layer:
-            for k, s, back in _FORWARD[table[d] & _ALL_BACK]:
-                nb = mul_letter(d, k, s)
-                seen = table.get(nb)
-                if seen is None:
-                    if len(table) >= cap:
+            for nb in neighbors(d):
+                if nb not in dist:
+                    if len(dist) >= cap:
                         raise ResourceCapError(cap, r)
-                    table[nb] = found | back
+                    dist[nb] = r + 1
                     following.append(nb)
-                else:
-                    table[nb] = seen | back
         layer = following
-        yield layer
-
-
-def enumerate_ball(radius: int, cap: int = DEFAULT_CAP) -> BallTable:
-    """Exact BFS ball of the given radius around the identity.
-
-    Raises ResourceCapError if the element count would exceed cap,
-    reporting the last completed radius, and ValueError for a negative
-    radius or cap.
-    """
-    dist: Dict[Diagram, int] = {}
-    sphere_sizes = [1] + [len(layer) for layer in _walk(radius, cap, dist)]
-    for d, value in dist.items():
-        dist[d] = value >> 4
-    return BallTable(
-        radius=radius,
-        sphere_sizes=sphere_sizes,
-        ball_sizes=list(accumulate(sphere_sizes)),
-        _by_diagram=dist,
-    )
-
-
-def bfs_norm(d: Diagram, cap: int) -> Optional[int]:
-    """Cayley distance from the identity by plain BFS, None beyond cap.
-
-    Independent of the length formula: only composition and canonical
-    equality are used.  The search stores at most cap elements, and
-    returns None when d is not among them; a negative cap raises
-    ValueError.  A ball of at most cap elements has radius below cap,
-    so the cap, not the radius, ends the search.
-    """
-    table: Dict[Diagram, int] = {}
-    try:
-        for _ in _walk(cap, cap, table):
-            if d in table:
-                break
-    except ResourceCapError:
-        pass  # the layer cut short still holds what it found
-    value = table.get(d)
-    return None if value is None else value >> 4
+        sphere_sizes.append(len(layer))
+    return BallTable(radius, sphere_sizes, list(accumulate(sphere_sizes)), dist)
 
 
 def dead_search(max_norm: int, cap: int = DEFAULT_CAP) -> List[str]:

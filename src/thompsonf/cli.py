@@ -309,7 +309,7 @@ def _cmd_subgraph(args) -> Report:
         "edges": y.edge_count,
         "density": _rational(dens),
         "q": subgraphs.q_value(y),
-        "boundary_size": len(subgraphs.boundary(y)),
+        "boundary_size": doubling.b1_size - y.size,
         "doubling": doubling.holds,
         "b1_size": doubling.b1_size,
         "matching_found": matching.assignment is not None,

@@ -28,6 +28,7 @@ edge counts (the b numbers) count a loop once.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -171,10 +172,7 @@ def catalan(n: int) -> int:
 
 def rank_counts(g: LabeledGraph) -> Dict[int, int]:
     """Vertices per rank."""
-    counts: Dict[int, int] = {}
-    for r in g.ranks():
-        counts[r] = counts.get(r, 0) + 1
-    return counts
+    return Counter(g.ranks())
 
 
 def closed_a(n: int, k: int) -> int:
@@ -189,10 +187,7 @@ def closed_a(n: int, k: int) -> int:
 
 def edge_label_counts(g: LabeledGraph) -> Dict[int, int]:
     """Edges per label, loops counted once."""
-    counts: Dict[int, int] = {}
-    for _, _, label in g.edges:
-        counts[label] = counts.get(label, 0) + 1
-    return counts
+    return Counter(label for _, _, label in g.edges)
 
 
 def closed_b(n: int, k: int) -> int:
@@ -243,10 +238,7 @@ def density_bar_closed(n: int) -> Fraction:
 
 def degree_histogram(g: LabeledGraph) -> Dict[int, int]:
     """Vertices per degree, a loop contributing 2."""
-    counts: Dict[int, int] = {}
-    for d in g.degrees():
-        counts[d] = counts.get(d, 0) + 1
-    return counts
+    return Counter(g.degrees())
 
 
 def closed_nu(n: int, d: int) -> int:

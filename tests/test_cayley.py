@@ -11,7 +11,6 @@ from thompsonf import cayley, diagrams, metric
 from thompsonf.cayley import (
     CountLimitError,
     ResourceCapError,
-    bfs_norm,
     count_spheres,
     dead_search,
     enumerate_ball,
@@ -65,28 +64,6 @@ def test_cap_raises():
             assert exc.value.completed_radius == r, cap
 
 
-def _reference_ball(radius):
-    # plain BFS over neighbors: every element multiplied by all four letters
-    dist = {EPSILON: 0}
-    layer = [EPSILON]
-    for r in range(radius):
-        following = []
-        for d in layer:
-            for nb in neighbors(d):
-                if nb not in dist:
-                    dist[nb] = r + 1
-                    following.append(nb)
-        layer = following
-    return list(dist.items())
-
-
-def test_ball_matches_reference_bfs_in_order():
-    # skipping the letters back keeps the discovery order, which the cap's
-    # raise points and the order of the table depend on
-    for r in range(7):
-        assert list(enumerate_ball(r)._by_diagram.items()) == _reference_ball(r), r
-
-
 def test_dead_search_multiplies_nothing(monkeypatch):
     # the walk reads normal forms; it builds no neighbour and no ball
     calls = [0]
@@ -119,15 +96,12 @@ def test_negative_cap_rejected():
         enumerate_ball(3, cap=0)
 
 
-def test_bfs_norm():
-    assert bfs_norm(EPSILON, cap=10) == 0
-    assert bfs_norm(atomic(0), cap=10) == 1
-    assert bfs_norm(atomic(2), cap=1_000) == 3
-    # cap too small to ever reach the target
-    assert bfs_norm(from_word(parse_word("x3 x3")), cap=50) is None
-    # b_6 = 1,381 < 3,000 < b_7 = 3,957: the cap cuts layer 7 short, and
-    # the target is among the elements of it found before the cap
-    assert bfs_norm(from_word(((2, 1), (1, 1), (2, 1))), cap=3000) == 7
+def test_distance():
+    assert enumerate_ball(0).distance(EPSILON) == 0
+    assert enumerate_ball(1).distance(atomic(0)) == 1
+    assert enumerate_ball(3).distance(atomic(2)) == 3
+    # x3 x3 has norm 6: outside the radius-3 ball
+    assert enumerate_ball(3).distance(from_word(parse_word("x3 x3"))) is None
 
 
 def test_dead_search_empty_at_small_norm():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from graph_oracle import diagram_graph
 from thompsonf import cli, metric
-from thompsonf.cayley import bfs_norm, enumerate_ball, neighbors
+from thompsonf.cayley import enumerate_ball, neighbors
 from thompsonf.diagrams import (
     EPSILON,
     GENERATOR_LETTERS,
@@ -115,20 +115,30 @@ small_words = st.lists(
 ).map(tuple)
 
 
-@given(small_words)
+@pytest.fixture(scope="module")
+def ball_5():
+    return enumerate_ball(5)
+
+
+@pytest.fixture(scope="module")
+def ball_9():
+    return enumerate_ball(9)
+
+
+@given(w=small_words)
 @settings(max_examples=40, deadline=None)
-def test_norm_matches_bfs(w):
+def test_norm_matches_bfs(ball_5, w):
     d = from_word(w)
-    assert norm(d) == bfs_norm(d, cap=5_000)
+    assert norm(d) == ball_5.distance(d)  # a word of at most 5 letters is in the ball
 
 
 @pytest.mark.parametrize(
     "text",
     ["x2 x1^-1 x0", "x0 x0 x1 x2^-1", "x3 x0^-1", "x1 x1 x0^-1 x1^-1"],
 )
-def test_norm_matches_bfs_mixed(text):
+def test_norm_matches_bfs_mixed(ball_9, text):
     d = from_word(parse_word(text))
-    assert norm(d) == bfs_norm(d, cap=500_000)
+    assert norm(d) == ball_9.distance(d)
 
 
 def test_dead_element():
