@@ -17,7 +17,9 @@ from .words import WordError, format_word, free_reduce, inverse_word, parse_word
 from .diagrams import (
     EPSILON,
     GENERATOR_LETTERS,
+    MAX_LEAVES,
     Diagram,
+    LeafLimitError,
     NormalForm,
     NormalFormError,
     atomic,

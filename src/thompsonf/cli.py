@@ -49,7 +49,7 @@ from .gamma import (
     monomial_shape_ok,
     rank_counts,
 )
-from .diagrams import cell_count, from_word, normal_form_text, normal_form_word, to_normal_form
+from .diagrams import LeafLimitError, cell_count, from_word, normal_form_text, to_normal_form
 from .words import WordError, format_word, parse_word
 
 SCHEMA = "thompson-f-toolkit/1"
@@ -108,9 +108,10 @@ Report = Optional[Tuple[dict, dict]]
 
 
 def _cmd_nf(args) -> Report:
-    nf = to_normal_form(from_word(parse_word(args.word)))
+    d = from_word(parse_word(args.word))
+    nf = to_normal_form(d)
     results = {
-        "word": format_word(normal_form_word(nf)),
+        "word": normal_form_text(d),
         "pos": list(nf.pos),
         "neg": list(nf.neg),
         "cells": len(nf.pos) + len(nf.neg),
@@ -430,7 +431,7 @@ def _main(argv: Optional[Sequence[str]]) -> int:
         return 1
     except (
         cayley.ResourceCapError, cayley.CountLimitError, growth.ResourceError,
-        SizeLimitError,
+        SizeLimitError, LeafLimitError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,12 +22,21 @@ compare, whatever the depth of the trees.
 Right multiplication by a generator letter, the step of every Cayley
 graph walk, is a local edit of the string (mul_letter): it adds or
 removes one caret and cancels at most one dipole (J. Belk and K. Brown,
-"Forest diagrams for elements of Thompson's group F", IJAC 2005).  The
-general product compose folds mul_letter over the normal form of its
-right factor.  A caret sits in preorder just before its leftmost leaf,
-so the normal form is read off the runs of ``(``, and from_normal_form
-writes the string directly.  No reader recurses, so trees far deeper
-than the interpreter's recursion limit are handled.
+"Forest diagrams for elements of Thompson's group F", IJAC 2005).  One
+private fold, _fold, makes that edit for each letter of a word and
+carries the index of ``|`` and the number of bottom trees from letter
+to letter; mul_letter is its one-letter call, from_word folds a word
+from EPSILON, and the general product compose folds the normal form of
+its right factor.  Whole trees with their commas spend two characters
+per leaf, so the leaf a letter touches is found by string search in C,
+not by a Python step per leaf.  A caret sits in preorder just before
+its leftmost leaf, so the normal form is read off the runs of ``(``,
+and from_normal_form writes the string directly.  No reader recurses,
+so trees far deeper than the interpreter's recursion limit are
+handled.  No diagram built here has more than MAX_LEAVES leaves: the
+fold and from_normal_form raise LeafLimitError before they would write
+a longer string, so a short word such as x10000000 cannot exhaust
+memory.
 """
 
 from __future__ import annotations
@@ -51,6 +60,19 @@ class NormalForm(NamedTuple):
 
 class NormalFormError(ValueError):
     """A sequence pair that is not a valid normal form."""
+
+
+# the most leaves a diagram built here may have; x_k has k + 2 leaves
+MAX_LEAVES = 2**21
+# a diagram string no longer than this has at most MAX_LEAVES leaves
+_LEAF_CAP_CHARS = 2 * MAX_LEAVES + 1
+
+
+class LeafLimitError(RuntimeError):
+    """A diagram would have more than MAX_LEAVES leaves."""
+
+    def __init__(self) -> None:
+        super().__init__(f"a diagram would have more than {MAX_LEAVES} leaves (memory)")
 
 
 def leaf_count(d: Diagram) -> int:
@@ -83,12 +105,26 @@ def invert(d: Diagram) -> Diagram:
 GENERATOR_LETTERS: Tuple[Tuple[int, int], ...] = ((0, 1), (0, -1), (1, 1), (1, -1))
 
 
-def _leaf(d: Diagram, p: int) -> int:
-    # index in d of leaf p of the top forest
-    j = d.index("L")
-    for _ in range(p):
-        j = d.index("L", j + 1)
-    return j
+def _nth(d: str, c: str, n: int, start: int = 0) -> int:
+    # index in d of the n-th c (counting from 0) at or after start: a
+    # short walk for the first few, else one split in C, whose last
+    # piece is all of d after the c sought
+    if n < 4:
+        j = d.index(c, start)
+        for _ in range(n):
+            j = d.index(c, j + 1)
+        return j
+    rest = d[start:] if start else d
+    return len(d) - len(rest.split(c, n + 1)[-1]) - 1
+
+
+def _top_leaf(d: Diagram, p: int) -> int:
+    # index in d of leaf p of the top forest.  A tree of n leaves has
+    # n - 1 carets, so whole trees with their commas spend two
+    # characters per leaf: the tree holding leaf p starts at s, just
+    # after the last "," before index 2p, with s // 2 leaves before it
+    s = d.rfind(",", 0, 2 * p) + 1
+    return _nth(d, "L", p - s // 2, s)
 
 
 def _tree_end(d: str, q: int) -> int:
@@ -106,6 +142,66 @@ def _tree_end(d: str, q: int) -> int:
         q = j
 
 
+def _fold(d: Diagram, w: GenWord) -> Diagram:
+    # d * w, one letter at a time: the letter edit that mul_letter
+    # documents.  The index of "|" and the number of bottom trees are
+    # carried from letter to letter.  A letter adds at most one leaf,
+    # or pads, and each forest spends a character per leaf, so the
+    # leaves are counted only when a string grows past _LEAF_CAP_CHARS
+    bar = d.index("|")
+    trees = d.count(",", bar) + 1
+    for k, s in w:
+        if k < 0:
+            raise ValueError(f"generator subscript must be nonnegative, got {k}")
+        if s != 1 and s != -1:
+            raise ValueError(f"letter exponent must be 1 or -1, got {s}")
+        # the bottom forest needs trees up to k for s = 1, up to k + 1 for s = -1
+        missing = (k + 1 if s == 1 else k + 2) - trees
+        if missing > 0:
+            if len(d) + 4 * missing > _LEAF_CAP_CHARS and d.count("L", bar) + missing > MAX_LEAVES:
+                raise LeafLimitError()
+            pad = ",L" * missing
+            d = d[:bar] + pad + d[bar:] + pad
+            bar += 2 * missing
+            trees += missing
+        i = bar + 1  # the start of bottom tree k
+        if k == 1:
+            i = d.index(",", i) + 1
+        elif k:
+            i = _nth(d, ",", k - 1, i) + 1
+        # p, the leaves before tree k: whole trees with their commas
+        # spend two characters per leaf (see _top_leaf)
+        p = (i - bar - 1) // 2
+        if s == 1:
+            trees += 1
+            if d[i] == "(":
+                q = _tree_end(d, i + 1)  # the end of the root's left subtree
+                d = d[:i] + d[i + 1:q] + "," + d[q:]
+            else:
+                if len(d) + 4 > _LEAF_CAP_CHARS and d.count("L", bar) >= MAX_LEAVES:
+                    raise LeafLimitError()
+                j = _top_leaf(d, p)
+                d = d[:j] + "(LL" + d[j + 1:i] + "L,L" + d[i + 1:]
+                bar += 2
+        else:
+            trees -= 1
+            # trees k and k + 1 are leaves when both codes start with "L"
+            j = _top_leaf(d, p) if d[i] == "L" == d[i + 2] else 0
+            if j and d[j - 1] == "(" and d[j + 1] == "L":
+                # dipole: the top caret over leaves p, p+1 meets the new root
+                # caret; the bottom side is a root, so no cascade
+                d = d[:j - 1] + "L" + d[j + 2:i + 1] + d[i + 3:]
+                bar -= 2
+            else:
+                c = d.index(",", i)
+                d = d[:i] + "(" + d[i:c] + d[c + 1:]
+        while d.endswith(",L") and d[bar - 2:bar] == ",L":
+            d = d[:bar - 2] + d[bar:-2]
+            bar -= 2
+            trees -= 1
+    return d
+
+
 def mul_letter(d: Diagram, k: int, s: int) -> Diagram:
     """Product d * x_k^s (s = 1 or -1) as a canonical diagram.
 
@@ -117,46 +213,13 @@ def mul_letter(d: Diagram, k: int, s: int) -> Diagram:
     ends); a leaf at i becomes two leaf trees, and leaf p of the top
     forest a caret.  For s = -1, trees k and k+1 are joined under a new
     root, unless both are leaves and the top forest has a caret over
-    leaves p, p+1, a dipole that cancels.
+    leaves p, p+1, a dipole that cancels.  Missing bottom trees are
+    padded as leaf trees on both sides first, and trailing leaf pairs
+    are stripped last.  This is the one-letter call of the fold behind
+    from_word and compose; it raises LeafLimitError if the product would
+    have more than MAX_LEAVES leaves.
     """
-    if k < 0:
-        raise ValueError(f"generator subscript must be nonnegative, got {k}")
-    if s != 1 and s != -1:
-        raise ValueError(f"letter exponent must be 1 or -1, got {s}")
-    bar = d.index("|")
-    # the bottom forest needs trees up to k for s = 1, up to k + 1 for s = -1
-    missing = (k + 1 if s == 1 else k + 2) - (d.count(",", bar) + 1)
-    if missing > 0:
-        pad = ",L" * missing
-        d = d[:bar] + pad + d[bar:] + pad
-        bar += 2 * missing
-    i = bar + 1
-    for _ in range(k):
-        i = d.index(",", i) + 1
-    if s == 1:
-        if d[i] == "(":
-            q = _tree_end(d, i + 1)  # the end of the root's left subtree
-            d = d[:i] + d[i + 1:q] + "," + d[q:]
-        else:
-            j = _leaf(d, d.count("L", bar, i))
-            d = d[:j] + "(LL" + d[j + 1:i] + "L,L" + d[i + 1:]
-            bar += 2
-    else:
-        c = d.index(",", i)
-        j = 0
-        if c == i + 1 and d[i] == "L" and d[i + 2] == "L" and d[i + 3:i + 4] in ("", ","):
-            j = _leaf(d, d.count("L", bar, i))
-        if j and d[j - 1] == "(" and d[j + 1] == "L":
-            # dipole: the top caret over leaves p, p+1 meets the new root
-            # caret; the bottom side is a root, so no cascade
-            d = d[:j - 1] + "L" + d[j + 2:i + 1] + d[i + 3:]
-            bar -= 2
-        else:
-            d = d[:i] + "(" + d[i:c] + d[c + 1:]
-    while d.endswith(",L") and d[bar - 2:bar] == ",L":
-        d = d[:bar - 2] + d[bar:-2]
-        bar -= 2
-    return d
+    return _fold(d, ((k, s),))
 
 
 def from_word(w: GenWord) -> Diagram:
@@ -165,7 +228,12 @@ def from_word(w: GenWord) -> Diagram:
     A word of normal-form shape, letters x_i with nondecreasing i and
     then letters x_j^-1 with nonincreasing j, whose (pos, neg) passes
     validate_normal_form, is built by from_normal_form in linear time.
-    Any other word is folded letter by letter with mul_letter.
+    Any other word is folded from EPSILON with the letter edit of
+    mul_letter, carrying the index of "|" and the bottom tree count
+    from one letter to the next: a letter costs one copy of the string
+    and searches in C, plus a Python step per caret run where it splits
+    a bottom root caret.  Raises LeafLimitError if the diagram would
+    have more than MAX_LEAVES leaves.
     """
     ks, signs = tuple(zip(*w)) or ((), ())
     p = signs.count(1)
@@ -174,17 +242,16 @@ def from_word(w: GenWord) -> Diagram:
             return from_normal_form(NormalForm(ks[:p], ks[p:][::-1]))
         except NormalFormError:
             pass  # a dipole or an unsorted run: fold
-    d = EPSILON
-    for k, s in w:
-        d = mul_letter(d, k, s)
-    return d
+    return _fold(EPSILON, w)
 
 
 def compose(d1: Diagram, d2: Diagram) -> Diagram:
-    """Product d1 * d2 (d1 applied first) as a canonical diagram."""
-    for k, s in normal_form_word(to_normal_form(d2)):
-        d1 = mul_letter(d1, k, s)
-    return d1
+    """Product d1 * d2 (d1 applied first) as a canonical diagram.
+
+    Folds the letter edit of mul_letter over the normal form of d2, in
+    one pass that carries its place in the string from letter to letter.
+    """
+    return _fold(d1, normal_form_word(to_normal_form(d2)))
 
 
 def _caret_runs(f: str) -> List[Tuple[int, int]]:
@@ -276,6 +343,10 @@ def _forest(starts: Tuple[int, ...]) -> Tuple[str, int]:
         gap = i - leaf
         inner = high - h
         if gap > inner:
+            # the one string here not bounded by len(starts); a caret
+            # at leaf i needs leaves i and i + 1
+            if i + 2 > MAX_LEAVES:
+                raise LeafLimitError()
             h = high = h + gap
             parts.append("L" * inner + "L," * (gap - inner) + "(" * k + "L")
         else:
@@ -300,6 +371,8 @@ def from_normal_form(nf: NormalForm) -> Diagram:
     top, top_leaves = _forest(pos)
     bottom, bottom_leaves = _forest(neg)
     leaves = max(top_leaves, bottom_leaves)
+    if leaves > MAX_LEAVES:
+        raise LeafLimitError()
     return top + ",L" * (leaves - top_leaves) + "|" + bottom + ",L" * (leaves - bottom_leaves)
 
 

@@ -4,6 +4,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from thompsonf import cli, plmaps
 from thompsonf.cli import main
-from thompsonf.diagrams import from_word
+from thompsonf.diagrams import MAX_LEAVES, from_word
 from thompsonf.plmaps import dyadic, plmap
 from thompsonf.words import format_word, parse_word
 
@@ -374,6 +375,25 @@ def test_deep_words_get_answers(capsys):
     assert (results["word"], results["cells"], results["norm"]) == ("", 0, 0)
     results = run_json(capsys, "geodesic", " ".join(["x0"] * 300))["results"]
     assert results["length"] == 300
+
+
+def test_leaf_cap_exit(capsys, tmp_path):
+    # x_k has k + 2 leaves: the largest subscript under the cap answers,
+    # and one more exits 2 before any diagram of that size is written
+    top = f"x{MAX_LEAVES - 2}"
+    assert run_json(capsys, "nf", top)["results"]["word"] == top
+    over = f"x{MAX_LEAVES - 1}"
+    words = tmp_path / "words.txt"
+    words.write_text(f"x0\n{over}\n")
+    for argv in (
+        ("nf", over), ("norm", over), ("mul", over, "x0"), ("mul", "x1", over),
+        ("subgraph", "--input", str(words)),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2, argv
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: a diagram would have more than {MAX_LEAVES} leaves (memory)\n"
 
 
 @pytest.mark.parametrize("argv", [("norm",), ("nf",), ("mul", "x0"), ("geodesic",)])

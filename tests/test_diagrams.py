@@ -6,6 +6,9 @@ import tuple_oracle as oracle
 from thompsonf.cayley import enumerate_ball
 from thompsonf.diagrams import (
     EPSILON,
+    MAX_LEAVES,
+    LeafLimitError,
+    NormalForm,
     NormalFormError,
     atomic,
     canonical_key,
@@ -111,6 +114,8 @@ def test_mul_letter_matches_compose_along_words(w):
         t = oracle.compose(t, oracle.letter(k, s))
         d = mul_letter(d, k, s)
         assert d == oracle.from_tuples(t)
+    # the fold carries its index of "|" and tree count across all letters
+    assert from_word(w) == d
 
 
 def test_mul_letter_rejects_bad_letters():
@@ -118,6 +123,27 @@ def test_mul_letter_rejects_bad_letters():
         mul_letter(EPSILON, -1, 1)
     with pytest.raises(ValueError):
         mul_letter(EPSILON, 0, 2)
+    # a bad letter deep in a word is refused as it is alone
+    with pytest.raises(ValueError, match="exponent must be 1 or -1, got 0"):
+        from_word(((1, 1), (0, 1), (1, 0)))
+
+
+def test_leaf_cap():
+    # x_k has k + 2 leaves, whichever way it is built
+    top = MAX_LEAVES - 2
+    assert mul_letter(EPSILON, top, 1) == from_normal_form(NormalForm((top,), ()))
+    assert leaf_count(mul_letter(EPSILON, top, -1)) == MAX_LEAVES
+    for k, s in ((MAX_LEAVES, 1), (MAX_LEAVES - 1, 1), (MAX_LEAVES - 1, -1)):
+        with pytest.raises(LeafLimitError):
+            mul_letter(EPSILON, k, s)
+    with pytest.raises(LeafLimitError):
+        from_normal_form(NormalForm((), (MAX_LEAVES - 1,)))
+    # a letter that adds one leaf at the cap, and a normal form whose
+    # subscripts fit but whose comb does not
+    with pytest.raises(LeafLimitError):
+        from_word(((top, 1), (0, 1)))
+    with pytest.raises(LeafLimitError):
+        from_normal_form(NormalForm((0,) * MAX_LEAVES, ()))
 
 
 def test_long_powers_cancel():

@@ -5,6 +5,7 @@ in any recursive forest reader, so these also pin the iterative ones.
 """
 
 import random
+import time
 
 import pytest
 
@@ -35,6 +36,10 @@ _RNG = random.Random(20021)
 WORDS = {f"random{i}": _reduced_word(_RNG, _RNG.randint(1000, 2000)) for i in range(6)}
 WORDS["x0^1000"] = ((0, 1),) * 1000
 WORDS["x1^1000"] = ((1, 1),) * 1000
+# these grow a large bottom tree 0, so every x1^+-1 looks up a far top leaf
+WORDS["(x0 x1^-1)^750"] = ((0, 1), (1, -1)) * 750
+WORDS["(x1^-1 x0^-1)^750"] = ((1, -1), (0, -1)) * 750
+WORDS["(x1 x0^-1 x1)^400"] = ((1, 1), (0, -1), (1, 1)) * 400
 
 
 @pytest.mark.parametrize("w", WORDS.values(), ids=WORDS.keys())
@@ -58,3 +63,16 @@ def test_long_word_properties(w):
 def test_long_power_builds_its_normal_form(letter, nf):
     # x0^100000 and x1^-100000 are normal-form words; values only, no timing
     assert from_word((letter,) * 100000) == from_normal_form(nf)
+
+
+def test_long_fold_is_not_quadratic_in_python_steps():
+    # 16,000 letters; a fold with one Python step per top leaf took 14-17 s
+    # on a 2-vCPU VM, one that finds leaves by search in C well under 1 s
+    w = ((1, -1), (0, -1)) * 8000
+    start = time.perf_counter()
+    d = from_word(w)
+    assert time.perf_counter() - start < 5
+    # moving each x0^-1 right past the letters after it, by
+    # x_i^-1 x_j^-1 = x_{j+1}^-1 x_i^-1 for i < j, gives the normal form
+    # x_{2n-1}^-1 ... x3^-1 x1^-1 x0^-n, built here without a fold
+    assert d == from_normal_form(NormalForm((), (0,) * 8000 + tuple(range(1, 16000, 2))))
