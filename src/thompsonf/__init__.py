@@ -37,6 +37,8 @@ from .diagrams import (
     validate_normal_form,
 )
 from .metric import (
+    MAX_DESCENT_WORK,
+    DescentLimitError,
     active_vertices,
     greedy_descent,
     is_dead,

@@ -35,7 +35,6 @@ normal form per path.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
@@ -80,12 +79,24 @@ def neighbors(d: Diagram) -> Tuple[Diagram, Diagram, Diagram, Diagram]:
     return tuple(mul_letter(d, k, s) for k, s in GENERATOR_LETTERS)
 
 
-@dataclass
 class BallTable:
-    radius: int
-    sphere_sizes: List[int] = field(default_factory=list)
-    ball_sizes: List[int] = field(default_factory=list)
-    _by_diagram: Dict[Diagram, int] = field(default_factory=dict, repr=False)
+    """The ball of a radius: sphere and ball sizes per radius 0..radius,
+    and each element's distance from the identity (_by_diagram)."""
+
+    def __init__(
+        self, radius: int, sphere_sizes: List[int], ball_sizes: List[int],
+        by_diagram: Dict[Diagram, int],
+    ) -> None:
+        self.radius = radius
+        self.sphere_sizes = sphere_sizes
+        self.ball_sizes = ball_sizes
+        self._by_diagram = by_diagram
+
+    def __repr__(self) -> str:
+        return (
+            f"BallTable(radius={self.radius}, sphere_sizes={self.sphere_sizes}, "
+            f"ball_sizes={self.ball_sizes})"
+        )
 
     def distance(self, d: Diagram) -> Optional[int]:
         """BFS distance from the identity, or None outside the ball."""

@@ -431,7 +431,7 @@ def _main(argv: Optional[Sequence[str]]) -> int:
         return 1
     except (
         cayley.ResourceCapError, cayley.CountLimitError, growth.ResourceError,
-        SizeLimitError, LeafLimitError,
+        SizeLimitError, LeafLimitError, metric.DescentLimitError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .diagrams import Diagram, from_word, mul_letter, normal_form_text, to_normal_form
 from .subgraphs import Subgraph, full_subgraph
@@ -66,8 +65,7 @@ def _refuse_above_limit(family: str, n: int, copies: int) -> None:
         raise SizeLimitError(family, MAX_GAMMA_VERTICES)
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(NamedTuple):
     vertex_count: int
     edges: Tuple[LabeledEdge, ...]
 
@@ -264,17 +262,19 @@ class ConstructionError(RuntimeError):
     """A concrete column construction failed verification."""
 
 
-@dataclass(frozen=True)
-class ConcreteGamma:
+class ConcreteGamma(NamedTuple):
     """Gamma_{n,m} realized inside the Cayley graph over x_0..x_n."""
 
     n: int
     m: int
     # vertex -> seed-path column 0..m, in construction (--emit-words) order
-    origin: Dict[Diagram, int] = field(repr=False)
+    origin: Dict[Diagram, int]
     # the chain's graph: vertex i is the i-th key of origin, and an edge
     # (u, v, j) means v = u * x_j
-    graph: LabeledGraph = field(repr=False)
+    graph: LabeledGraph
+
+    def __repr__(self) -> str:
+        return f"ConcreteGamma(n={self.n}, m={self.m})"
 
     @property
     def size(self) -> int:

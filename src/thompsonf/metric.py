@@ -73,8 +73,23 @@ from itertools import accumulate
 from operator import sub
 from typing import Iterator, List, Set, Tuple
 
-from .diagrams import EPSILON, GENERATOR_LETTERS, Diagram, _tree_end, mul_letter
+from .diagrams import EPSILON, GENERATOR_LETTERS, Diagram, _tree_end, leaf_count, mul_letter
 from .words import GenWord
+
+# greedy_descent takes norm(d) steps, each copying and reading a string
+# about as long as d, so its work is about norm(d) * len(d); geodesic
+# x8000 (5.1e8) takes about 2 s.  Past this bound it refuses.
+MAX_DESCENT_WORK = 2**30
+
+
+class DescentLimitError(RuntimeError):
+    """greedy_descent would do more than MAX_DESCENT_WORK (norm x length)."""
+
+    def __init__(self, length: int) -> None:
+        super().__init__(
+            f"a greedy descent on a diagram of {length} characters would pass "
+            f"the work cap of {MAX_DESCENT_WORK} (norm x length; time)"
+        )
 
 
 def _read(d: Diagram) -> tuple:
@@ -237,9 +252,20 @@ def greedy_descent(d: Diagram) -> GenWord:
     letter that undoes the previous step is skipped: it leads back up.
     The descent certifies itself: it must reach EPSILON in exactly
     norm(d) steps, so the word it returns is geodesic even if a delta
-    were wrong; otherwise it raises AssertionError.
+    were wrong; otherwise it raises AssertionError.  Before the first
+    step it raises DescentLimitError when norm(d) * len(d) passes
+    MAX_DESCENT_WORK.
     """
+    # leaves <= 2 norm + 4: a leaf is in a tree with carets, at most two
+    # leaves per caret, or bare in both forests, and a bare leaf is special
+    # unless it is vertex 0, the end of a first tree or the one trailing
+    # leaf past the last caret.  So a diagram with far too many leaves is
+    # refused before the norm read, which takes 1 s on x2097150
+    if (leaf_count(d) - 4) // 2 * len(d) > MAX_DESCENT_WORK:
+        raise DescentLimitError(len(d))
     n = norm(d)
+    if n * len(d) > MAX_DESCENT_WORK:
+        raise DescentLimitError(len(d))
     steps = []
     back = None  # the inverse of the last letter taken
     for _ in range(n):

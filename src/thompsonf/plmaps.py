@@ -11,7 +11,10 @@ with it.
 
 Dyadic numbers are kept as num / 2^exp with exp >= 0 and num odd unless
 exp = 0.  Deliberately not Fraction: a non-dyadic intermediate value is
-a bug and must be impossible to represent, not silently handled.
+a bug and must be impossible to represent, not silently handled.  A
+Dyadic is an immutable (num, exp) pair, so equal numbers are equal
+pairs and hash alike, and a PLMap is a named tuple of its points and
+tail offset, so equal maps compare and hash equal as tuples.
 
 Every map is validated and put in canonical form by one integer
 canonicaliser, _canonical, which reads breakpoints as integers over a
@@ -29,23 +32,33 @@ against the left fold of compose_pl over the generator maps.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .words import GenWord
 
 
-@dataclass(frozen=True)
-class Dyadic:
+class _DyadicPair(NamedTuple):
     num: int
     exp: int  # value = num / 2**exp, exp >= 0; num odd unless exp == 0
 
-    def __post_init__(self):
-        if self.exp < 0:
+
+class Dyadic(_DyadicPair):
+    """The exact number num / 2**exp, as an immutable (num, exp) pair.
+
+    The constructor accepts only the normalized pair (exp >= 0, num odd
+    unless exp == 0; dyadic() normalizes), so equality and hashing are
+    those of the pair.  Order compares values, not pairs.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, num: int, exp: int) -> "Dyadic":
+        if exp < 0:
             raise ValueError("exponent must be nonnegative")
-        if self.exp > 0 and self.num % 2 == 0:
+        if exp > 0 and num % 2 == 0:
             raise ValueError("unnormalized dyadic; use dyadic()")
+        return tuple.__new__(cls, (num, exp))
 
     def scale2(self, shift: int) -> "Dyadic":
         """Multiply by 2**shift (shift may be negative)."""
@@ -77,6 +90,18 @@ class Dyadic:
     def __le__(self, other: "Dyadic") -> bool:
         a, b = self._cmp_key(other)
         return a <= b
+
+    # as a tuple it would otherwise order and repeat as a pair
+    def __gt__(self, other: "Dyadic") -> bool:
+        a, b = self._cmp_key(other)
+        return a > b
+
+    def __ge__(self, other: "Dyadic") -> bool:
+        a, b = self._cmp_key(other)
+        return a >= b
+
+    def __rmul__(self, other):
+        raise TypeError(f"cannot multiply {type(other).__name__} by Dyadic")
 
     def __float__(self) -> float:
         return self.num / (1 << self.exp)
@@ -116,11 +141,11 @@ def _two_adic(d: Dyadic) -> int:
     return _trailing_zeros(d.num) - d.exp
 
 
-@dataclass(frozen=True)
-class PLMap:
+class PLMap(NamedTuple):
     """Canonical form: breakpoints from (0,0), no collinear triple, and the
     final segment's slope differs from the tail slope 1 (except the bare
-    identity).  tail_offset c gives f(t) = t + c beyond the last point."""
+    identity).  tail_offset c gives f(t) = t + c beyond the last point.
+    An immutable named tuple: equal maps are equal tuples."""
 
     points: Tuple[Point, ...]
     tail_offset: int

@@ -18,7 +18,6 @@ subset on failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -35,16 +34,26 @@ _GENERATORS = tuple(
 )
 
 
-@dataclass(frozen=True)
 class Subgraph:
     """A finite vertex set and the cached integer table of its neighbours.
 
     B1(Y) is numbered once: the vertices 0..V-1 in their own order, then
     each boundary element as first met.  Per vertex, the table holds the
     numbers of its four neighbours, so an entry below V is a vertex.
+    Immutable: only the cached properties fill in, once each.
     """
 
-    vertices: Dict[Diagram, None] = field(repr=False)  # an insertion-ordered set
+    def __init__(self, vertices: Dict[Diagram, None]) -> None:
+        object.__setattr__(self, "vertices", vertices)  # an insertion-ordered set
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot set {name!r}: a Subgraph is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a Subgraph is immutable")
+
+    def __repr__(self) -> str:
+        return f"Subgraph(size={self.size})"
 
     @property
     def size(self) -> int:

@@ -396,6 +396,19 @@ def test_leaf_cap_exit(capsys, tmp_path):
         assert err == f"error: a diagram would have more than {MAX_LEAVES} leaves (memory)\n"
 
 
+def test_geodesic_work_cap_exit(capsys):
+    # norm x length: 15,999 x 32,007 answers; 39,999 x 80,007 passes 2^30,
+    # and x2097150, the largest subscript under the leaf cap, far more
+    assert run_json(capsys, "geodesic", "x8000")["results"]["length"] == 15999
+    for word in ("x20000", f"x{MAX_LEAVES - 2}"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "geodesic", word)
+        assert time.perf_counter() - start < 1, word
+        assert (code, out) == (2, ""), word
+        assert err.startswith("error: a greedy descent on a diagram of ")
+        assert err.endswith(" (norm x length; time)\n") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [("norm",), ("nf",), ("mul", "x0"), ("geodesic",)])
 def test_recursion_exhausted_exit(capsys, monkeypatch, argv):
     # the readers no longer recurse, so a RecursionError is forced where

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 from fractions import Fraction
 
@@ -182,7 +181,7 @@ def test_concrete_edges_have_recorded_direction():
 def _without_edge(g, edge):
     assert edge in g.graph.edges
     edges = tuple(e for e in g.graph.edges if e != edge)
-    return dataclasses.replace(g, graph=LabeledGraph(g.graph.vertex_count, edges))
+    return g._replace(graph=LabeledGraph(g.graph.vertex_count, edges))
 
 
 def test_fullness_check_catches_missing_edge():

@@ -15,9 +15,11 @@ from thompsonf.diagrams import (
     compose,
     from_word,
     invert,
+    leaf_count,
     mul_letter,
 )
 from thompsonf.metric import (
+    DescentLimitError,
     active_vertices,
     greedy_descent,
     is_dead,
@@ -168,6 +170,30 @@ def test_greedy_descent_is_geodesic(w):
 
 def test_greedy_descent_identity():
     assert greedy_descent(EPSILON) == ()
+
+
+def test_leaves_bound_norm(ball_9):
+    # greedy_descent refuses without reading the norm on leaves <= 2 norm + 4
+    for d, r in ball_9._by_diagram.items():
+        assert leaf_count(d) <= 2 * r + 4, d
+    for k in range(40):
+        for s in (1, -1):
+            d = from_word(((k, s),))
+            assert leaf_count(d) <= 2 * norm(d) + 4, d
+
+
+def test_descent_work_cap(monkeypatch):
+    d = from_word(WORKED)
+    work = norm(d) * len(d)
+    monkeypatch.setattr(metric, "MAX_DESCENT_WORK", work)
+    assert len(greedy_descent(d)) == norm(d)
+    monkeypatch.setattr(metric, "MAX_DESCENT_WORK", work - 1)
+    with pytest.raises(DescentLimitError, match=f"work cap of {work - 1} "):
+        greedy_descent(d)
+    # far past the cap, the leaf count alone refuses: no norm read
+    monkeypatch.setattr(metric, "norm", None)
+    with pytest.raises(DescentLimitError):
+        greedy_descent(from_word(((20000, 1),)))
 
 
 def _plain_descent(d):
