@@ -55,7 +55,7 @@ from .words import WordError, format_word, parse_word
 SCHEMA = "thompson-f-toolkit/1"
 
 # parsed options that the envelope does not echo as parameters
-_NOT_ECHOED = ("command", "func", "format", "emit_words")
+_NOT_ECHOED = ("func", "format", "emit_words")
 
 
 class _CLIError(ValueError):
@@ -63,39 +63,25 @@ class _CLIError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    subcommands: Tuple[str, ...] = ()  # filled in by _build_parser
-
     # argparse exits with status 2 on bad arguments; 2 is taken by the
     # resource-cap contract, so route errors through _CLIError instead.
     def error(self, message):
         raise _CLIError(message)
 
 
-def _decimal_string(x: Fraction, places: int = 12) -> str:
-    sign = "-" if x < 0 else ""
-    num, den = abs(x.numerator), x.denominator
-    whole, rem = divmod(num, den)
-    if rem == 0:
-        return f"{sign}{whole}"
-    digits = []
-    while rem and len(digits) < places:
-        rem *= 10
-        digit, rem = divmod(rem, den)
-        digits.append(str(digit))
-    return f"{sign}{whole}." + "".join(digits)
-
-
-def _dyadic_decimal(num: int, exp: int) -> str:
-    """_decimal_string(Fraction(num, 2**exp)) for num >= 0, by shifts."""
-    whole = num >> exp
-    rem = num - (whole << exp)
+def _decimal(num: int, den: int) -> str:
+    """num / den (den > 0) in decimal, truncated after 12 places; exact
+    whenever the expansion ends within them, and then without padding
+    zeros."""
+    sign = "-" if num < 0 else ""
+    whole, rem = divmod(abs(num), den)
     if not rem:
-        return str(whole)
-    scaled = rem * 10**12
-    digits = f"{scaled >> exp:012d}"
-    if not scaled & ((1 << exp) - 1):  # the expansion ended: no padding zeros
+        return f"{sign}{whole}"
+    digits, left = divmod(rem * 10**12, den)
+    digits = f"{digits:012d}"
+    if not left:
         digits = digits.rstrip("0")
-    return f"{whole}.{digits}"
+    return f"{sign}{whole}.{digits}"
 
 
 def _rational(x: Fraction) -> Dict[str, int]:
@@ -164,10 +150,11 @@ def _ratio_table(args, header: str, columns: List[List[int]], results: dict) -> 
     if args.format == "csv":
         print(header)
         for n, row in enumerate(zip(*columns)):
-            print(n, *row, _decimal_string(ratios[n - 1]) if n else "", sep=",")
+            print(n, *row, _decimal(*ratios[n - 1].as_integer_ratio()) if n else "", sep=",")
         return None
     results["ratios"] = [{"n": n, **_rational(q)} for n, q in enumerate(ratios, 1)]
-    return results, {f"ratio[{n}]": _decimal_string(q) for n, q in enumerate(ratios, 1)}
+    exact = {f"ratio[{n}]": _decimal(*q.as_integer_ratio()) for n, q in enumerate(ratios, 1)}
+    return results, exact
 
 
 def _cmd_spheres(args) -> Report:
@@ -202,8 +189,8 @@ def _cmd_pl(args) -> Report:
     breakpoints = []
     for idx, (x, y) in enumerate(f.points):
         breakpoints.append({"x": str(x), "y": str(y)})
-        exact[f"breakpoints[{idx}].x"] = _dyadic_decimal(x.num, x.exp)
-        exact[f"breakpoints[{idx}].y"] = _dyadic_decimal(y.num, y.exp)
+        exact[f"breakpoints[{idx}].x"] = _decimal(x.num, 1 << x.exp)
+        exact[f"breakpoints[{idx}].y"] = _decimal(y.num, 1 << y.exp)
     return {"breakpoints": breakpoints, "tail_offset": f.tail_offset}, exact
 
 
@@ -241,7 +228,7 @@ def _gamma_report(n: int, m: Optional[int]) -> tuple:
         "nu": {str(d): c for d, c in sorted(nu.items())},
         "checks": checks,
     }
-    exact = {"density": _decimal_string(density)}
+    exact = {"density": _decimal(*density.as_integer_ratio())}
     if concrete is not None:
         concrete_bar = bar(concrete.graph)
         bar_density = concrete_bar.density()
@@ -257,9 +244,9 @@ def _gamma_report(n: int, m: Optional[int]) -> tuple:
             "fullness": fullness_check(concrete),
             "monomial_shape": monomial_shape_ok(concrete),
         }
-        exact["concrete.bar_density"] = _decimal_string(bar_density)
+        exact["concrete.bar_density"] = _decimal(*bar_density.as_integer_ratio())
         for k, (_, rho) in enumerate(columns):
-            exact[f"concrete.rho[{k}]"] = _decimal_string(rho)
+            exact[f"concrete.rho[{k}]"] = _decimal(*rho.as_integer_ratio())
     return results, exact
 
 
@@ -322,20 +309,24 @@ def _cmd_subgraph(args) -> Report:
         },
     }
     exact = {
-        "density": _decimal_string(dens),
-        "folner.boundary_ratio": _decimal_string(lower),
-        "folner.four_minus_density": _decimal_string(middle),
-        "folner.four_times_ratio": _decimal_string(upper),
+        "density": _decimal(*dens.as_integer_ratio()),
+        "folner.boundary_ratio": _decimal(*lower.as_integer_ratio()),
+        "folner.four_minus_density": _decimal(*middle.as_integer_ratio()),
+        "folner.four_times_ratio": _decimal(*upper.as_integer_ratio()),
     }
     return results, exact
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    # built on first use, once per process: importing the module stays
-    # cheap, and repeated main() calls skip rebuilding eleven subparsers
-    parser = _Parser(prog="thompsonf", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _build_parser() -> Dict[str, _Parser]:
+    """The parser of each subcommand, by name.
+
+    Built on first use, once per process: importing the module stays
+    cheap, and repeated main() calls skip rebuilding eleven parsers.
+    The top-level parser only names them ("thompsonf nf"); main picks
+    the subcommand itself, so each call runs one parse.
+    """
+    sub = _Parser(prog="thompsonf").add_subparsers()
 
     p = sub.add_parser("nf", help="normal form of a word")
     p.add_argument("word")
@@ -393,8 +384,7 @@ def _build_parser() -> _Parser:
         sub.choices[name].add_argument(
             "--threads", type=int, choices=(1,), default=1, help="reserved; single process"
         )
-    parser.subcommands = tuple(sub.choices)
-    return parser
+    return sub.choices
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -412,16 +402,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def _main(argv: Optional[Sequence[str]]) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    usage = f"usage: thompsonf <subcommand> ...\nsubcommands: {', '.join(parser.subcommands)}"
-    if argv and argv[0] in ("-h", "--help"):
-        print(usage)
-        return 0
-    if not argv or argv[0] not in parser.subcommands:
+    parsers = _build_parser()
+    if not argv or argv[0] not in parsers:
+        usage = f"usage: thompsonf <subcommand> ...\nsubcommands: {', '.join(parsers)}"
+        if argv and argv[0] in ("-h", "--help"):
+            print(usage)
+            return 0
         print(usage, file=sys.stderr)
         return 64
     try:
-        args = parser.parse_args(argv)
+        args = parsers[argv[0]].parse_args(argv[1:])
         report = args.func(args)
     except SystemExit as exc:  # --help only; errors raise _CLIError
         code = exc.code
@@ -445,7 +435,7 @@ def _main(argv: Optional[Sequence[str]]) -> int:
         results, exact_values = report
         envelope = {
             "schema": SCHEMA,
-            "command": args.command,
+            "command": argv[0],
             "parameters": {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED},
             "results": results,
             "exact_values": exact_values,

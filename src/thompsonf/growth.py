@@ -46,7 +46,7 @@ TRANSITIONS: Dict[Tuple[int, Letter], int] = {
 
 
 class ResourceError(RuntimeError):
-    """Brute-force enumeration request beyond the supported size."""
+    """Counting or enumeration request beyond the supported size."""
 
 
 def _encode(w: GenWord) -> str:
@@ -82,10 +82,21 @@ def transition_matrix() -> List[List[int]]:
     return matrix
 
 
+# c_n has about 0.418 n decimal digits, so c_10000 stays under the
+# interpreter's default int-to-str limit of 4300 digits.  Printing the
+# counts costs about n^2: the JSON report at the cap takes 3 s and 201 MB
+MAX_SERIES_N = 10_000
+
+
 def series(max_n: int) -> List[int]:
-    """Coefficients c_0..c_max_n by exact matrix-vector iteration."""
+    """Coefficients c_0..c_max_n by exact matrix-vector iteration.
+
+    Raises ResourceError when max_n passes MAX_SERIES_N.
+    """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
+    if max_n > MAX_SERIES_N:
+        raise ResourceError(f"series capped at length {MAX_SERIES_N}, asked {max_n}")
     matrix = transition_matrix()
     counts = [0] * 7
     counts[START_STATE - 1] = 1

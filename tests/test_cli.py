@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -8,10 +10,10 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thompsonf import cli, plmaps
+from thompsonf import cli, growth, plmaps
 from thompsonf.cli import main
 from thompsonf.diagrams import MAX_LEAVES, from_word
 from thompsonf.plmaps import dyadic, plmap
@@ -127,17 +129,37 @@ def test_pl_long_word(capsys):
     assert rebuilt.tail_offset == results["tail_offset"]
 
 
+def _decimal_digit_loop(x: Fraction, places: int = 12) -> str:
+    """Oracle for cli._decimal: the expansion written one digit at a time."""
+    sign = "-" if x < 0 else ""
+    num, den = abs(x.numerator), x.denominator
+    whole, rem = divmod(num, den)
+    if rem == 0:
+        return f"{sign}{whole}"
+    digits = []
+    while rem and len(digits) < places:
+        rem *= 10
+        digit, rem = divmod(rem, den)
+        digits.append(str(digit))
+    return f"{sign}{whole}." + "".join(digits)
+
+
 @given(st.integers(min_value=0, max_value=2**80), st.integers(min_value=0, max_value=80))
 def test_dyadic_decimal_matches_fraction(num, exp):
-    assert cli._dyadic_decimal(num, exp) == cli._decimal_string(Fraction(num, 2**exp))
+    assert cli._decimal(num, 1 << exp) == _decimal_digit_loop(Fraction(num, 2**exp))
+
+
+@given(st.integers(min_value=-(2**80), max_value=2**80), st.integers(min_value=1, max_value=2**40))
+def test_decimal_matches_digit_loop(num, den):
+    assert cli._decimal(num, den) == _decimal_digit_loop(Fraction(num, den))
 
 
 def test_dyadic_decimal_keeps_cut_zeros():
     # an expansion cut at 12 places keeps its zeros; one that ended drops none
-    assert cli._dyadic_decimal(5, 15) == "0.000152587890"
-    assert cli._dyadic_decimal(1, 40) == "0.000000000000"
-    assert cli._dyadic_decimal(3, 0) == "3"
-    assert cli._dyadic_decimal(5, 3) == "0.625"
+    assert cli._decimal(5, 1 << 15) == "0.000152587890"
+    assert cli._decimal(1, 1 << 40) == "0.000000000000"
+    assert cli._decimal(3, 1 << 0) == "3"
+    assert cli._decimal(5, 1 << 3) == "0.625"
 
 
 def test_dead_search(capsys):
@@ -358,6 +380,25 @@ def test_report_flag_rejected(capsys, argv):
     assert "unrecognized arguments: --report" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_series_cap_exit(capsys, fmt):
+    # past the cap c_n would pass the int-to-str limit of 4300 digits
+    start = time.perf_counter()
+    over = growth.MAX_SERIES_N + 1
+    code, out, err = run(capsys, "series", "--max-n", str(over), "--format", fmt)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: series capped at length {growth.MAX_SERIES_N}, asked {over}\n"
+
+
+def test_series_answers_at_the_cap(capsys, monkeypatch):
+    monkeypatch.setattr(growth, "MAX_SERIES_N", 20)
+    assert len(run_json(capsys, "series", "--max-n", "20")["results"]["counts"]) == 21
+    code, out, err = run(capsys, "series", "--max-n", "21", "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == "error: series capped at length 20, asked 21\n"
+
+
 def test_resource_cap_exit(capsys):
     code, out, err = run(capsys, "spheres", "--radius", "9", "--cap", "100")
     assert code == 2
@@ -432,6 +473,39 @@ def test_memory_exhausted_exit(capsys, monkeypatch):
     assert err == "error: input too large: out of memory\n"
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("spheres", "--radius", "abc"), "argument --radius: invalid int value: 'abc'"),
+        (("spheres",), "the following arguments are required: --radius"),
+        (("nf", "x0", "x1"), "unrecognized arguments: x1"),
+        (("mul", "x0"), "the following arguments are required: right"),
+        (
+            ("spheres", "--radius", "3", "--format", "xml"),
+            "argument --format: invalid choice: 'xml' (choose from 'json', 'csv')",
+        ),
+        (
+            ("gamma", "--n", "3", "--threads", "2"),
+            "argument --threads: invalid choice: 2 (choose from 1)",
+        ),
+        (("subgraph",), "the following arguments are required: --input"),
+        (
+            ("dead-search", "--max-norm", "2", "--cap", "x"),
+            "argument --cap: invalid int value: 'x'",
+        ),
+    ],
+)
+def test_argument_errors_exact(capsys, argv, err):
+    assert run(capsys, *argv) == (1, "", f"error: {err}\n")
+
+
+def test_abbreviated_option_and_subcommand_help(capsys):
+    assert run_json(capsys, "spheres", "--rad", "3")["parameters"]["radius"] == 3
+    code, out, err = run(capsys, "nf", "--help")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "usage: thompsonf nf [-h] word"
+
+
 def test_help_exits_zero(capsys):
     code, out, err = run(capsys, "norm", "--help")
     assert code == 0
@@ -489,3 +563,45 @@ def test_golden_output(capsys, monkeypatch, golden, argv):
 def test_golden_unknown_subcommand(capsys):
     expected = (pathlib.Path(__file__).parent / "golden" / "unknown_subcommand.err").read_text()
     assert run(capsys, "frobnicate") == (64, "", expected)
+
+
+_PARSERS = cli._build_parser()
+_OPTIONS = sorted({o for p in _PARSERS.values() for a in p._actions for o in a.option_strings})
+_FUZZ_TOKENS = st.one_of(
+    st.lists(st.tuples(st.integers(0, 5), st.sampled_from((1, -1))), max_size=12).map(format_word),
+    st.sampled_from(("x0^2", "x-1", "", "x", "x0 y1", "--", "csv", "json", "abc", "1.5", "0x10")),
+    st.integers(-3, 8).map(str),  # 8 at most keeps every run small
+    st.sampled_from(_OPTIONS + ["--bogus"]),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    contents = {
+        "words.txt": b"x0 x1\n\nx1^-1 x0\n",
+        "bad_token.txt": b"x0\nx0^2\n",
+        "undecodable.txt": b"x0\n\xff\n",
+    }
+    for name, data in contents.items():
+        (root / name).write_bytes(data)
+    return [str(root / name) for name in contents]
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_fuzz_main(fuzz_inputs, data):
+    # every argv ends in an answer, help, usage or one error line: never a traceback
+    head = data.draw(st.sampled_from([[name] for name in _PARSERS] + [["frobnicate"], ["-h"], []]))
+    argv = head + data.draw(st.lists(_FUZZ_TOKENS | st.sampled_from(fuzz_inputs), max_size=8))
+    with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2, 64), (argv, code)
+    assert "Traceback" not in err, argv
+    if code in (1, 2):
+        assert err.startswith("error: ") and err.endswith("\n"), (argv, err)
+        assert err.count("\n") == 1, (argv, err)
+    if code == 0:
+        assert err == "", (argv, err)
