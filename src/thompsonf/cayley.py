@@ -39,11 +39,11 @@ from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from .diagrams import (
-    EPSILON, GENERATOR_LETTERS, Diagram, NormalForm, canonical_key, from_normal_form, mul_letter,
+    DEFAULT_CAP, EPSILON, GENERATOR_LETTERS, Diagram, LimitError, NormalForm, canonical_key,
+    from_normal_form, mul_letter,
 )
 from .metric import is_dead
 
-DEFAULT_CAP = 10_000_000
 # the largest truncation radius count_spheres runs.  The count's memory
 # grows as about radius^5.4: 35 MB at radius 30, 137 MB at 42 and 311 MB
 # at 50 (80-100 s; fresh process, 2-vCPU VM, Python 3.11), so about 1 GB
@@ -51,7 +51,7 @@ DEFAULT_CAP = 10_000_000
 MAX_COUNT_RADIUS = 50
 
 
-class ResourceCapError(RuntimeError):
+class ResourceCapError(LimitError):
     """Enumeration or counting exceeded the caller's element cap."""
 
     def __init__(self, cap: int, completed_radius: int):
@@ -62,7 +62,7 @@ class ResourceCapError(RuntimeError):
         self.completed_radius = completed_radius
 
 
-class CountLimitError(RuntimeError):
+class CountLimitError(LimitError):
     """A sphere count would run past MAX_COUNT_RADIUS, near 1 GB of memory."""
 
     def __init__(self, limit: int, completed_radius: int):

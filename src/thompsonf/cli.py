@@ -25,32 +25,25 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
-from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+# Binding these runs nothing: the package entered each module in
+# sys.modules to run when a subcommand first reads from it.
 from . import cayley, growth, metric, plmaps, subgraphs
-from .gamma import (
-    SizeLimitError,
-    bar,
-    catalan,
-    closed_a,
-    closed_b,
-    closed_nu,
-    column_partition,
-    degree_histogram,
-    density_bar_closed,
-    edge_label_counts,
-    fullness_check,
-    gamma as gamma_graph,
-    gamma_nm_concrete,
-    monomial_shape_ok,
-    rank_counts,
+from .diagrams import (
+    DEFAULT_CAP, LimitError, cell_count, from_word, normal_form_text, to_normal_form,
 )
-from .diagrams import LeafLimitError, cell_count, from_word, normal_form_text, to_normal_form
 from .words import WordError, format_word, parse_word
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# thompsonf.gamma is the function gamma.gamma, so reach the module by name
+gamma = sys.modules[f"{__package__}.gamma"]
 
 SCHEMA = "thompson-f-toolkit/1"
 
@@ -143,17 +136,23 @@ def _ratio_table(args, header: str, columns: List[List[int]], results: dict) -> 
     """Report columns[0] with its ratios c[n] / c[n-1], as CSV or JSON.
 
     A CSV row is n, the n-th entry of each column and the ratio (empty
-    at n = 0).  The JSON results gain a final "ratios" list.
+    at n = 0), whose decimal needs no reduced fraction.  The JSON results
+    gain a final "ratios" list in lowest terms.
     """
     counts = columns[0]
-    ratios = [Fraction(counts[n], counts[n - 1]) for n in range(1, len(counts))]
     if args.format == "csv":
         print(header)
         for n, row in enumerate(zip(*columns)):
-            print(n, *row, _decimal(*ratios[n - 1].as_integer_ratio()) if n else "", sep=",")
+            print(n, *row, _decimal(row[0], counts[n - 1]) if n else "", sep=",")
         return None
-    results["ratios"] = [{"n": n, **_rational(q)} for n, q in enumerate(ratios, 1)]
-    exact = {f"ratio[{n}]": _decimal(*q.as_integer_ratio()) for n, q in enumerate(ratios, 1)}
+    ratios = []
+    exact = {}
+    for n in range(1, len(counts)):
+        common = math.gcd(counts[n], counts[n - 1])
+        num, den = counts[n] // common, counts[n - 1] // common
+        ratios.append({"n": n, "num": num, "den": den})
+        exact[f"ratio[{n}]"] = _decimal(num, den)
+    results["ratios"] = ratios
     return results, exact
 
 
@@ -197,24 +196,24 @@ def _cmd_pl(args) -> Report:
 def _gamma_report(n: int, m: Optional[int]) -> tuple:
     # the concrete family first: it is the larger, so its size limit
     # refuses before the abstract graph is built
-    concrete = None if m is None else gamma_nm_concrete(n, m)
-    g = gamma_graph(n)
-    ranks = rank_counts(g)
+    concrete = None if m is None else gamma.gamma_nm_concrete(n, m)
+    g = gamma.gamma(n)
+    ranks = gamma.rank_counts(g)
     a_row = [ranks.get(k, 0) for k in range(1, n + 1)]
-    labels = edge_label_counts(g)
+    labels = gamma.edge_label_counts(g)
     b_row = [labels.get(k, 0) for k in range(0, n + 1)]
-    cat = catalan(n)
-    bar_g = bar(g)
+    cat = gamma.catalan(n)
+    bar_g = gamma.bar(g)
     density = bar_g.density()
-    nu = degree_histogram(bar_g)
+    nu = gamma.degree_histogram(bar_g)
     checks = {
-        "a_row": a_row == [closed_a(n, k) for k in range(1, n + 1)],
-        "b_row": b_row == [closed_b(n, k) for k in range(0, n + 1)],
+        "a_row": a_row == [gamma.closed_a(n, k) for k in range(1, n + 1)],
+        "b_row": b_row == [gamma.closed_b(n, k) for k in range(0, n + 1)],
         "vertices_catalan": g.vertex_count == cat,
-        "density": density == density_bar_closed(n),
+        "density": density == gamma.density_bar_closed(n),
         "nu": (
             sorted(nu) == [2, 3, 4]
-            and all(nu[d] == closed_nu(n, d) for d in (2, 3, 4))
+            and all(nu[d] == gamma.closed_nu(n, d) for d in (2, 3, 4))
             if n >= 5
             else None
         ),
@@ -230,9 +229,9 @@ def _gamma_report(n: int, m: Optional[int]) -> tuple:
     }
     exact = {"density": _decimal(*density.as_integer_ratio())}
     if concrete is not None:
-        concrete_bar = bar(concrete.graph)
+        concrete_bar = gamma.bar(concrete.graph)
         bar_density = concrete_bar.density()
-        columns = column_partition(concrete)
+        columns = gamma.column_partition(concrete)
         results["concrete"] = {
             "m": m,
             "vertices": concrete.size,
@@ -241,8 +240,8 @@ def _gamma_report(n: int, m: Optional[int]) -> tuple:
             "columns": [
                 {"size": size, "rho": _rational(rho)} for size, rho in columns
             ],
-            "fullness": fullness_check(concrete),
-            "monomial_shape": monomial_shape_ok(concrete),
+            "fullness": gamma.fullness_check(concrete),
+            "monomial_shape": gamma.monomial_shape_ok(concrete),
         }
         exact["concrete.bar_density"] = _decimal(*bar_density.as_integer_ratio())
         for k, (_, rho) in enumerate(columns):
@@ -259,7 +258,7 @@ def _cmd_gamma(args) -> Report:
         return _gamma_report(args.n, args.m)
     if args.m is None:
         raise _CLIError("--emit-words needs --m to fix the concrete family")
-    for d in gamma_nm_concrete(args.n, args.m).origin:
+    for d in gamma.gamma_nm_concrete(args.n, args.m).origin:
         print(normal_form_text(d))
     return None
 
@@ -347,13 +346,13 @@ def _build_parser() -> Dict[str, _Parser]:
 
     p = sub.add_parser("spheres", help="sphere and ball sizes of the Cayley graph")
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--cap", type=int, default=cayley.DEFAULT_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_spheres)
 
     p = sub.add_parser("dead-search", help="dead elements up to a norm bound")
     p.add_argument("--max-norm", type=int, required=True)
-    p.add_argument("--cap", type=int, default=cayley.DEFAULT_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=_cmd_dead_search)
 
     p = sub.add_parser("series", help="growth series of the monotone language")
@@ -419,10 +418,7 @@ def _main(argv: Optional[Sequence[str]]) -> int:
     except ValueError as exc:  # _CLIError, WordError, NormalFormError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        cayley.ResourceCapError, cayley.CountLimitError, growth.ResourceError,
-        SizeLimitError, LeafLimitError, metric.DescentLimitError,
-    ) as exc:
+    except LimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -66,9 +66,19 @@ class NormalFormError(ValueError):
 MAX_LEAVES = 2**21
 # a diagram string no longer than this has at most MAX_LEAVES leaves
 _LEAF_CAP_CHARS = 2 * MAX_LEAVES + 1
+# the default element cap of the ball and sphere computations in cayley
+DEFAULT_CAP = 10_000_000
 
 
-class LeafLimitError(RuntimeError):
+class LimitError(RuntimeError):
+    """A request would pass one of the library's resource caps.
+
+    Each cap has its own subclass; the command line reports any of them
+    with exit code 2.
+    """
+
+
+class LeafLimitError(LimitError):
     """A diagram would have more than MAX_LEAVES leaves."""
 
     def __init__(self) -> None:

@@ -32,7 +32,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Tuple
 
-from .diagrams import Diagram, from_word, mul_letter, normal_form_text, to_normal_form
+from .diagrams import Diagram, LimitError, from_word, mul_letter, normal_form_text, to_normal_form
 from .subgraphs import Subgraph, full_subgraph
 
 LabeledEdge = Tuple[int, int, int]  # (u, v, label); u == v is a loop
@@ -45,7 +45,7 @@ LabeledEdge = Tuple[int, int, int]  # (u, v, label); u == v is a loop
 MAX_GAMMA_VERTICES = 1_000_000
 
 
-class SizeLimitError(RuntimeError):
+class SizeLimitError(LimitError):
     """A Gamma family would have more than MAX_GAMMA_VERTICES vertices."""
 
     def __init__(self, family: str, limit: int):

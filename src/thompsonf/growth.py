@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .diagrams import GENERATOR_LETTERS, Diagram, from_word, mul_letter
+from .diagrams import GENERATOR_LETTERS, Diagram, LimitError, from_word, mul_letter
 from .words import GenWord, Letter, format_word
 
 _CHAR = {(0, 1): "a", (0, -1): "A", (1, 1): "b", (1, -1): "B"}
@@ -45,7 +45,7 @@ TRANSITIONS: Dict[Tuple[int, Letter], int] = {
 }
 
 
-class ResourceError(RuntimeError):
+class ResourceError(LimitError):
     """Counting or enumeration request beyond the supported size."""
 
 

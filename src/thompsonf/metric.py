@@ -73,7 +73,9 @@ from itertools import accumulate
 from operator import sub
 from typing import Iterator, List, Set, Tuple
 
-from .diagrams import EPSILON, GENERATOR_LETTERS, Diagram, _tree_end, leaf_count, mul_letter
+from .diagrams import (
+    EPSILON, GENERATOR_LETTERS, Diagram, LimitError, _tree_end, leaf_count, mul_letter,
+)
 from .words import GenWord
 
 # greedy_descent takes norm(d) steps, each copying and reading a string
@@ -82,7 +84,7 @@ from .words import GenWord
 MAX_DESCENT_WORK = 2**30
 
 
-class DescentLimitError(RuntimeError):
+class DescentLimitError(LimitError):
     """greedy_descent would do more than MAX_DESCENT_WORK (norm x length)."""
 
     def __init__(self, length: int) -> None:

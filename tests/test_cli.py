@@ -14,8 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thompsonf import cli, growth, plmaps
+from thompsonf.cayley import CountLimitError, ResourceCapError
 from thompsonf.cli import main
-from thompsonf.diagrams import MAX_LEAVES, from_word
+from thompsonf.diagrams import MAX_LEAVES, LeafLimitError, from_word
+from thompsonf.gamma import SizeLimitError
+from thompsonf.growth import ResourceError
+from thompsonf.metric import DescentLimitError
 from thompsonf.plmaps import dyadic, plmap
 from thompsonf.words import format_word, parse_word
 
@@ -96,6 +100,25 @@ def test_series_json(capsys):
     assert envelope["results"]["counts"] == [
         1, 4, 12, 34, 92, 244, 642, 1684, 4412, 11554
     ]
+
+
+@pytest.mark.parametrize(
+    "argv", [("series", "--max-n", "300"), ("spheres", "--radius", "12")], ids=["series", "spheres"]
+)
+def test_csv_ratios_match_json(capsys, argv):
+    # CSV rows write each ratio's decimal from the counts as they stand,
+    # the JSON from the ratio in lowest terms: the digits must agree
+    results, exact = (run_json(capsys, *argv)[key] for key in ("results", "exact_values"))
+    counts = results.get("counts") or results["spheres"]
+    for q in results["ratios"]:
+        n = q["n"]
+        assert Fraction(q["num"], q["den"]) == Fraction(counts[n], counts[n - 1])
+        assert Fraction(q["num"], q["den"]).denominator == q["den"]
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert code == 0 and rows[0][-1] == ""
+    assert {f"ratio[{row[0]}]": row[-1] for row in rows[1:]} == exact
+    assert len(exact) == len(counts) - 1
 
 
 def test_lword(capsys):
@@ -461,6 +484,29 @@ def test_recursion_exhausted_exit(capsys, monkeypatch, argv):
     code, out, err = run(capsys, argv[0], "x0", *argv[1:])
     assert (code, out) == (2, "")
     assert err == "error: input too large: recursion depth exhausted\n"
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        LeafLimitError(),
+        DescentLimitError(40_007),
+        ResourceCapError(100, 3),
+        CountLimitError(50, 49),
+        ResourceError("series capped at length 10000, asked 10001"),
+        SizeLimitError("Gamma_14", 1_000_000),
+    ],
+    ids=lambda error: type(error).__name__,
+)
+def test_every_cap_error_exits_2(capsys, monkeypatch, error):
+    # main catches the caps through their one base class; each keeps its
+    # one-line message
+    def capped(word):
+        raise error
+
+    monkeypatch.setattr(cli, "from_word", capped)
+    assert run(capsys, "nf", "x0") == (2, "", f"error: {error}\n")
+    assert str(error) and "\n" not in str(error)
 
 
 def test_memory_exhausted_exit(capsys, monkeypatch):

@@ -1,7 +1,9 @@
-"""The package imports no dataclasses, and its record classes stay immutable
-values: fields cannot be set, equal values hash equal, and the reprs of
-the large records leave out their vertex tables."""
+"""The package imports no dataclasses and runs only the modules a call
+uses, and its record classes stay immutable values: fields cannot be set,
+equal values hash equal, and the reprs of the large records leave out
+their vertex tables."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -29,6 +31,56 @@ def test_import_pulls_in_no_dataclasses():
     assert "thompsonf.cli" in added
     assert "dataclasses" not in added
     assert "inspect" not in added
+
+
+# In a fresh interpreter: import the package and the CLI, run main on
+# the given arguments, and print which thompsonf modules have run their
+# body (a module entered lazily stays a subclass of ModuleType until its
+# first attribute read runs it), which are entered in sys.modules, and
+# which of fractions and decimal are loaded.
+FOOTPRINT = """
+import contextlib, io, json, sys, types
+import thompsonf, thompsonf.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = thompsonf.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+package = {
+    name[10:]: m for name, m in sys.modules.items() if name.startswith("thompsonf.")
+}
+print(json.dumps({
+    "code": code,
+    "ran": sorted(name for name, m in package.items() if type(m) is types.ModuleType),
+    "entered": sorted(package),
+    "stdlib": sorted({"fractions", "decimal"} & set(sys.modules)),
+}))
+"""
+BASE = ["cli", "diagrams", "words"]
+
+
+@pytest.mark.parametrize(
+    "argv, ran, stdlib",
+    [
+        ([], BASE, []),
+        (["nf", "x0"], BASE, []),
+        (["spheres", "--radius", "5", "--format", "csv"], [*BASE, "cayley", "metric"], []),
+        (["gamma", "--n", "3"], [*BASE, "gamma", "subgraphs"], ["decimal", "fractions"]),
+    ],
+    ids=["import", "nf", "spheres-csv", "gamma"],
+)
+def test_modules_run_on_first_use(argv, ran, stdlib):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    report = json.loads(probe.stdout)
+    assert report["code"] == 0
+    assert report["ran"] == sorted(ran)
+    assert report["stdlib"] == stdlib
+    # every module stays entered, so code that looks them up in
+    # sys.modules by name finds them before they run
+    assert report["entered"] == sorted(
+        [*BASE, "cayley", "gamma", "growth", "metric", "plmaps", "subgraphs"]
+    )
 
 
 def _records():
