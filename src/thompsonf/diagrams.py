@@ -64,8 +64,8 @@ class NormalFormError(ValueError):
 
 # the most leaves a diagram built here may have; x_k has k + 2 leaves
 MAX_LEAVES = 2**21
-# a diagram string no longer than this has at most MAX_LEAVES leaves
-_LEAF_CAP_CHARS = 2 * MAX_LEAVES + 1
+# the length of a diagram string of MAX_LEAVES leaves (see leaf_count)
+_LEAF_CAP_CHARS = 4 * MAX_LEAVES - 1
 # the default element cap of the ball and sphere computations in cayley
 DEFAULT_CAP = 10_000_000
 
@@ -86,8 +86,9 @@ class LeafLimitError(LimitError):
 
 
 def leaf_count(d: Diagram) -> int:
-    """The shared leaf count L of the two forests."""
-    return d.count("L") // 2
+    """The shared leaf count L of the two forests: a forest of L leaves
+    spends 2L - 1 characters (see _top_leaf), so a diagram 4L - 1."""
+    return (len(d) + 1) // 4
 
 
 def cell_count(d: Diagram) -> int:
@@ -156,8 +157,7 @@ def _fold(d: Diagram, w: GenWord) -> Diagram:
     # d * w, one letter at a time: the letter edit that mul_letter
     # documents.  The index of "|" and the number of bottom trees are
     # carried from letter to letter.  A letter adds at most one leaf,
-    # or pads, and each forest spends a character per leaf, so the
-    # leaves are counted only when a string grows past _LEAF_CAP_CHARS
+    # or pads, and the string's length gives its leaves (see leaf_count)
     bar = d.index("|")
     trees = d.count(",", bar) + 1
     for k, s in w:
@@ -168,7 +168,7 @@ def _fold(d: Diagram, w: GenWord) -> Diagram:
         # the bottom forest needs trees up to k for s = 1, up to k + 1 for s = -1
         missing = (k + 1 if s == 1 else k + 2) - trees
         if missing > 0:
-            if len(d) + 4 * missing > _LEAF_CAP_CHARS and d.count("L", bar) + missing > MAX_LEAVES:
+            if len(d) + 4 * missing > _LEAF_CAP_CHARS:
                 raise LeafLimitError()
             pad = ",L" * missing
             d = d[:bar] + pad + d[bar:] + pad
@@ -188,7 +188,7 @@ def _fold(d: Diagram, w: GenWord) -> Diagram:
                 q = _tree_end(d, i + 1)  # the end of the root's left subtree
                 d = d[:i] + d[i + 1:q] + "," + d[q:]
             else:
-                if len(d) + 4 > _LEAF_CAP_CHARS and d.count("L", bar) >= MAX_LEAVES:
+                if len(d) + 4 > _LEAF_CAP_CHARS:
                     raise LeafLimitError()
                 j = _top_leaf(d, p)
                 d = d[:j] + "(LL" + d[j + 1:i] + "L,L" + d[i + 1:]
@@ -329,9 +329,6 @@ def validate_normal_form(nf: NormalForm) -> None:
                 raise NormalFormError(
                     f"index {i} occurs on both sides but {i + 1} occurs on neither"
                 )
-        # implied by the condition above, kept as an explicit guard
-        if pos[-1] == neg[-1]:
-            raise NormalFormError(f"equal final indices {pos[-1]} on both sides")
 
 
 def _forest(starts: Tuple[int, ...]) -> Tuple[str, int]:

@@ -251,8 +251,8 @@ def greedy_descent(d: Diagram) -> GenWord:
     current diagram in GENERATOR_LETTERS order, takes the first letter
     whose delta is -1, and multiplies once.  A descent direction always
     exists: the last letter of any minimal word provides one.  The
-    letter that undoes the previous step is skipped: it leads back up.
-    The descent certifies itself: it must reach EPSILON in exactly
+    letter that undoes the previous step has delta +1, so it is never
+    taken.  The descent certifies itself: it must reach EPSILON in exactly
     norm(d) steps, so the word it returns is geodesic even if a delta
     were wrong; otherwise it raises AssertionError.  Before the first
     step it raises DescentLimitError when norm(d) * len(d) passes
@@ -269,16 +269,14 @@ def greedy_descent(d: Diagram) -> GenWord:
     if n * len(d) > MAX_DESCENT_WORK:
         raise DescentLimitError(len(d))
     steps = []
-    back = None  # the inverse of the last letter taken
     for _ in range(n):
         for letter, delta in zip(GENERATOR_LETTERS, _norm_deltas(d)):
-            if delta < 0 and letter != back:
+            if delta < 0:
                 break
         else:
             raise AssertionError(f"no descent direction at norm {n - len(steps)}")
         steps.append(letter)
         d = mul_letter(d, *letter)
-        back = (letter[0], -letter[1])
     if d != EPSILON:
         raise AssertionError(f"{n} descent steps did not reach the identity")
     return tuple((k, -s) for k, s in reversed(steps))

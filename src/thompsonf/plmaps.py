@@ -20,11 +20,12 @@ Every map is validated and put in canonical form by one integer
 canonicaliser, _canonical, which reads breakpoints as integers over a
 common 2^e and builds a Dyadic only for each point it keeps; plmap()
 lifts its dyadic points to their largest exponent and goes through it.
-from_word_pl builds the map of a word one letter at a time on integer
+from_word_pl folds a word in one loop over its letters, on integer
 breakpoints over a common power of two: f_k^+-1 changes y only on a
 window starting at k, so each letter inserts at most two breakpoints,
 rescales y inside the window, shifts it beyond, and merges slopes only
-at the window's ends.  It hands the integer chain to _canonical once.
+at the window's ends.  Validation, and dropping a slope-1 run before
+the tail, are left to one call of _canonical.
 compose_pl is the general product, and the tests hold from_word_pl
 against the left fold of compose_pl over the generator maps.
 """
@@ -248,98 +249,73 @@ def compose_pl(f: PLMap, g: PLMap) -> PLMap:
     return result
 
 
-class _Chain:
-    """A PL map under construction: breakpoints (xs[i], ys[i] + base) / 2^e.
-
-    Every coordinate is an integer over one common 2^e, and the map has
-    slope 1 beyond its last point.  The offset base is shared by all the
-    ys, so a letter can move either the points above its window or the
-    points below it, whichever are fewer.
-    """
-
-    def __init__(self) -> None:
-        self.xs: List[int] = [0]
-        self.ys: List[int] = [0]
-        self.e = 0
-        self.base = 0
-
-    def rescale(self, bits: int) -> None:
-        """Raise e by at least bits, and by at least e/2 so that words which
-        need one more bit per letter, like x0^n, rescale O(log n) times."""
-        bits = max(bits, self.e // 2)
-        self.xs = [x << bits for x in self.xs]
-        self.ys = [y << bits for y in self.ys]
-        self.e += bits
-        self.base <<= bits
-
-    def split_at(self, k: int) -> int:
-        """Make the integer k a breakpoint value; return the point's index."""
-        while True:  # a second pass follows a rescale
-            xs, ys = self.xs, self.ys
-            y = (k << self.e) - self.base
-            i = bisect_left(ys, y)
-            if i == len(ys):  # on the slope-1 tail
-                xs.append(xs[-1] + y - ys[-1])
-                ys.append(y)
-            elif ys[i] != y:  # inside the segment from point i-1 to point i
-                dy = ys[i] - ys[i - 1]
-                num = (y - ys[i - 1]) * (xs[i] - xs[i - 1])
-                if _trailing_zeros(num) < _trailing_zeros(dy):
-                    self.rescale(_trailing_zeros(dy) - _trailing_zeros(num))
-                    continue
-                xs.insert(i, xs[i - 1] + num // dy)
-                ys.insert(i, y)
-            return i
-
-    def apply(self, k: int, s: int) -> None:
-        """Follow the map by f_k^s, which moves y only on the window
-        [k, k+1] (s = 1) or [k, k+2] (s = -1): slopes double or halve
-        inside it and y shifts by s beyond it."""
-        if k < 0:
-            raise ValueError("generator subscript must be nonnegative")
-        a = self.split_at(k)
-        b = self.split_at(k + (1 if s == 1 else 2))
-        window = self.ys[a + 1 : b + 1]
-        if s != 1 and any((y + self.base + (k << self.e)) & 1 for y in window):
-            self.rescale(1)  # halving needs one more bit
-            window = self.ys[a + 1 : b + 1]
-        xs, ys, base, lo = self.xs, self.ys, self.base, k << self.e
-        shift = (1 if s == 1 else -1) << self.e
-        move_prefix = a + 1 < len(ys) - b - 1
-        if move_prefix:  # base takes the shift; the points below move back
-            self.base += shift
-        if s == 1:
-            c = 2 * base - lo - self.base
-            window = [2 * y + c for y in window]
-        else:
-            c = base + lo
-            window = [((y + c) >> 1) - self.base for y in window]
-        if move_prefix:
-            ys[: b + 1] = [y - shift for y in ys[: a + 1]] + window
-        else:
-            ys[a + 1 :] = window + [y + shift for y in ys[b + 1 :]]
-        # slopes change by 2^s across the window ends only
-        for j in (b, a):
-            if 0 < j < len(ys) - 1 and (ys[j] - ys[j - 1]) * (xs[j + 1] - xs[j]) == (
-                ys[j + 1] - ys[j]
-            ) * (xs[j] - xs[j - 1]):
-                del xs[j], ys[j]
-        while len(ys) > 1 and ys[-1] - ys[-2] == xs[-1] - xs[-2]:
-            del xs[-1], ys[-1]
-
-
 def from_word_pl(w: GenWord) -> PLMap:
     """The map of a word, letters applied left to right; () is the identity.
 
     Equal to the left fold of compose_pl over generator_map(k) and its
-    inverse, but each letter is a local edit of integer breakpoints (see
-    _Chain.apply), and _canonical validates the result once at the end.
+    inverse.  The map so far has breakpoints (xs[i], ys[i] + base) / 2^e
+    and slope 1 beyond the last.  f_k^s moves y only on the window
+    [k, k+1] (s = 1) or [k, k+2] (s = -1): slopes double or halve inside
+    it and y shifts by s beyond it, or base takes the shift and the
+    points below the window move back, whichever points are fewer.
     """
-    chain = _Chain()
+    xs, ys, e, base = [0], [0], 0, 0
     for k, s in w:
-        chain.apply(k, s)
-    base = chain.base
-    result = _canonical(chain.xs, [y + base for y in chain.ys], chain.e)
+        if k < 0:
+            raise ValueError("generator subscript must be nonnegative")
+        if s != 1 and s != -1:
+            raise ValueError(f"letter exponent must be 1 or -1, got {s}")
+        bits = 0
+        while True:  # a second pass follows a rescale
+            if bits > 0:
+                # raise e by at least bits, and by at least e/2 so that words
+                # needing a bit per letter, like x0^n, rescale O(log n) times
+                bits = max(bits, e // 2)
+                xs, ys = [x << bits for x in xs], [y << bits for y in ys]
+                e, base = e + bits, base << bits
+            ends = []  # make the window's ends breakpoints
+            for t in (k, k + 1 if s == 1 else k + 2):
+                y = (t << e) - base
+                i = bisect_left(ys, y)
+                if i == len(ys):  # on the slope-1 tail
+                    xs.append(xs[-1] + y - ys[-1])
+                    ys.append(y)
+                elif ys[i] != y:  # inside the segment from point i-1 to point i
+                    dy = ys[i] - ys[i - 1]
+                    num = (y - ys[i - 1]) * (xs[i] - xs[i - 1])
+                    bits = _trailing_zeros(dy) - _trailing_zeros(num)
+                    if bits > 0:
+                        break
+                    xs.insert(i, xs[i - 1] + num // dy)
+                    ys.insert(i, y)
+                ends.append(i)
+            else:
+                a, b = ends
+                lo = k << e
+                window = ys[a + 1 : b + 1]
+                c = base + lo
+                if s == 1 or not any((y + c) & 1 for y in window):
+                    break
+                bits = 1  # halving needs one more bit
+        shift = s << e
+        moved = shift if a + 1 < len(ys) - b - 1 else 0  # what base takes
+        if moved:
+            ys[: a + 1] = [y - shift for y in ys[: a + 1]]
+        else:
+            ys[b + 1 :] = [y + shift for y in ys[b + 1 :]]
+        base += moved
+        if s == 1:  # y + base becomes 2 (y + base) - lo
+            c = base - 2 * moved - lo
+            ys[a + 1 : b + 1] = [2 * y + c for y in window]
+        else:  # y + base becomes (y + base + lo) / 2
+            c = lo - base - moved
+            ys[a + 1 : b + 1] = [(y + c) >> 1 for y in window]
+        for j in (b, a):  # slopes change by 2^s across the window ends only
+            if 0 < j < len(ys) - 1 and (ys[j] - ys[j - 1]) * (xs[j + 1] - xs[j]) == (
+                ys[j + 1] - ys[j]
+            ) * (xs[j] - xs[j - 1]):
+                del xs[j], ys[j]
+    result = _canonical(xs, [y + base for y in ys], e)
     assert result.tail_offset == sum(s for _, s in w)
     return result
 

@@ -191,8 +191,8 @@ def two_one_matching(y: Subgraph) -> MatchingResult:
     """
     b1, table = y._numbered
     # each vertex's neighbours in letter order, then the vertex itself
-    # last (distinct by simplicity of the Cayley graph, deduped defensively)
-    claims = [list(dict.fromkeys((*near, v))) for v, near in enumerate(table)]
+    # last: five distinct vertices, as the Cayley graph has no loops or double edges
+    claims = [[*near, v] for v, near in enumerate(table)]
     holder, stuck = _claim_two(claims, len(b1))
     vertices = list(y.vertices)
     if any(stuck):

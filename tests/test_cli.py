@@ -261,6 +261,13 @@ def test_subgraph_missing_file(capsys, tmp_path):
     assert code == 1
 
 
+def test_subgraph_empty_file(capsys, tmp_path):
+    path = tmp_path / "empty.words"
+    path.write_text("", encoding="utf-8")
+    code, out, err = run(capsys, "subgraph", "--input", str(path))
+    assert (code, out, err) == (1, "", f"error: no words in {path}\n")
+
+
 def test_subgraph_parse_error_names_line(capsys, tmp_path):
     path = tmp_path / "bad.words"
     path.write_text("x0\n\nx1 y2\nx0 x1\n", encoding="utf-8")

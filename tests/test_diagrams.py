@@ -234,9 +234,8 @@ def test_validate_normal_form_rejects():
     # same, with the offending index not final
     with pytest.raises(NormalFormError, match=r"^index 1 occurs on both sides but 2 occurs on neither$"):
         validate_normal_form(((1, 5), (0, 1)))
-    # equal final indices i always break the rule above for i, whose
-    # message therefore comes first: the final-index guard never fires
-    # on its own
+    # equal final indices i always break the rule above for i: i + 1
+    # exceeds every index, so no separate final-index check is needed
     with pytest.raises(NormalFormError, match=r"^index 5 occurs on both sides but 6 occurs on neither$"):
         validate_normal_form(((0, 5), (5,)))
 
@@ -244,6 +243,12 @@ def test_validate_normal_form_rejects():
 def test_from_normal_form_inverts_to_normal_form_on_ball():
     for d in enumerate_ball(7)._by_diagram:
         assert from_normal_form(to_normal_form(d)) == d
+
+
+def test_leaf_count_reads_the_length_on_ball():
+    # a forest of L leaves spends 2L - 1 characters, a diagram 4L - 1
+    for d in enumerate_ball(8)._by_diagram:
+        assert leaf_count(d) == d.count("L") // 2, d
 
 
 def test_validate_normal_form_accepts():

@@ -38,6 +38,8 @@ def test_series_known_values():
 def test_count_words():
     assert series(0) == [1]
     assert series(9)[9] == 11554
+    with pytest.raises(ValueError, match="^max_n must be nonnegative$"):
+        series(-1)
 
 
 def test_series_matches_bruteforce():

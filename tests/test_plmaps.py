@@ -102,6 +102,10 @@ class TestGeneratorMaps:
         with pytest.raises(ValueError):
             generator_map(-1)
 
+    def test_evaluate_below_zero(self):
+        with pytest.raises(ValueError, match=r"^the domain is \[0, infinity\)$"):
+            evaluate(generator_map(0), dyadic(-1, 1))
+
 
 class TestNormalization:
     def test_trailing_unit_slope_merges(self):
@@ -244,6 +248,13 @@ class TestLetterFold:
     def test_negative_subscript(self):
         with pytest.raises(ValueError):
             from_word_pl(((-1, 1),))
+
+    def test_bad_exponent(self):
+        # the fold computes with the exponent, so it refuses any but 1 and -1
+        with pytest.raises(ValueError, match=r"^letter exponent must be 1 or -1, got 2$"):
+            from_word_pl(((0, 2),))
+        with pytest.raises(ValueError, match=r"^letter exponent must be 1 or -1, got 0$"):
+            from_word_pl(((1, 1), (0, 1), (1, 0)))
 
 
 class TestCrossRepresentation:

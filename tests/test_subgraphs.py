@@ -188,8 +188,9 @@ def test_subgraph_ignores_vertex_order():
 def test_empty_subgraph_rejected():
     y = sg.full_subgraph([EPSILON])
     object.__setattr__(y, "vertices", {})
-    with pytest.raises(ValueError):
-        sg.density(y)
+    for check in (sg.density, sg.folner_inequalities, sg.min_degree):
+        with pytest.raises(ValueError):
+            check(y)
 
 
 def test_neighbour_table_stores_each_element_once():
