@@ -77,7 +77,9 @@ def _decimal(num: int, den: int) -> str:
     return f"{sign}{whole}.{digits}"
 
 
-def _rational(x: Fraction) -> Dict[str, int]:
+def _rational(x: Fraction, exact: Dict[str, str], path: str) -> Dict[str, int]:
+    # x for results, with its decimal entered in exact_values under path
+    exact[path] = _decimal(x.numerator, x.denominator)
     return {"num": x.numerator, "den": x.denominator}
 
 
@@ -218,34 +220,30 @@ def _gamma_report(n: int, m: Optional[int]) -> tuple:
             else None
         ),
     }
+    exact: Dict[str, str] = {}
     results = {
         "n": n,
         "catalan": cat,
         "a_row": a_row,
         "b_row": b_row,
-        "density": _rational(density),
+        "density": _rational(density, exact, "density"),
         "nu": {str(d): c for d, c in sorted(nu.items())},
         "checks": checks,
     }
-    exact = {"density": _decimal(*density.as_integer_ratio())}
     if concrete is not None:
         concrete_bar = gamma.bar(concrete.graph)
-        bar_density = concrete_bar.density()
-        columns = gamma.column_partition(concrete)
         results["concrete"] = {
             "m": m,
             "vertices": concrete.size,
             "bar_edges": len(concrete_bar.edges),
-            "bar_density": _rational(bar_density),
+            "bar_density": _rational(concrete_bar.density(), exact, "concrete.bar_density"),
             "columns": [
-                {"size": size, "rho": _rational(rho)} for size, rho in columns
+                {"size": size, "rho": _rational(rho, exact, f"concrete.rho[{k}]")}
+                for k, (size, rho) in enumerate(gamma.column_partition(concrete))
             ],
             "fullness": gamma.fullness_check(concrete),
             "monomial_shape": gamma.monomial_shape_ok(concrete),
         }
-        exact["concrete.bar_density"] = _decimal(*bar_density.as_integer_ratio())
-        for k, (_, rho) in enumerate(columns):
-            exact[f"concrete.rho[{k}]"] = _decimal(*rho.as_integer_ratio())
     return results, exact
 
 
@@ -287,14 +285,14 @@ def _cmd_subgraph(args) -> Report:
     if not elems:
         raise _CLIError(f"no words in {args.input}")
     y = subgraphs.full_subgraph(elems)
-    dens = subgraphs.density(y)
     doubling = subgraphs.doubling_check(y)
     matching = subgraphs.two_one_matching(y)
     lower, middle, upper = subgraphs.folner_inequalities(y)
+    exact: Dict[str, str] = {}
     results = {
         "size": y.size,
         "edges": y.edge_count,
-        "density": _rational(dens),
+        "density": _rational(subgraphs.density(y), exact, "density"),
         "q": subgraphs.q_value(y),
         "boundary_size": doubling.b1_size - y.size,
         "doubling": doubling.holds,
@@ -302,16 +300,10 @@ def _cmd_subgraph(args) -> Report:
         "matching_found": matching.assignment is not None,
         "min_degree": subgraphs.min_degree(y),
         "folner": {
-            "boundary_ratio": _rational(lower),
-            "four_minus_density": _rational(middle),
-            "four_times_ratio": _rational(upper),
+            "boundary_ratio": _rational(lower, exact, "folner.boundary_ratio"),
+            "four_minus_density": _rational(middle, exact, "folner.four_minus_density"),
+            "four_times_ratio": _rational(upper, exact, "folner.four_times_ratio"),
         },
-    }
-    exact = {
-        "density": _decimal(*dens.as_integer_ratio()),
-        "folner.boundary_ratio": _decimal(*lower.as_integer_ratio()),
-        "folner.four_minus_density": _decimal(*middle.as_integer_ratio()),
-        "folner.four_times_ratio": _decimal(*upper.as_integer_ratio()),
     }
     return results, exact
 

@@ -12,14 +12,14 @@ The x0,x1 word length of the element is then
     norm = cell_count + 2 * #special.
 
 Everything the formula needs is read off the diagram string
-(diagrams.Diagram) without building a tree.  Split a forest code at
-each ``L``: the piece before leaf v holds one ``(`` per caret whose
-leftmost leaf is v, and it is exactly ``,`` when leaf v is a tree of its
-own.  Distance at least 2 from vertex 0 needs no search: vertex 0 is
-only ever the left end of an arc, so a vertex v is that far exactly
-when v != 0 and {0, v} is not an arc.  The arcs at vertex 0 are the
-spans of the left spine of each first tree.  tests/graph_oracle.py
-builds the whole graph as the oracle for this shortcut.
+(diagrams.Diagram) without building a tree.  Both forest codes are
+split once at each ``L`` and read side by side: the piece before leaf v
+holds one ``(`` per caret whose leftmost leaf is v, and it is exactly
+``,`` when leaf v is a tree of its own.  Distance at least 2 from vertex
+0 needs no search: vertex 0 is only ever the left end of an arc, so v
+is that far exactly when v != 0 and {0, v} is not an arc.  The arcs at
+0 are the spans of each first tree's left spine, which _spine reads.
+tests/graph_oracle.py builds the whole graph as the oracle.
 
 Norm deltas.  A letter changes the norm by exactly 1, and the sign is
 read off a window of d, without building the product (_norm_deltas).
@@ -69,8 +69,6 @@ word it returns.
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import sub
 from typing import Iterator, List, Set, Tuple
 
 from .diagrams import (
@@ -94,34 +92,35 @@ class DescentLimitError(LimitError):
         )
 
 
+def _spine(pieces: List[str]) -> Set[int]:
+    # the v with {0, v} an arc of a forest split into pieces as in _read:
+    # counting leaves minus carets and commas, a node of the first tree's
+    # left spine ends at each new high, and the tree where the count is 1
+    near = set()
+    h = 1  # offsets the "," before leaf 0
+    high = h - len(pieces[0])  # below h at leaf 0
+    for v, piece in enumerate(pieces):
+        h += 1 - len(piece)
+        if h > high:
+            high = h
+            near.add(v + 1)
+            if h == 1:
+                break
+    return near
+
+
 def _read(d: Diagram) -> tuple:
-    # cell count, active vertices and special vertices
+    # cell count, active vertices, and vertex 0 with its graph neighbours
     cells = d.count("(")
     if not cells:
         return 0, set(), set()
-    starts = set()
-    whole = []  # per forest, the leaf positions that are whole trees
-    near = {0}  # vertex 0 and its neighbours in the diagram graph
-    for f in d.split("|"):
-        # pieces[v] is what precedes leaf v, with a "," before leaf 0
-        pieces = ("," + f).split("L")
-        pieces.pop()
-        whole.append({v for v, piece in enumerate(pieces) if piece == ","})
-        starts.update(v for v, piece in enumerate(pieces) if piece[-1:] == "(")
-        # leaves minus carets from the tree's start: a left-spine node
-        # ends at each new high, and the first tree where it reaches 1
-        h = 1  # offsets the "," before leaf 0
-        high = -len(f)  # below any value h takes
-        for v, piece in enumerate(pieces):
-            h += 1 - len(piece)
-            if h > high:
-                high = h
-                near.add(v + 1)
-                if h == 1:
-                    break
-    rightmost = max(starts)
-    active = starts | {v for v in whole[0] & whole[1] if v < rightmost}
-    return cells, active, active - near
+    # pieces[v] is what precedes leaf v, with a "," before leaf 0; a
+    # forest code ends in "L", so the piece past the last leaf is empty
+    top, bottom = (("," + f).split("L") for f in d.split("|"))
+    starts = [v for v, (a, b) in enumerate(zip(top, bottom)) if "(" in a or "(" in b]
+    active = set(starts)
+    active.update(v for v, a in enumerate(top[: starts[-1]]) if a == "," == bottom[v])
+    return cells, active, {0} | _spine(top) | _spine(bottom)
 
 
 def active_vertices(d: Diagram) -> Set[int]:
@@ -131,17 +130,20 @@ def active_vertices(d: Diagram) -> Set[int]:
 
 def special_vertices(d: Diagram) -> Set[int]:
     """Active vertices at distance >= 2 from vertex 0 in the diagram graph."""
-    return _read(d)[2]
+    _, active, near = _read(d)
+    return active - near
 
 
 def norm(d: Diagram) -> int:
     """The x0,x1 word length of the element represented by d."""
-    return norm_and_special(d)[0]
+    cells, active, near = _read(d)
+    return cells + 2 * (len(active) - len(active & near))
 
 
 def norm_and_special(d: Diagram) -> Tuple[int, Set[int]]:
     """norm(d) and special_vertices(d) from one read of the diagram."""
-    cells, _, special = _read(d)
+    cells, active, near = _read(d)
+    special = active - near
     return cells + 2 * len(special), special
 
 
@@ -165,16 +167,11 @@ class _TopLeaves:
         return self.pieces[v] if v < self.leaves else ","
 
     def near(self, v: int) -> bool:
-        # {0, v} is a top arc: as in _read, the count of leaves minus
-        # carets and commas reaches a new high at leaf v - 1.  It is 1
-        # after each whole tree, so only the first tree's left spine sets
-        # new highs.  h[i] is that count at leaf i, less 2, computed in C
+        # {0, v} is a top arc; only the first tree holds such arcs
         if v > self.top.partition(",")[0].count("L"):
             return False
         self.piece(v - 1)
-        h = list(map(sub, range(v), accumulate(map(len, self.pieces[:v]))))
-        last = h.pop()
-        return not h or last > max(h)
+        return v in _spine(self.pieces[:v])
 
     def bridge(self, v: int) -> bool:
         # top leaf v is a tree, a caret of either forest starts right of
@@ -262,7 +259,7 @@ def greedy_descent(d: Diagram) -> GenWord:
     # leaves per caret, or bare in both forests, and a bare leaf is special
     # unless it is vertex 0, the end of a first tree or the one trailing
     # leaf past the last caret.  So a diagram with far too many leaves is
-    # refused before the norm read, which takes 1 s on x2097150
+    # refused before the norm read, which takes 0.5 s on x2097150
     if (leaf_count(d) - 4) // 2 * len(d) > MAX_DESCENT_WORK:
         raise DescentLimitError(len(d))
     n = norm(d)

@@ -35,6 +35,11 @@ def test_small_spheres():
     assert table.ball_sizes[-1] == sum(KNOWN_SPHERES[:7])
 
 
+def test_ball_table_repr():
+    # the sizes only: the table of distances is left out
+    assert repr(enumerate_ball(1)) == "BallTable(radius=1, sphere_sizes=[1, 4], ball_sizes=[1, 5])"
+
+
 def test_ball_distances_match_norm():
     table = enumerate_ball(4)
     keys = set()

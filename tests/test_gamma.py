@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from thompsonf.diagrams import from_word, mul_letter
+from thompsonf.diagrams import atomic, from_word, mul_letter
 from thompsonf.gamma import (
     ConstructionError,
     LabeledGraph,
@@ -72,6 +72,31 @@ def test_gamma_two_structure():
 def test_apply_A_needs_high_ranks():
     with pytest.raises(ValueError):
         apply_A(1, xi_single(1))
+
+
+def test_apply_A_rejects_a_low_edge():
+    # both ranks are 3, above 1, but the edge labelled 1 has no column
+    g = LabeledGraph(2, ((1, 0, 3), (1, 0, 1)))
+    with pytest.raises(ValueError, match=r"^edge labelled 1 cannot survive apply_A\(1\)$"):
+        apply_A(1, g)
+
+
+@pytest.mark.parametrize(
+    "func, args",
+    [
+        (gamma, (0,)),
+        (closed_a, (3, 0)),
+        (closed_a, (3, 4)),
+        (closed_b, (3, -1)),
+        (closed_b, (3, 4)),
+        (closed_b_first_two, (1,)),
+        (density_bar, (1,)),
+        (density_bar_closed, (1,)),
+    ],
+)
+def test_out_of_range_arguments_raise(func, args):
+    with pytest.raises(ValueError):
+        func(*args)
 
 
 def test_vertex_totals_are_catalan():
@@ -199,6 +224,22 @@ def test_fullness_error_names_the_vertex_by_word():
         fullness_check(tampered)
 
 
+def test_fullness_check_catches_an_edge_past_n():
+    # x3 joins the vertex set of Gamma_{2,2}; no edge labelled 0..2
+    # reaches it, but the identity reaches it by x3
+    g = gamma_nm_concrete(2, 2)
+    tampered = g._replace(origin={**g.origin, atomic(3): 0})
+    with pytest.raises(ConstructionError, match=r"^unexpected x3 edge inside the vertex set at ''$"):
+        fullness_check(tampered)
+
+
+@pytest.mark.parametrize("text", ["x0", "x1^-1", "x3^-1"])
+def test_monomial_shape_rejects(text):
+    # a positive part, the absent subscript n - 1, a subscript past n
+    g = gamma_nm_concrete(2, 2)
+    assert not monomial_shape_ok(g._replace(origin={from_word(parse_word(text)): 0}))
+
+
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 4), (5, 3)])
 def test_concrete_matches_abstract_chain(n, m):
     abstract = xi_path(n, m)
@@ -240,6 +281,22 @@ def test_construction_error_names_repeated_vertex(monkeypatch):
     monkeypatch.setattr(gamma_module, "mul_letter", lambda d, k, s: mul_letter(d, 0, s))
     with pytest.raises(ConstructionError, match=r"^vertex 'x0\^-1' is named twice$"):
         gamma_nm_concrete(2, 2)
+
+
+def test_construction_error_names_vertex_count(monkeypatch):
+    monkeypatch.setattr(gamma_module, "catalan", lambda n: 3)
+    with pytest.raises(
+        ConstructionError, match=r"^vertex count 6 differs from \(m\+1\) Catalan\(n\) = 9$"
+    ):
+        gamma_nm_concrete(2, 2)
+
+
+def test_size_limit_stops_counting_once_past(monkeypatch):
+    # the count passes the limit after a few of the million factors and
+    # stops there; nothing is built
+    monkeypatch.setattr(gamma_module, "apply_A", None)
+    with pytest.raises(SizeLimitError, match=r"^Gamma_1000000 has more than 1000000 vertices"):
+        gamma(10**6)
 
 
 def test_size_limit_refuses_before_building(monkeypatch, capsys):

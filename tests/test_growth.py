@@ -1,8 +1,11 @@
 import pytest
 
+from thompsonf import growth
 from thompsonf.growth import (
     START_STATE,
     TRANSITIONS,
+    CollisionReport,
+    ResourceError,
     bruteforce_series,
     collision_check,
     is_l_word,
@@ -131,3 +134,17 @@ def test_collision_check_injective():
     assert report.words == sum(series(8))
     assert report.distinct == report.words
     assert report.collisions == []
+
+
+def test_collision_check_cap():
+    with pytest.raises(ResourceError, match=r"^collision check capped at length 12, asked 13$"):
+        collision_check(13)
+
+
+def test_collision_check_reports_collisions(monkeypatch):
+    # with every letter acting as the identity, each word of length 1
+    # collides with the empty word
+    monkeypatch.setattr(growth, "mul_letter", lambda d, k, s: d)
+    assert collision_check(1) == CollisionReport(
+        words=5, distinct=1, collisions=[("", "x0"), ("", "x0^-1"), ("", "x1"), ("", "x1^-1")]
+    )

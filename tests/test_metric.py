@@ -65,6 +65,16 @@ def test_generator_norms():
         assert norm(invert(atomic(i))) == expected
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 1000, 2**20])
+def test_sparse_generator_closed_form(k):
+    # x_k has one cell, a caret at leaf k; the bare leaves 2..k-1 head
+    # bridges to it, and none of 2..k is near vertex 0, so the norm is
+    # 1 + 2(k - 1), the length of x0^-(k-1) x1 x0^(k-1)
+    d = atomic(k)
+    assert norm(d) == norm(invert(d)) == 2 * k - 1
+    assert special_vertices(d) == set(range(2, k + 1))
+
+
 def _far_from_zero(g):
     # vertices at BFS distance >= 2 from vertex 0 over the arcs
     adjacent = {v: set() for v in range(g.vertex_count)}

@@ -131,6 +131,19 @@ def test_matching_witness_on_synthetic_obstruction():
     assert len(served) < 2 * len(witness)
 
 
+def test_matching_witness_names_the_short_vertices():
+    # five vertices whose four neighbours are the same four boundary
+    # vertices reach 9 B1-vertices, one short of 10: the numbering is
+    # seeded, so every vertex is reachable from the one left short
+    five = elems("", "x0", "x1", "x0 x0", "x0 x1")
+    y = sg.full_subgraph(five)
+    b1 = {**dict(zip(five, range(5))), **{f"b{j}": 5 + j for j in range(4)}}
+    vars(y)["_numbered"] = (b1, [(5, 6, 7, 8)] * 5)
+    result = sg.two_one_matching(y)
+    assert result.assignment is None
+    assert result.witness == set(five)
+
+
 BALL4 = list(enumerate_ball(4)._by_diagram)
 
 
