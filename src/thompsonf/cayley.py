@@ -296,14 +296,14 @@ def count_spheres(radius: int, cap: int = DEFAULT_CAP) -> List[int]:
 
     Equal to enumerate_ball(radius, cap).sphere_sizes, errors included:
     ResourceCapError(cap, r) for the least r < radius with ball size
-    b_{r+1} > cap, ValueError for a negative radius or cap.  A cap of at
-    least 2 * 3^radius - 1, which b_radius never passes, cannot bind, and
-    the count runs to the radius at once.  Otherwise it runs to radius
-    1, 2, 4, ... in turn, each cut short where the ball is expected to
-    pass the cap, and stops at the first ball past the cap, so the cap,
-    not the radius, bounds the work.  Memory grows with the radius alone,
-    so a count that would run past MAX_COUNT_RADIUS raises CountLimitError
-    with the radius it completed.
+    b_{r+1} > cap, ValueError for a negative radius or cap.  It counts in
+    stages, to radius 1, 2, 4, ... in turn, each cut short where the ball
+    is expected to pass the cap, and stops at the first ball past the
+    cap, so the cap, not the radius, bounds the work.  A cap of at least
+    2 * 3^radius - 1, which b_radius never passes, cannot bind, and the
+    first stage counts to the radius at once.  Memory grows with the
+    radius alone, so a count that would run past MAX_COUNT_RADIUS raises
+    CountLimitError with the radius it completed.
 
     >>> count_spheres(5)
     [1, 4, 12, 36, 108, 314]
@@ -312,9 +312,8 @@ def count_spheres(radius: int, cap: int = DEFAULT_CAP) -> List[int]:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    if radius <= MAX_COUNT_RADIUS and _cap_cannot_bind(radius, cap):
-        return _sphere_counts(radius)
-    reach = min(1, radius)
+    at_once = radius <= MAX_COUNT_RADIUS and _cap_cannot_bind(radius, cap)
+    reach = radius if at_once else min(1, radius)
     while True:
         spheres = _sphere_counts(reach)
         balls = list(accumulate(spheres))

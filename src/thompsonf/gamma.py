@@ -5,10 +5,9 @@ edges, loops allowed) with two operators.  psi shifts every label up by
 one.  apply_A(i, .) replaces each vertex v of rank r (rank = maximum
 incident label) by a column of r - i copies chained by x_i edges, and
 fans every edge labelled j > i out to the first j - i column levels with
-labels j, j-1, ..., i+1.  Iterating Gamma_1 = (one vertex, one x_1 loop)
-through Gamma_{n+1} = apply_A(0, psi(Gamma_n)) produces graphs on
-Catalan(n) vertices whose label-0/1 subgraphs ("bar" graphs) have
-density 6(n-1)/(2n-1), approaching 3.
+labels j, j-1, ..., i+1.  Gamma_n, the chain apply_A(0) ... apply_A(n-2)
+run on one x_n loop (see gamma), has Catalan(n) vertices, and its
+label-0/1 subgraph ("bar" graph) has density 6(n-1)/(2n-1), approaching 3.
 
 Concrete side: Gamma_{n,m} is the same chain apply_A(0) ... apply_A(n-2)
 run on the path xi_path(n, m), with every vertex named by a group
@@ -145,15 +144,16 @@ def apply_A(i: int, g: LabeledGraph) -> LabeledGraph:
 def gamma(n: int) -> LabeledGraph:
     """Gamma_1 = xi_single(1); Gamma_{k+1} = apply_A(0, psi(Gamma_k)).
 
-    Gamma_n has Catalan(n) vertices; above MAX_GAMMA_VERTICES it raises
-    SizeLimitError before building anything.
+    apply_A(i+1, psi(g)) == psi(apply_A(i, g)) exactly, so this is the
+    chain of gamma_nm_concrete, apply_A(0) ... apply_A(n-2) of xi_single(n).
+    Above MAX_GAMMA_VERTICES it raises SizeLimitError before building.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     _refuse_above_limit(f"Gamma_{n}", n, 1)
-    g = xi_single(1)
-    for _ in range(n - 1):
-        g = apply_A(0, psi(g))
+    g = xi_single(n)
+    for i in range(n - 2, -1, -1):
+        g = apply_A(i, g)
     return g
 
 

@@ -326,13 +326,30 @@ def test_spheres_cap_bounds_the_work(capsys):
 
 
 def test_count_spheres_radius_limit(monkeypatch, capsys):
+    truncations = []
+
+    def recorded(reach):
+        truncations.append(reach)
+        return counter(reach)
+
+    counter = cayley._sphere_counts
+    monkeypatch.setattr(cayley, "_sphere_counts", recorded)
+    # the ball benchmark's count: the default cap cannot bind at radius 8
+    assert count_spheres(8) == KNOWN_SPHERES[:9]
+    assert truncations == [8]
     monkeypatch.setattr(cayley, "MAX_COUNT_RADIUS", 5)
+    truncations.clear()
     # b_5 = 475 < 2 * 3^5 - 1, so this cap could bind: truncations 1, 2, 4, 5
     assert count_spheres(5, cap=475) == KNOWN_SPHERES[:6]
+    assert truncations == [1, 2, 4, 5]
+    truncations.clear()
     assert count_spheres(5) == KNOWN_SPHERES[:6]  # the cap cannot bind: one count
+    assert truncations == [5]
+    truncations.clear()
     with pytest.raises(CountLimitError) as exc:
         count_spheres(9, cap=10**12)  # 1, 2, 4, then 8 > 5
     assert (exc.value.limit, exc.value.completed_radius) == (5, 4)
+    assert truncations == [1, 2, 4]
     with pytest.raises(ResourceCapError):
         count_spheres(9, cap=100)  # the cap still answers first
     assert main(["spheres", "--radius", "9", "--cap", str(10**12)]) == 2

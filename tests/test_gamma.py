@@ -254,6 +254,39 @@ def test_concrete_matches_abstract_chain(n, m):
     assert y.edges == {(names[u], names[v], j) for u, v, j in bar(abstract).edges}
 
 
+def recursive_gamma(n):
+    # the definition: Gamma_1 = xi_single(1), Gamma_{k+1} = apply_A(0, psi(Gamma_k))
+    g = xi_single(1)
+    for _ in range(n - 1):
+        g = apply_A(0, psi(g))
+    return g
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_gamma_is_the_recursive_definition(n):
+    assert gamma(n) == recursive_gamma(n)
+
+
+def test_psi_moves_through_apply_A():
+    # apply_A(i+1, psi(g)) == psi(apply_A(i, g)), vertex numbering and edge
+    # order included, for every i that apply_A accepts; psi raises every
+    # rank and label by one, so both sides refuse the same i
+    accepted = 0
+    for g in (xi_path(4, 3), gamma(5), psi(gamma(5))):
+        for i in range(max(label for _, _, label in g.edges) + 1):
+            try:
+                expected = psi(apply_A(i, g))
+            except ValueError:
+                with pytest.raises(ValueError):
+                    apply_A(i + 1, psi(g))
+                continue
+            assert apply_A(i + 1, psi(g)) == expected, (g.vertex_count, i)
+            accepted += 1
+    # i = 0..3 on xi_path(4, 3); none on gamma(5), whose label-0 edges
+    # refuse every i; i = 0 on psi(gamma(5))
+    assert accepted == 5
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_gamma_is_the_chain_run_on_one_loop(n):
     g = xi_single(n)

@@ -1,4 +1,4 @@
-"""Properties of elements far beyond BFS reach: words of 1000-2000 letters.
+"""Properties of elements far beyond BFS reach: words of 100-2000 letters.
 
 Deep combs such as x0^1000 would exhaust the interpreter's recursion limit
 in any recursive forest reader, so these also pin the iterative ones.
@@ -18,7 +18,7 @@ from thompsonf.diagrams import (
     normal_form_word,
     to_normal_form,
 )
-from thompsonf.metric import norm
+from thompsonf.metric import greedy_descent, norm
 from thompsonf.plmaps import from_word_pl, pl_equal
 
 
@@ -54,6 +54,21 @@ def test_long_word_properties(w):
     # has even length
     assert n <= len(w) and (len(w) - n) % 2 == 0
     assert pl_equal(from_word_pl(normal_form_word(nf)), from_word_pl(w))
+
+
+_DESCENT_RNG = random.Random(2002)
+DESCENT_WORDS = [_reduced_word(_DESCENT_RNG, _DESCENT_RNG.randint(100, 1000)) for _ in range(20)]
+
+
+@pytest.mark.parametrize("w", DESCENT_WORDS, ids=[f"{len(w)} letters" for w in DESCENT_WORDS])
+def test_descent_word_has_the_norm_and_the_pl_map(w):
+    # norms of 146-648, where no BFS ball reaches: the descent word is as
+    # long as the length formula says, and the PL maps, which share no
+    # code with the diagrams, confirm it names the element of w
+    d = from_word(w)
+    g = greedy_descent(d)
+    assert len(g) == norm(d)
+    assert from_word_pl(g) == from_word_pl(w)
 
 
 @pytest.mark.parametrize(
