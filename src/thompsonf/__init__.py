@@ -50,8 +50,8 @@ _EXPORTS = {
         "gamma_nm_concrete", "psi", "rank_counts", "xi_path", "xi_single",
     ),
     "plmaps": (
-        "Dyadic", "PLMap", "compose_pl", "dyadic", "from_word_pl", "generator_map", "invert_pl",
-        "pl_equal", "pl_identity",
+        "Dyadic", "PLMap", "compose_pl", "dyadic", "from_diagram", "from_word_pl", "generator_map",
+        "invert_pl", "pl_equal", "pl_identity",
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

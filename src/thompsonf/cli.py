@@ -184,8 +184,22 @@ def _cmd_lword(args) -> Report:
     return {"word": args.word, "accepted": state is not None, "state": state}, {}
 
 
+# the most bits a printed breakpoint numerator may have: its decimal
+# then has at most 4,215 digits, under the 4,300 that Python 3.11 and
+# later convert by default, so every version answers alike
+MAX_PL_BITS = 14_000
+
+
+class _PLBitsLimitError(LimitError):
+    """A breakpoint numerator of the pl map has more than MAX_PL_BITS bits."""
+
+
 def _cmd_pl(args) -> Report:
-    f = plmaps.from_word_pl(parse_word(args.word))
+    f = plmaps.from_diagram(from_word(parse_word(args.word)))
+    if any(c.num.bit_length() > MAX_PL_BITS for point in f.points for c in point):
+        raise _PLBitsLimitError(
+            f"a breakpoint numerator would have more than {MAX_PL_BITS} bits (output size)"
+        )
     exact = {}
     breakpoints = []
     for idx, (x, y) in enumerate(f.points):

@@ -117,10 +117,12 @@ def apply_A(i: int, g: LabeledGraph) -> LabeledGraph:
     Vertex v of rank r becomes the column v_0..v_{r-i-1}, numbered
     consecutively with the columns in vertex order, and chained by the
     x_i edges (v_k, v_{k-1}); an edge (v, w) labelled j > i spawns
-    (v_k, w_k) labelled j - k for 0 <= k < j - i.  Requires every rank
-    > i; an edge labelled j <= i would be outside the construction and
-    raises.
+    (v_k, w_k) labelled j - k for 0 <= k < j - i.  Requires i >= 0 and
+    every rank > i; an edge labelled j <= i would be outside the
+    construction and raises.
     """
+    if i < 0:
+        raise ValueError(f"apply_A({i}) needs a level of at least 0")
     ranks = g.ranks()
     if min(ranks, default=0) <= i:
         raise ValueError(f"apply_A({i}) needs every vertex rank above {i}")

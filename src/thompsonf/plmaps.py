@@ -28,6 +28,16 @@ at the window's ends.  Validation, and dropping a slope-1 run before
 the tail, are left to one call of _canonical.
 compose_pl is the general product, and the tests hold from_word_pl
 against the left fold of compose_pl over the generator maps.
+
+from_diagram reads the map of an element off its tree-pair diagram
+instead, the top|bottom string of the diagrams module, without folding
+a word: tree j of either forest covers [j, j + 1], a leaf at depth a
+has length 2^-a, and leaf i of the top forest goes linearly onto leaf i
+of the bottom forest (J. Cannon, W. Floyd and W. Parry, "Introductory
+notes on Richard Thompson's groups", 1996).  It reads the string only,
+so this module imports nothing from diagrams, and the tests hold the
+two readings against each other.  The command line's pl runs it; the
+fold is the oracle.
 """
 
 from __future__ import annotations
@@ -318,6 +328,79 @@ def from_word_pl(w: GenWord) -> PLMap:
     result = _canonical(xs, [y + base for y in ys], e)
     assert result.tail_offset == sum(s for _, s in w)
     return result
+
+
+def _leaf_runs(f: str) -> List[Tuple[int, int]]:
+    # the leaf depths of the forest code f, left to right, as (depth,
+    # count) runs.  A bare leaf tree is a leaf at depth 0, and a stretch
+    # of them is counted in C; inside a tree with carets, one Python step
+    # per character, with the depths of the subtrees still to read on a
+    # stack.  A tree ends after the last "," before its first caret
+    runs = []
+    depth = count = pos = 0  # the open run: count leaves at depth
+    while True:
+        c = f.find("(", pos)
+        start = f.rfind(",", 0, c) + 1 if c >= 0 else len(f)
+        bare = f.count("L", pos, start)
+        if bare and depth:
+            runs.append((depth, count))
+            depth = count = 0
+        count += bare
+        if c < 0:
+            runs.append((depth, count))
+            return runs
+        stack = [0]
+        pos = start
+        while stack:
+            a = stack.pop()
+            if f[pos] == "(":
+                stack += (a + 1, a + 1)
+            elif a == depth:
+                count += 1
+            else:
+                if count:
+                    runs.append((depth, count))
+                depth, count = a, 1
+            pos += 1
+        pos += 1  # past the "," after the tree
+
+
+def from_diagram(d: str) -> PLMap:
+    """The map of the element whose diagram string is d (top|bottom, as
+    the diagrams module writes it).
+
+    Leaf i of the top forest goes linearly onto leaf i of the bottom
+    forest; tree j of either covers [j, j + 1] and a leaf at depth a has
+    length 2^-a.  Each forest is read as runs of equal leaf depth, and
+    the two run lists are merged into integer breakpoints over 2^e, e the
+    larger maximum depth, so a stretch of bare leaf trees costs one
+    breakpoint.  _canonical validates the chain and drops collinear
+    points.  Equal to from_word_pl(w) for d = diagrams.from_word(w).
+    """
+    top, bar, bottom = d.partition("|")
+    if not bar:
+        raise ValueError("a diagram string is top|bottom")
+    tops, bottoms = _leaf_runs(top), _leaf_runs(bottom)
+    e = max(max(tops)[0], max(bottoms)[0])
+    xs, ys = [0], [0]
+    x = y = 0
+    tops, bottoms = iter(tops), iter(bottoms)
+    (a, m), (b, n) = next(tops), next(bottoms)
+    while m and n:  # the next m top and n bottom leaves have depths a and b
+        k = min(m, n)
+        x += k << (e - a)
+        y += k << (e - b)
+        xs.append(x)
+        ys.append(y)
+        m -= k
+        n -= k
+        if not m:
+            a, m = next(tops, (0, 0))
+        if not n:
+            b, n = next(bottoms, (0, 0))
+    if m or n:
+        raise ValueError("the two forests have different leaf counts")
+    return _canonical(xs, ys, e)
 
 
 def pl_equal(f: PLMap, g: PLMap) -> bool:

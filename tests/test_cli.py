@@ -152,6 +152,73 @@ def test_pl_long_word(capsys):
     assert rebuilt.tail_offset == results["tail_offset"]
 
 
+def _pl_stdout(w):
+    # the pl envelope written by hand from the PL fold, the oracle
+    f = plmaps.from_word_pl(w)
+    exact = {}
+    for idx, point in enumerate(f.points):
+        for name, c in zip("xy", point):
+            exact[f"breakpoints[{idx}].{name}"] = _decimal_digit_loop(Fraction(c.num, 1 << c.exp))
+    envelope = {
+        "schema": "thompson-f-toolkit/1",
+        "command": "pl",
+        "parameters": {"word": format_word(w)},
+        "results": {
+            "breakpoints": [{"x": str(x), "y": str(y)} for x, y in f.points],
+            "tail_offset": f.tail_offset,
+        },
+        "exact_values": exact,
+    }
+    return json.dumps(envelope) + "\n"
+
+
+def test_pl_reads_what_the_fold_computes(capsys):
+    # query-like words: freely reduced, 10-100 letters in x0 and x1
+    rng = random.Random(29)
+    for _ in range(200):
+        w = []
+        for _ in range(rng.randint(10, 100)):
+            letter = rng.randint(0, 1), rng.choice((1, -1))
+            while w and w[-1] == (letter[0], -letter[1]):
+                letter = rng.randint(0, 1), rng.choice((1, -1))
+            w.append(letter)
+        code, out, err = run(capsys, "pl", format_word(w))
+        assert (code, err) == (0, "")
+        assert out == _pl_stdout(tuple(w)), w
+
+
+def test_pl_sparse_generator(capsys):
+    results = run_json(capsys, "pl", "x2000000")["results"]
+    assert results["breakpoints"] == [
+        {"x": "0/2^0", "y": "0/2^0"},
+        {"x": "2000000/2^0", "y": "2000000/2^0"},
+        {"x": "2000001/2^0", "y": "2000002/2^0"},
+    ]
+    assert results["tail_offset"] == 1
+
+
+@pytest.mark.parametrize("k", [MAX_LEAVES - 1, 3000000])
+def test_pl_shares_the_leaf_cap(capsys, k):
+    # x_k has k + 2 leaves
+    start = time.perf_counter()
+    code, out, err = run(capsys, "pl", f"x{k}")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: a diagram would have more than {MAX_LEAVES} leaves (memory)\n"
+
+
+def test_pl_numerator_cap(capsys):
+    # the numerators of (x0 x1^-1)^n have about n bits
+    start = time.perf_counter()
+    code, out, err = run(capsys, "pl", " ".join(["x0 x1^-1"] * 15000))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: a breakpoint numerator would have more than {cli.MAX_PL_BITS} bits (output size)\n"
+    results = run_json(capsys, "pl", " ".join(["x0 x1^-1"] * 5000))["results"]
+    assert len(results["breakpoints"]) == 5003
+    assert results["tail_offset"] == 0
+
+
 def _decimal_digit_loop(x: Fraction, places: int = 12) -> str:
     """Oracle for cli._decimal: the expansion written one digit at a time."""
     sign = "-" if x < 0 else ""
@@ -517,10 +584,10 @@ def test_every_cap_error_exits_2(capsys, monkeypatch, error):
 
 
 def test_memory_exhausted_exit(capsys, monkeypatch):
-    def exhausted(word):
+    def exhausted(d):
         raise MemoryError
 
-    monkeypatch.setattr(plmaps, "from_word_pl", exhausted)
+    monkeypatch.setattr(plmaps, "from_diagram", exhausted)
     code, out, err = run(capsys, "pl", "x0")
     assert (code, out) == (2, "")
     assert err == "error: input too large: out of memory\n"

@@ -74,6 +74,12 @@ def test_apply_A_needs_high_ranks():
         apply_A(1, xi_single(1))
 
 
+def test_apply_A_rejects_a_negative_level():
+    # every rank and label of xi_single(1) is above -1, but x_{-1} is no generator
+    with pytest.raises(ValueError, match=r"^apply_A\(-1\) needs a level of at least 0$"):
+        apply_A(-1, xi_single(1))
+
+
 def test_apply_A_rejects_a_low_edge():
     # both ranks are 3, above 1, but the edge labelled 1 has no column
     g = LabeledGraph(2, ((1, 0, 3), (1, 0, 1)))

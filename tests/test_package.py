@@ -46,8 +46,8 @@ PUBLIC = {
         "xi_path xi_single"
     ),
     "plmaps": (
-        "Dyadic PLMap compose_pl dyadic from_word_pl generator_map invert_pl pl_equal "
-        "pl_identity"
+        "Dyadic PLMap compose_pl dyadic from_diagram from_word_pl generator_map invert_pl "
+        "pl_equal pl_identity"
     ),
 }
 MODULES = sorted(PUBLIC)

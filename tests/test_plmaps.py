@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thompsonf.diagrams import EPSILON, from_word
+from thompsonf.cayley import enumerate_ball
+from thompsonf.diagrams import EPSILON, atomic, from_word, normal_form_word, to_normal_form
 from thompsonf.plmaps import (
     ONE,
     ZERO,
@@ -14,6 +15,7 @@ from thompsonf.plmaps import (
     dyadic,
     evaluate,
     evaluate_inverse,
+    from_diagram,
     from_word_pl,
     generator_map,
     invert_pl,
@@ -27,6 +29,10 @@ letters = st.tuples(st.integers(min_value=0, max_value=3), st.sampled_from((1, -
 words = st.lists(letters, max_size=8).map(tuple)
 long_words = st.lists(
     st.tuples(st.integers(min_value=0, max_value=12), st.sampled_from((1, -1))),
+    max_size=60,
+).map(tuple)
+sparse_words = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=100), st.sampled_from((1, -1))),
     max_size=60,
 ).map(tuple)
 dyadics = st.builds(
@@ -269,3 +275,66 @@ class TestCrossRepresentation:
     @settings(max_examples=60)
     def test_triviality_agreement(self, w):
         assert (from_word_pl(w) == pl_identity()) == (from_word(w) == EPSILON)
+
+
+def _reduced(rng, length):
+    # a freely reduced word in x0^+-1, x1^+-1
+    w = []
+    while len(w) < length:
+        k, s = rng.randint(0, 1), rng.choice((1, -1))
+        if not w or w[-1] != (k, -s):
+            w.append((k, s))
+    return tuple(w)
+
+
+# words whose maps have thousands of breakpoints over large powers of two
+LONG_FAMILIES = {
+    "x0^-1600": ((0, -1),) * 1600,
+    "(x0 x1^-1)^1500": ((0, 1), (1, -1)) * 1500,
+    "x8^-1000 x0^1000": ((8, -1),) * 1000 + ((0, 1),) * 1000,
+    "(x1 x0^-1 x1)^400": ((1, 1), (0, -1), (1, 1)) * 400,
+    "x0^-400 x1 x0^400": ((0, -1),) * 400 + ((1, 1),) + ((0, 1),) * 400,
+    "reduced 10000": _reduced(random.Random(19), 10000),
+}
+
+
+class TestDiagramReading:
+    """from_diagram reads the map off the diagram; from_word_pl folds the
+    word.  The two share no code, so each checks the other."""
+
+    @given(long_words)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_fold(self, w):
+        assert from_diagram(from_word(w)) == from_word_pl(w)
+
+    @given(sparse_words)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_fold_on_sparse_words(self, w):
+        assert from_diagram(from_word(w)) == from_word_pl(w)
+
+    def test_ball_of_radius_8(self):
+        for d in enumerate_ball(8)._by_diagram:
+            assert from_diagram(d) == from_word_pl(normal_form_word(to_normal_form(d))), d
+
+    @pytest.mark.parametrize("name", LONG_FAMILIES)
+    def test_long_families(self, name):
+        w = LONG_FAMILIES[name]
+        assert from_diagram(from_word(w)) == from_word_pl(w)
+
+    @pytest.mark.parametrize("k", [0, 1, 1000, 2**20])
+    def test_generators(self, k):
+        assert from_diagram(atomic(k)) == generator_map(k)
+        assert from_diagram(from_word(((k, -1),))) == invert_pl(generator_map(k))
+
+    def test_identity(self):
+        assert from_diagram(EPSILON) == pl_identity()
+
+    def test_rejects_a_string_without_two_forests(self):
+        with pytest.raises(ValueError, match=r"^a diagram string is top\|bottom$"):
+            from_diagram("(LL")
+
+    def test_rejects_unequal_leaf_counts(self):
+        with pytest.raises(ValueError, match=r"^the two forests have different leaf counts$"):
+            from_diagram("(LL|L")
+        with pytest.raises(ValueError, match=r"^the two forests have different leaf counts$"):
+            from_diagram("L|L,L")

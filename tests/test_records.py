@@ -63,8 +63,9 @@ BASE = ["cli", "diagrams", "words"]
         (["nf", "x0"], BASE, []),
         (["spheres", "--radius", "5", "--format", "csv"], [*BASE, "cayley", "metric"], []),
         (["gamma", "--n", "3"], [*BASE, "gamma", "subgraphs"], ["decimal", "fractions"]),
+        (["pl", "x0"], [*BASE, "plmaps"], []),
     ],
-    ids=["import", "nf", "spheres-csv", "gamma"],
+    ids=["import", "nf", "spheres-csv", "gamma", "pl"],
 )
 def test_modules_run_on_first_use(argv, ran, stdlib):
     env = dict(os.environ, PYTHONPATH=str(SRC))
