@@ -20,23 +20,23 @@ compare, whatever the depth of the trees.
 'L,L|(LL'
 
 Right multiplication by a generator letter, the step of every Cayley
-graph walk, is a local edit of the string (mul_letter): it adds or
-removes one caret and cancels at most one dipole (J. Belk and K. Brown,
-"Forest diagrams for elements of Thompson's group F", IJAC 2005).  One
-private fold, _fold, makes that edit for each letter of a word and
-carries the index of ``|`` and the number of bottom trees from letter
-to letter; mul_letter is its one-letter call, from_word folds a word
-from EPSILON, and the general product compose folds the normal form of
-its right factor.  Whole trees with their commas spend two characters
-per leaf, so the leaf a letter touches is found by string search in C,
-not by a Python step per leaf.  A caret sits in preorder just before
-its leftmost leaf, so the normal form is read off the runs of ``(``,
-and from_normal_form writes the string directly.  No reader recurses,
-so trees far deeper than the interpreter's recursion limit are
-handled.  No diagram built here has more than MAX_LEAVES leaves: the
-fold and from_normal_form raise LeafLimitError before they would write
-a longer string, so a short word such as x10000000 cannot exhaust
-memory.
+graph walk, is a local edit (mul_letter): it adds or removes one caret
+in the first bottom trees or at one top leaf, and cancels at most one
+dipole (J. Belk and K. Brown, "Forest diagrams for elements of
+Thompson's group F", IJAC 2005).  One private fold, _fold, makes that
+edit for each letter of a word on its state, the top forest code and
+the list of bottom tree codes with tree 0 last; mul_letter is its
+one-letter call, from_word folds a word from EPSILON, compose folds
+the normal form of its right factor, and metric.greedy_descent steps
+on the same state.  Whole trees with their commas spend two characters
+per leaf, so the top leaf a letter touches is found by counting in C.
+A caret sits in preorder just before its leftmost leaf, so the normal
+form is read off the runs of ``(``, and from_normal_form writes the
+string directly.  No reader recurses, so trees far deeper than the
+interpreter's recursion limit are handled.  No diagram built here has
+more than MAX_LEAVES leaves: the fold and from_normal_form raise
+LeafLimitError before they would write a longer string, so a short
+word such as x10000000 cannot exhaust memory.
 """
 
 from __future__ import annotations
@@ -64,8 +64,6 @@ class NormalFormError(ValueError):
 
 # the most leaves a diagram built here may have; x_k has k + 2 leaves
 MAX_LEAVES = 2**21
-# the length of a diagram string of MAX_LEAVES leaves (see leaf_count)
-_LEAF_CAP_CHARS = 4 * MAX_LEAVES - 1
 # the default element cap of the ball and sphere computations in cayley
 DEFAULT_CAP = 10_000_000
 
@@ -116,26 +114,23 @@ def invert(d: Diagram) -> Diagram:
 GENERATOR_LETTERS: Tuple[Tuple[int, int], ...] = ((0, 1), (0, -1), (1, 1), (1, -1))
 
 
-def _nth(d: str, c: str, n: int, start: int = 0) -> int:
-    # index in d of the n-th c (counting from 0) at or after start: a
-    # short walk for the first few, else one split in C, whose last
-    # piece is all of d after the c sought
-    if n < 4:
-        j = d.index(c, start)
-        for _ in range(n):
-            j = d.index(c, j + 1)
-        return j
-    rest = d[start:] if start else d
-    return len(d) - len(rest.split(c, n + 1)[-1]) - 1
-
-
-def _top_leaf(d: Diagram, p: int) -> int:
-    # index in d of leaf p of the top forest.  A tree of n leaves has
-    # n - 1 carets, so whole trees with their commas spend two
-    # characters per leaf: the tree holding leaf p starts at s, just
-    # after the last "," before index 2p, with s // 2 leaves before it
-    s = d.rfind(",", 0, 2 * p) + 1
-    return _nth(d, "L", p - s // 2, s)
+def _top_leaf(top: str, p: int) -> int:
+    # index of leaf p in the top forest code.  Whole trees with their
+    # commas spend two characters per leaf, so the tree holding leaf p
+    # starts at s, after the last "," before index 2p.  Each step counts
+    # the leaves in the next `missing` characters, which cannot pass the
+    # leaf sought; a window of carets only skips to the next leaf
+    s = top.rfind(",", 0, 2 * p) + 1
+    missing = p - s // 2 + 1
+    while missing:
+        found = top.count("L", s, s + missing)
+        if found:
+            s += missing
+            missing -= found
+        else:
+            s = top.index("L", s) + 1
+            missing -= 1
+    return s - 1
 
 
 def _tree_end(d: str, q: int) -> int:
@@ -153,83 +148,93 @@ def _tree_end(d: str, q: int) -> int:
         q = j
 
 
-def _fold(d: Diagram, w: GenWord) -> Diagram:
-    # d * w, one letter at a time: the letter edit that mul_letter
-    # documents.  The index of "|" and the number of bottom trees are
-    # carried from letter to letter.  A letter adds at most one leaf,
-    # or pads, and the string's length gives its leaves (see leaf_count)
-    bar = d.index("|")
-    trees = d.count(",", bar) + 1
+def _unpack(d: Diagram) -> Tuple[str, List[str]]:
+    # the fold's state: the top forest code and the bottom tree codes, tree 0 last
+    top, _, bottom = d.partition("|")
+    trees = bottom.split(",")
+    trees.reverse()
+    return top, trees
+
+
+def _fold(top: str, trees: List[str], w: GenWord) -> str:
+    # the state times w by the letter edit of mul_letter; edits trees in
+    # place and returns the new top code, whose length gives the leaves
     for k, s in w:
         if k < 0:
             raise ValueError(f"generator subscript must be nonnegative, got {k}")
         if s != 1 and s != -1:
             raise ValueError(f"letter exponent must be 1 or -1, got {s}")
         # the bottom forest needs trees up to k for s = 1, up to k + 1 for s = -1
-        missing = (k + 1 if s == 1 else k + 2) - trees
+        missing = (k + 1 if s == 1 else k + 2) - len(trees)
         if missing > 0:
-            if len(d) + 4 * missing > _LEAF_CAP_CHARS:
+            if (len(top) + 1) // 2 + missing > MAX_LEAVES:
                 raise LeafLimitError()
-            pad = ",L" * missing
-            d = d[:bar] + pad + d[bar:] + pad
-            bar += 2 * missing
-            trees += missing
-        i = bar + 1  # the start of bottom tree k
-        if k == 1:
-            i = d.index(",", i) + 1
-        elif k:
-            i = _nth(d, ",", k - 1, i) + 1
-        # p, the leaves before tree k: whole trees with their commas
-        # spend two characters per leaf (see _top_leaf)
-        p = (i - bar - 1) // 2
+            top += ",L" * missing
+            trees[:0] = ["L"] * missing
+        i = len(trees) - 1 - k  # bottom tree k, tree k + 1 at i - 1
+        t = trees[i]
+        if t == "L":
+            # p, the leaves before tree k: trees 0 .. k-1 joined spend 2p - k
+            p = (len("".join(trees[i + 1:])) + k) // 2
         if s == 1:
-            trees += 1
-            if d[i] == "(":
-                q = _tree_end(d, i + 1)  # the end of the root's left subtree
-                d = d[:i] + d[i + 1:q] + "," + d[q:]
+            if t[0] == "(":
+                q = _tree_end(t, 1)  # the end of the root's left subtree
+                trees[i:i + 1] = t[q:], t[1:q]
             else:
-                if len(d) + 4 > _LEAF_CAP_CHARS:
+                if (len(top) + 1) // 2 >= MAX_LEAVES:
                     raise LeafLimitError()
-                j = _top_leaf(d, p)
-                d = d[:j] + "(LL" + d[j + 1:i] + "L,L" + d[i + 1:]
-                bar += 2
+                j = _top_leaf(top, p)
+                top = top[:j] + "(LL" + top[j + 1:]
+                trees[i:i + 1] = "L", "L"
         else:
-            trees -= 1
-            # trees k and k + 1 are leaves when both codes start with "L"
-            j = _top_leaf(d, p) if d[i] == "L" == d[i + 2] else 0
-            if j and d[j - 1] == "(" and d[j + 1] == "L":
-                # dipole: the top caret over leaves p, p+1 meets the new root
-                # caret; the bottom side is a root, so no cascade
-                d = d[:j - 1] + "L" + d[j + 2:i + 1] + d[i + 3:]
-                bar -= 2
+            u = trees[i - 1]
+            # trees k and k + 1 are leaves, and a top caret is over leaves p, p+1
+            j = _top_leaf(top, p) if t == "L" == u else 0
+            if j and top[j - 1] == "(" and top[j + 1] == "L":
+                # dipole: it meets the new root caret; the bottom side is a
+                # root, so no cascade
+                top = top[:j - 1] + "L" + top[j + 2:]
+                trees[i - 1:i + 1] = ["L"]
             else:
-                c = d.index(",", i)
-                d = d[:i] + "(" + d[i:c] + d[c + 1:]
-        while d.endswith(",L") and d[bar - 2:bar] == ",L":
-            d = d[:bar - 2] + d[bar:-2]
-            bar -= 2
-            trees -= 1
-    return d
+                trees[i - 1:i + 1] = ["(" + t + u]
+        if trees[0] == "L" and top.endswith(",L"):
+            # strip trailing leaf pairs in one cut; equal leaf counts keep a tree
+            n = 1
+            while trees[n] == "L" and top.endswith(",L", 0, -2 * n):
+                n += 1
+            top = top[:-2 * n]
+            del trees[:n]
+    return top
+
+
+def _times(d: Diagram, w: GenWord) -> Diagram:
+    # d * w by the fold; _unpack inlined, a call less per one-letter product
+    top, _, bottom = d.partition("|")
+    trees = bottom.split(",")
+    trees.reverse()
+    top = _fold(top, trees, w)
+    trees.reverse()
+    return f"{top}|{','.join(trees)}"
 
 
 def mul_letter(d: Diagram, k: int, s: int) -> Diagram:
     """Product d * x_k^s (s = 1 or -1) as a canonical diagram.
 
     Equal to compose(d, atomic(k)) or compose(d, invert(atomic(k))), but
-    computed as a local edit of the string: exactly one caret is added
-    to or removed from one of the two forests.  Let i be the start of
-    bottom tree k and p the number of leaves before it.  For s = 1, a
-    caret at i loses its root (a ``,`` goes where its left subtree
-    ends); a leaf at i becomes two leaf trees, and leaf p of the top
-    forest a caret.  For s = -1, trees k and k+1 are joined under a new
-    root, unless both are leaves and the top forest has a caret over
-    leaves p, p+1, a dipole that cancels.  Missing bottom trees are
-    padded as leaf trees on both sides first, and trailing leaf pairs
-    are stripped last.  This is the one-letter call of the fold behind
-    from_word and compose; it raises LeafLimitError if the product would
-    have more than MAX_LEAVES leaves.
+    computed as a local edit: exactly one caret is added to or removed
+    from one of the two forests.  Let p be the number of leaves before
+    bottom tree k.  For s = 1, a tree k with a caret loses its root, its
+    two subtrees becoming trees k and k+1; a leaf tree k becomes two
+    leaf trees, and leaf p of the top forest a caret.  For s = -1, trees
+    k and k+1 are joined under a new root, unless both are leaves and
+    the top forest has a caret over leaves p, p+1, a dipole that
+    cancels.  Missing bottom trees are padded as leaf trees on both
+    sides first, and trailing leaf pairs are stripped last.  This is the
+    one-letter call of the fold behind from_word and compose; it raises
+    LeafLimitError, before anything grows, if the product would have
+    more than MAX_LEAVES leaves.
     """
-    return _fold(d, ((k, s),))
+    return _times(d, ((k, s),))
 
 
 def from_word(w: GenWord) -> Diagram:
@@ -239,11 +244,11 @@ def from_word(w: GenWord) -> Diagram:
     then letters x_j^-1 with nonincreasing j, whose (pos, neg) passes
     validate_normal_form, is built by from_normal_form in linear time.
     Any other word is folded from EPSILON with the letter edit of
-    mul_letter, carrying the index of "|" and the bottom tree count
-    from one letter to the next: a letter costs one copy of the string
-    and searches in C, plus a Python step per caret run where it splits
-    a bottom root caret.  Raises LeafLimitError if the diagram would
-    have more than MAX_LEAVES leaves.
+    mul_letter on the fold's state, written out once at the end.  A root
+    removal or a join copies only the bottom trees it edits, plus a
+    Python step per caret run where it removes a root; a leaf split or
+    a dipole copies the top forest code once.  Raises LeafLimitError if
+    the diagram would have more than MAX_LEAVES leaves.
     """
     ks, signs = tuple(zip(*w)) or ((), ())
     p = signs.count(1)
@@ -252,16 +257,16 @@ def from_word(w: GenWord) -> Diagram:
             return from_normal_form(NormalForm(ks[:p], ks[p:][::-1]))
         except NormalFormError:
             pass  # a dipole or an unsorted run: fold
-    return _fold(EPSILON, w)
+    return _times(EPSILON, w)
 
 
 def compose(d1: Diagram, d2: Diagram) -> Diagram:
     """Product d1 * d2 (d1 applied first) as a canonical diagram.
 
     Folds the letter edit of mul_letter over the normal form of d2, in
-    one pass that carries its place in the string from letter to letter.
+    one pass on the fold's state of d1 (see from_word).
     """
-    return _fold(d1, normal_form_word(to_normal_form(d2)))
+    return _times(d1, normal_form_word(to_normal_form(d2)))
 
 
 def _caret_runs(f: str) -> List[Tuple[int, int]]:
@@ -331,13 +336,13 @@ def validate_normal_form(nf: NormalForm) -> None:
                 )
 
 
-def _forest(starts: Tuple[int, ...]) -> Tuple[str, int]:
-    # the code of the forest whose carets start at the nondecreasing
-    # leaf indices `starts`, over the fewest leaves, and that leaf count.
-    # h counts leaves minus carets so far; each tree adds 1 to it, and a
-    # proper prefix of a tree adds at most 0, so a tree ends exactly
-    # where h reaches a new high.  One step, and one append, per run of
-    # equal starts
+def _forest(starts: Tuple[int, ...]) -> Tuple[List[str], int]:
+    # the parts of the code of the forest whose carets start at the
+    # nondecreasing leaf indices `starts`, over the fewest leaves, and
+    # that leaf count.  h counts leaves minus carets so far; each tree
+    # adds 1 to it, and a proper prefix of a tree adds at most 0, so a
+    # tree ends exactly where h reaches a new high.  One step per run of
+    # equal starts, and no part is copied into another
     parts = []
     h = high = leaf = r = 0
     while r < len(starts):
@@ -355,16 +360,16 @@ def _forest(starts: Tuple[int, ...]) -> Tuple[str, int]:
             if i + 2 > MAX_LEAVES:
                 raise LeafLimitError()
             h = high = h + gap
-            parts.append("L" * inner + "L," * (gap - inner) + "(" * k + "L")
+            parts += "L" * inner, "L," * (gap - inner), "(" * k + "L"
         else:
             h += gap
-            parts.append("L" * gap + "(" * k + "L")
+            parts += "L" * gap, "(" * k + "L"
         h += 1 - k
         leaf = i + 1
     # past the last caret, each leaf adds 1 to h, and the last tree ends
     # at the first leaf that lifts h above high
     parts.append("L" * (high - h + 1))
-    return "".join(parts), leaf + high - h + 1
+    return parts, leaf + high - h + 1
 
 
 def from_normal_form(nf: NormalForm) -> Diagram:
@@ -380,7 +385,8 @@ def from_normal_form(nf: NormalForm) -> Diagram:
     leaves = max(top_leaves, bottom_leaves)
     if leaves > MAX_LEAVES:
         raise LeafLimitError()
-    return top + ",L" * (leaves - top_leaves) + "|" + bottom + ",L" * (leaves - bottom_leaves)
+    pads = ",L" * (leaves - top_leaves), ",L" * (leaves - bottom_leaves)
+    return "".join(top + [pads[0], "|"] + bottom + [pads[1]])
 
 
 def canonical_key(d: Diagram) -> str:

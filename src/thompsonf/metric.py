@@ -22,7 +22,7 @@ is that far exactly when v != 0 and {0, v} is not an arc.  The arcs at
 tests/graph_oracle.py builds the whole graph as the oracle.
 
 Norm deltas.  A letter changes the norm by exactly 1, and the sign is
-read off a window of d, without building the product (_norm_deltas).
+read off a window of d, without building the product (_deltas).
 The cell count moves by +1 for a leaf split or a join and by -1 for a
 root removal or a dipole, the four branches of diagrams.mul_letter, so
 only the special count needs reading.  Let bottom tree t have s_t
@@ -72,13 +72,13 @@ from __future__ import annotations
 from typing import Iterator, List, Set, Tuple
 
 from .diagrams import (
-    EPSILON, GENERATOR_LETTERS, Diagram, LimitError, _tree_end, leaf_count, mul_letter,
+    EPSILON, GENERATOR_LETTERS, Diagram, LimitError, _fold, _tree_end, _unpack, leaf_count,
 )
 from .words import GenWord
 
-# greedy_descent takes norm(d) steps, each copying and reading a string
+# greedy_descent takes norm(d) steps, each reading a top forest code
 # about as long as d, so its work is about norm(d) * len(d); geodesic
-# x8000 (5.1e8) takes about 2 s.  Past this bound it refuses.
+# x8000 (5.1e8) takes about 0.7 s.  Past this bound it refuses.
 MAX_DESCENT_WORK = 2**30
 
 
@@ -149,16 +149,16 @@ def norm_and_special(d: Diagram) -> Tuple[int, Set[int]]:
 
 def _last_start(f: str) -> int:
     # the leftmost leaf of the last caret in preorder, the forest's
-    # rightmost caret start; -1 without carets
+    # rightmost caret start, or -1; counted from the end (n leaves, 2n - 1 chars)
     c = f.rfind("(")
-    return f.count("L", 0, c) if c >= 0 else -1
+    return (len(f) + 1) // 2 - f.count("L", c) if c >= 0 else -1
 
 
 class _TopLeaves:
-    # the top forest for _norm_deltas, split only as far as a read
-    # reaches; piece(v) is what precedes leaf v as in _read, "," past it
-    def __init__(self, top: str, bottom: str, leaves: int):
-        self.top, self.bottom, self.leaves = top, bottom, leaves
+    # the top forest for _deltas, split only as far as a read reaches;
+    # piece(v) is what precedes leaf v as in _read, "," past it
+    def __init__(self, top: str, trees: List[str], leaves: int):
+        self.top, self.trees, self.leaves = top, trees, leaves
         self.pieces: List[str] = []
 
     def piece(self, v: int) -> str:
@@ -175,9 +175,11 @@ class _TopLeaves:
 
     def bridge(self, v: int) -> bool:
         # top leaf v is a tree, a caret of either forest starts right of
-        # it, and v is not near vertex 0 in the top forest
+        # it, and v is not near vertex 0.  v ends bottom tree 1 or is tree
+        # 2, so a bottom caret starts right of v if trees 2 on are not leaves
+        later = self.trees[:-2]
         return (
-            max(_last_start(self.top), _last_start(self.bottom)) > v
+            (_last_start(self.top) > v or later.count("L") < len(later))
             and self.piece(v) == ","
             and not self.near(v)
         )
@@ -191,19 +193,18 @@ class _TopLeaves:
         return whole and self.bridge(v)
 
 
-def _norm_deltas(d: Diagram) -> Iterator[int]:
+def _deltas(top: str, trees: List[str]) -> Iterator[int]:
     # norm(mul_letter(d, k, s)) - norm(d) for each letter of
     # GENERATOR_LETTERS in turn, read off the window of the module
-    # docstring; lazily, so a caller can stop at the first it needs
-    top, _, bottom = d.partition("|")
-    # bottom trees 0, 1 and 2; a missing tree is a padded leaf
-    trees = bottom.split(",", 3)
-    t0, t1, t2 = trees[:3] + ["L"] * (3 - len(trees))
+    # docstring in the fold's state of d; lazily, so a caller can stop
+    # at the first it needs.  Bottom trees 0, 1 and 2 are the last three;
+    # a missing tree is a padded leaf
+    t2, t1, t0 = ["L", "L", *trees[-3:]][-3:]
     s0 = t0.count("L")
     w = s0 + t1.count("L")  # where bottom tree 2 starts
     # the leaf count, or past w, where reads stop, when more trees follow
-    leaves = (s0, w, w + t2.count("L"), w + 1)[len(trees) - 1]
-    window = _TopLeaves(top, bottom, leaves)
+    leaves = (s0, w, w + t2.count("L"), w + 1)[min(len(trees), 4) - 1]
+    window = _TopLeaves(top, trees, leaves)
     # x0: a leaf split is +1; a root removal takes s0 off the bottom spine
     if t0 == "L":
         yield 1
@@ -229,6 +230,11 @@ def _norm_deltas(d: Diagram) -> Iterator[int]:
         yield 1 - 2 * (t2 == "L" and window.bridge(w))
 
 
+def _norm_deltas(d: Diagram) -> Iterator[int]:
+    # _deltas on the diagram string
+    return _deltas(*_unpack(d))
+
+
 def is_dead(d: Diagram) -> bool:
     """True when right multiplication by every generator letter lowers the norm.
 
@@ -244,12 +250,13 @@ def is_dead(d: Diagram) -> bool:
 def greedy_descent(d: Diagram) -> GenWord:
     """A word for d found by always stepping to a lower-norm neighbour.
 
-    The norm is read once.  Each step reads the norm deltas of the
-    current diagram in GENERATOR_LETTERS order, takes the first letter
-    whose delta is -1, and multiplies once.  A descent direction always
-    exists: the last letter of any minimal word provides one.  The
-    letter that undoes the previous step has delta +1, so it is never
-    taken.  The descent certifies itself: it must reach EPSILON in exactly
+    The norm is read once and d is split once into the fold's state.
+    Each step reads the norm deltas off that state in GENERATOR_LETTERS
+    order, takes the first letter whose delta is -1, and applies it with
+    the fold's letter edit.  A descent direction always exists: the last
+    letter of any minimal word provides one.  The letter that undoes the
+    previous step has delta +1, so it is never taken.  The descent
+    certifies itself: its state must be the identity after exactly
     norm(d) steps, so the word it returns is geodesic even if a delta
     were wrong; otherwise it raises AssertionError.  Before the first
     step it raises DescentLimitError when norm(d) * len(d) passes
@@ -266,14 +273,15 @@ def greedy_descent(d: Diagram) -> GenWord:
     if n * len(d) > MAX_DESCENT_WORK:
         raise DescentLimitError(len(d))
     steps = []
+    top, trees = _unpack(d)
     for _ in range(n):
-        for letter, delta in zip(GENERATOR_LETTERS, _norm_deltas(d)):
+        for letter, delta in zip(GENERATOR_LETTERS, _deltas(top, trees)):
             if delta < 0:
                 break
         else:
             raise AssertionError(f"no descent direction at norm {n - len(steps)}")
         steps.append(letter)
-        d = mul_letter(d, *letter)
-    if d != EPSILON:
+        top = _fold(top, trees, (letter,))
+    if top != "L" or trees != ["L"]:
         raise AssertionError(f"{n} descent steps did not reach the identity")
     return tuple((k, -s) for k, s in reversed(steps))

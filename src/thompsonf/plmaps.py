@@ -330,17 +330,18 @@ def from_word_pl(w: GenWord) -> PLMap:
     return result
 
 
-def _leaf_runs(f: str) -> List[Tuple[int, int]]:
-    # the leaf depths of the forest code f, left to right, as (depth,
-    # count) runs.  A bare leaf tree is a leaf at depth 0, and a stretch
-    # of them is counted in C; inside a tree with carets, one Python step
-    # per character, with the depths of the subtrees still to read on a
-    # stack.  A tree ends after the last "," before its first caret
+def _leaf_runs(f: str, pos: int, end: int) -> List[Tuple[int, int]]:
+    # the leaf depths of the forest code f[pos:end], left to right, as
+    # (depth, count) runs.  A bare leaf tree is a leaf at depth 0, and a
+    # stretch of them is counted in C; inside a tree with carets, one
+    # Python step per character, with the depths of the subtrees still to
+    # read on a stack.  A tree ends after the last "," before its first
+    # caret, or at pos
     runs = []
-    depth = count = pos = 0  # the open run: count leaves at depth
+    depth = count = 0  # the open run: count leaves at depth
     while True:
-        c = f.find("(", pos)
-        start = f.rfind(",", 0, c) + 1 if c >= 0 else len(f)
+        c = f.find("(", pos, end)
+        start = max(f.rfind(",", pos, c) + 1, pos) if c >= 0 else end
         bare = f.count("L", pos, start)
         if bare and depth:
             runs.append((depth, count))
@@ -351,7 +352,7 @@ def _leaf_runs(f: str) -> List[Tuple[int, int]]:
             return runs
         stack = [0]
         pos = start
-        while stack:
+        while stack and pos < end:
             a = stack.pop()
             if f[pos] == "(":
                 stack += (a + 1, a + 1)
@@ -362,6 +363,8 @@ def _leaf_runs(f: str) -> List[Tuple[int, int]]:
                     runs.append((depth, count))
                 depth, count = a, 1
             pos += 1
+        if stack:
+            raise ValueError("a tree code runs past the end of its forest")
         pos += 1  # past the "," after the tree
 
 
@@ -377,10 +380,11 @@ def from_diagram(d: str) -> PLMap:
     breakpoint.  _canonical validates the chain and drops collinear
     points.  Equal to from_word_pl(w) for d = diagrams.from_word(w).
     """
-    top, bar, bottom = d.partition("|")
-    if not bar:
+    bar = d.find("|")
+    if bar < 0:
         raise ValueError("a diagram string is top|bottom")
-    tops, bottoms = _leaf_runs(top), _leaf_runs(bottom)
+    # both forests are read in place, by their bounds in d
+    tops, bottoms = _leaf_runs(d, 0, bar), _leaf_runs(d, bar + 1, len(d))
     e = max(max(tops)[0], max(bottoms)[0])
     xs, ys = [0], [0]
     x = y = 0

@@ -72,14 +72,15 @@ def test_cap_raises():
 def test_dead_search_multiplies_nothing(monkeypatch):
     # the walk reads normal forms; it builds no neighbour and no ball
     calls = [0]
-    real = diagrams.mul_letter
+    real = diagrams._fold
 
-    def counted(d, k, s):
+    def counted(top, trees, w):
         calls[0] += 1
-        return real(d, k, s)
+        return real(top, trees, w)
 
-    for module in (cayley, diagrams, metric):
-        monkeypatch.setattr(module, "mul_letter", counted)
+    # every letter product, mul_letter's and the descent's, is a fold
+    for module in (diagrams, metric):
+        monkeypatch.setattr(module, "_fold", counted)
     monkeypatch.setattr(cayley, "enumerate_ball", None)
     assert dead_search(7) == []
     assert dead_search(11) == dead_search(11, cap=244_823)  # b_11: the count runs

@@ -114,8 +114,47 @@ def test_mul_letter_matches_compose_along_words(w):
         t = oracle.compose(t, oracle.letter(k, s))
         d = mul_letter(d, k, s)
         assert d == oracle.from_tuples(t)
-    # the fold carries its index of "|" and tree count across all letters
+    # the fold carries its list of bottom trees across all letters
     assert from_word(w) == d
+
+
+def _oracle_fold(t, w):
+    for k, s in w:
+        t = oracle.compose(t, oracle.letter(k, s))
+    return t
+
+
+# words in x0 .. x6 built of single letters and of pieces that pad the
+# bottom forest and then strip it again: x_k x_k^-1 pads k + 1 trees and
+# cancels a dipole, x_k^-1 x_k^-1 x_k x_k pads k + 2, joins twice and
+# removes both roots, and either ends in a run of trailing leaf pairs
+padding_subscripts = st.integers(min_value=0, max_value=6)
+padding_words = st.lists(
+    st.one_of(
+        st.tuples(padding_subscripts, st.sampled_from((1, -1))).map(lambda letter: (letter,)),
+        padding_subscripts.map(lambda k: ((k, 1), (k, -1))),
+        padding_subscripts.map(lambda k: ((k, -1), (k, -1), (k, 1), (k, 1))),
+    ),
+    max_size=10,
+).map(lambda pieces: sum(pieces, ()))
+
+
+@given(padding_words, padding_words)
+@settings(max_examples=150, deadline=None)
+@example(((6, 1), (6, -1)), ((3, -1), (3, -1), (3, 1), (3, 1)))
+@example(((0, -1), (2, 1), (2, -1)), ((5, 1), (1, -1), (1, -1), (1, 1), (1, 1)))
+def test_fold_matches_the_tuple_oracle_on_padding_words(u, v):
+    t = oracle.EPSILON
+    d = EPSILON
+    for k, s in u:
+        t = oracle.compose(t, oracle.letter(k, s))
+        d = mul_letter(d, k, s)
+        assert d == oracle.from_tuples(t)
+    a, b = from_word(u), from_word(v)
+    assert a == d
+    assert b == oracle.from_tuples(_oracle_fold(oracle.EPSILON, v))
+    expected = oracle.from_tuples(_oracle_fold(t, v))
+    assert compose(a, b) == expected == from_word(u + v)
 
 
 def test_mul_letter_rejects_bad_letters():

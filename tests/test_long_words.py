@@ -10,8 +10,10 @@ import time
 import pytest
 
 from thompsonf.diagrams import (
+    EPSILON,
     NormalForm,
     cell_count,
+    compose,
     from_normal_form,
     from_word,
     invert,
@@ -19,7 +21,7 @@ from thompsonf.diagrams import (
     to_normal_form,
 )
 from thompsonf.metric import greedy_descent, norm
-from thompsonf.plmaps import from_word_pl, pl_equal
+from thompsonf.plmaps import from_diagram, from_word_pl, pl_equal
 
 
 def _reduced_word(rng, length):
@@ -91,3 +93,26 @@ def test_long_fold_is_not_quadratic_in_python_steps():
     # x_i^-1 x_j^-1 = x_{j+1}^-1 x_i^-1 for i < j, gives the normal form
     # x_{2n-1}^-1 ... x3^-1 x1^-1 x0^-n, built here without a fold
     assert d == from_normal_form(NormalForm((), (0,) * 8000 + tuple(range(1, 16000, 2))))
+
+
+_N = 400
+FAMILIES = {
+    "x0^n": ((0, 1),) * _N,
+    "x0^-n": ((0, -1),) * _N,
+    "(x0 x1^-1)^n": ((0, 1), (1, -1)) * _N,
+    "(x1^-1 x0^-1)^n": ((1, -1), (0, -1)) * _N,
+    "(x1 x0^-1 x1)^n": ((1, 1), (0, -1), (1, 1)) * _N,
+    "x0^-n x1 x0^n": ((0, -1),) * _N + ((1, 1),) + ((0, 1),) * _N,
+    "random": _reduced_word(random.Random(400), _N),
+}
+
+
+@pytest.mark.parametrize("w", FAMILIES.values(), ids=FAMILIES.keys())
+def test_scaling_families_against_the_pl_fold(w):
+    # the seven word families of the scaling table at n = 400: the
+    # diagram, by the fold or by the normal form, names the element that
+    # the PL fold computes, which shares no code with the diagrams; the
+    # fold from the identity over the normal form rebuilds the diagram
+    d = from_word(w)
+    assert from_diagram(d) == from_word_pl(w)
+    assert compose(EPSILON, d) == d

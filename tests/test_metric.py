@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 
 import pytest
@@ -26,7 +28,7 @@ from thompsonf.metric import (
     norm,
     special_vertices,
 )
-from thompsonf.words import parse_word
+from thompsonf.words import format_word, parse_word
 
 WORKED = parse_word("x0 x0 x1 x6 x3^-1 x0^-1 x0^-1")
 
@@ -258,6 +260,35 @@ def test_descent_splits_the_top_only_as_far_as_it_reads(monkeypatch):
         assert longest[0] == split, letter
 
 
+def _golden_words():
+    # 50 seeded reduced words of 10-100 letters: 35 in x0, x1 and 15 in
+    # x0 .. x5, whose padded bottom trees the descent also reads
+    rng = random.Random(3030)
+    words = []
+    for i in range(50):
+        top = 1 if i < 35 else 5
+        length = rng.randint(10, 100)
+        w = []
+        while len(w) < length:
+            k, s = rng.randint(0, top), rng.choice((1, -1))
+            if not w or w[-1] != (k, -s):
+                w.append((k, s))
+        words.append(tuple(w))
+    return words
+
+
+def test_descent_words_match_the_golden():
+    # the geodesic of each word, letter for letter: the order in which
+    # the descent tries the letters decides the word, which a length
+    # check cannot see
+    path = pathlib.Path(__file__).parent / "golden" / "geodesic_words_50.json"
+    golden = json.loads(path.read_text())
+    assert [entry["word"] for entry in golden] == [format_word(w) for w in _golden_words()]
+    for entry in golden:
+        d = from_word(parse_word(entry["word"]))
+        assert format_word(greedy_descent(d)) == entry["geodesic"]
+
+
 def _deltas_by_norm(d):
     n = norm(d)
     return tuple(norm(mul_letter(d, k, s)) - n for k, s in GENERATOR_LETTERS)
@@ -354,7 +385,7 @@ def test_norm_delta_branches(word, letter, branch, delta):
 def test_corrupted_delta_prints_no_word(monkeypatch, capsys, wrong):
     # every letter claimed to descend walks off the geodesics; none
     # claimed leaves no step: either way no word comes out
-    monkeypatch.setattr(metric, "_norm_deltas", lambda d: iter((wrong,) * 4))
+    monkeypatch.setattr(metric, "_deltas", lambda top, trees: iter((wrong,) * 4))
     with pytest.raises(AssertionError):
         cli.main(["geodesic", "x0 x1 x3^-1"])
     assert capsys.readouterr().out == ""

@@ -338,3 +338,10 @@ class TestDiagramReading:
             from_diagram("(LL|L")
         with pytest.raises(ValueError, match=r"^the two forests have different leaf counts$"):
             from_diagram("L|L,L")
+
+    def test_rejects_a_tree_that_runs_past_its_forest(self):
+        # both forests are read in place in the one string, so an
+        # unfinished top tree must not read the bottom forest's leaves
+        for d in ("(L|LL", "((L|LLL", "L,(L|L,LL", "L|(L", "(LL|L,(L"):
+            with pytest.raises(ValueError, match=r"^a tree code runs past the end of its forest$"):
+                from_diagram(d)
