@@ -35,7 +35,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 # sys.modules to run when a subcommand first reads from it.
 from . import cayley, growth, metric, plmaps, subgraphs
 from .diagrams import (
-    DEFAULT_CAP, LimitError, cell_count, from_word, normal_form_text, to_normal_form,
+    DEFAULT_CAP, LeafLimitError, LimitError, _times, cell_count, from_word, normal_form_text,
+    to_normal_form,
 )
 from .words import WordError, format_word, parse_word
 
@@ -270,8 +271,20 @@ def _cmd_gamma(args) -> Report:
         return _gamma_report(args.n, args.m)
     if args.m is None:
         raise _CLIError("--emit-words needs --m to fix the concrete family")
+    before = word = None
     for d in gamma.gamma_nm_concrete(args.n, args.m).origin:
-        print(normal_form_text(d))
+        # d with the top forest of the vertex before and its bottom trees
+        # 0 and 1 joined under a caret is that vertex times x0^-1.  The
+        # new caret starts at leaf 0 and every other caret keeps its
+        # leftmost leaf, so neg gains one 0, which normal_form_text
+        # writes last.  The identity has one bottom tree, so the word
+        # before is never empty here
+        if before and d == f"{before[0]}|({before[2].replace(',', '', 1)}":
+            word += " x0^-1"
+        else:
+            word = normal_form_text(d)
+        print(word)
+        before = d.partition("|")
     return None
 
 
@@ -280,20 +293,32 @@ def _cmd_subgraph(args) -> Report:
     # empty word, i.e. the identity.  Lines end where str.splitlines
     # ends them, so a form feed also starts a new line.  A leading BOM
     # is dropped; an undecodable byte becomes a lone surrogate, which no
-    # token matches, so it is found only on a line that fails to parse
+    # token matches, so it is found only on a line that fails to parse.
+    # A line that is the nonempty line before it, then whitespace and
+    # more tokens, folds only those onto the diagram before it; if they
+    # do not parse or pass the leaf cap, the line is built from scratch,
+    # so that it fails exactly as it would alone
     elems = []
+    before = d = None
     try:
         with open(args.input, encoding="utf-8-sig", errors="surrogateescape") as handle:
             lines = (part for text in handle for part in text.splitlines())
             for number, line in enumerate(lines, start=1):
+                rest = line[len(before):] if before and line.startswith(before) else ""
                 try:
-                    w = parse_word(line)
+                    d = _times(d, parse_word(rest)) if rest[:1].isspace() else None
+                except (WordError, LeafLimitError):
+                    d = None
+                try:
+                    if d is None:
+                        d = from_word(parse_word(line))
                 except WordError as exc:
                     escaped = [ord(c) - 0xDC00 for c in line if "\udc80" <= c <= "\udcff"]
                     if escaped:
                         exc = f"byte 0x{escaped[0]:02x} of {args.input} is not UTF-8"
                     raise _CLIError(f"line {number}: {exc}") from None
-                elems.append(from_word(w))
+                elems.append(d)
+                before = line
     except OSError as exc:
         raise _CLIError(f"cannot read {args.input}: {exc}") from exc
     if not elems:

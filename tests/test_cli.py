@@ -8,16 +8,17 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thompsonf import cli, growth, plmaps
-from thompsonf.cayley import CountLimitError, ResourceCapError
+from thompsonf import cli, growth, metric, plmaps, subgraphs
+from thompsonf.cayley import CountLimitError, ResourceCapError, enumerate_ball
 from thompsonf.cli import main
-from thompsonf.diagrams import MAX_LEAVES, LeafLimitError, from_word
-from thompsonf.gamma import SizeLimitError
+from thompsonf.diagrams import MAX_LEAVES, LeafLimitError, from_word, mul_letter, normal_form_text
+from thompsonf.gamma import SizeLimitError, gamma_nm_concrete
 from thompsonf.growth import ResourceError
 from thompsonf.metric import DescentLimitError
 from thompsonf.plmaps import dyadic, plmap
@@ -373,6 +374,156 @@ def test_subgraph_undecodable_byte_names_file_and_line(capsys, tmp_path):
     code, out, err = run(capsys, "subgraph", "--input", str(path))
     assert (code, out) == (1, "")
     assert err == f"error: line 2001: byte 0xe9 of {path} is not UTF-8\n"
+
+
+def _subgraph_both_ways(capsys, monkeypatch, path):
+    """Run subgraph on path as it reads, then with every suffix fold
+    hitting the leaf cap, so that each line is built from scratch.  Both
+    runs must print the same.  Returns (code, out, err), the diagrams
+    handed to full_subgraph (None if none were) and the number of suffix
+    folds tried."""
+    seen, folds = [], []
+    full, times = subgraphs.full_subgraph, cli._times
+
+    def counted(d, w):
+        folds.append(w)
+        return times(d, w)
+
+    def capped(d, w):
+        raise LeafLimitError()
+
+    monkeypatch.setattr(subgraphs, "full_subgraph", lambda elems: seen.append(elems) or full(elems))
+    outputs = []
+    for fold in (counted, capped):
+        monkeypatch.setattr(cli, "_times", fold)
+        outputs.append(run(capsys, "subgraph", "--input", str(path)))
+    assert outputs[0] == outputs[1]
+    assert seen[1:] == seen[:1]
+    return outputs[0], seen[0] if seen else None, len(folds)
+
+
+def _extensions(lines):
+    # lines that are the nonempty line before them, a space and more
+    return sum(bool(a) and b.startswith(a + " ") for a, b in zip(lines, lines[1:]))
+
+
+@pytest.mark.parametrize("n, m", [(3, 4), (6, 4), (6, 40)])
+def test_subgraph_reads_gamma_words_as_from_scratch(capsys, monkeypatch, tmp_path, n, m):
+    code, words, err = run(capsys, "gamma", "--n", str(n), "--m", str(m), "--emit-words")
+    path = tmp_path / "gamma.words"
+    path.write_text(words, encoding="utf-8")
+    (code, out, err), elems, folds = _subgraph_both_ways(capsys, monkeypatch, path)
+    lines = words.splitlines()
+    assert (code, err) == (0, "")
+    assert elems == [from_word(parse_word(line)) for line in lines]
+    assert folds == _extensions(lines) > len(lines) // 2
+
+
+@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+def test_subgraph_reads_ball_words_as_from_scratch(capsys, monkeypatch, tmp_path, order):
+    lines = sorted(normal_form_text(d) for d in enumerate_ball(4)._by_diagram)
+    if order == "shuffled":
+        random.Random(31).shuffle(lines)
+    path = tmp_path / "ball.words"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (code, out, err), elems, folds = _subgraph_both_ways(capsys, monkeypatch, path)
+    assert (code, err) == (0, "")
+    assert elems == [from_word(parse_word(line)) for line in lines]
+    assert folds == _extensions(lines)
+    assert json.loads(out)["results"]["size"] == 161
+
+
+@pytest.mark.parametrize(
+    "text, folds",
+    [
+        ("x1\nx10\n", 0),  # a text prefix that is not a token prefix
+        ("x0\nx0\tx1\nx0\tx1\u2003x1^-1\n", 2),  # any whitespace separates
+        ("x0 x1\nx0 x1\nx0 x1 x0\n", 1),  # a repeated line is built anew
+        ("\n x0\nx0\n", 0),  # nothing extends a blank line
+        ("x0 x1 \nx0 x1 x2\nx0 x1 x2  x3\n", 1),
+    ],
+    ids=["x1-x10", "tab", "repeated", "blank-first", "trailing-space"],
+)
+def test_subgraph_read_rule_corner_cases(capsys, monkeypatch, tmp_path, text, folds):
+    path = tmp_path / "corner.words"
+    path.write_text(text, encoding="utf-8")
+    (code, out, err), elems, counted = _subgraph_both_ways(capsys, monkeypatch, path)
+    assert (code, err) == (0, "")
+    assert elems == [from_word(parse_word(line)) for line in text.splitlines()]
+    assert counted == folds
+
+
+@pytest.mark.parametrize(
+    "data, code, err, folds",
+    [
+        (b"x0 x1\nx0 x1 y2\n", 1, "error: line 2: bad token 'y2' at position 3\n", 0),
+        (b"x0 x1\nx0 x1 x0\xe9\n", 1, "error: line 2: byte 0xe9 of {path} is not UTF-8\n", 0),
+        (
+            f"x0\nx0 x{MAX_LEAVES - 1}\n".encode(),
+            2,
+            f"error: a diagram would have more than {MAX_LEAVES} leaves (memory)\n",
+            1,
+        ),
+    ],
+    ids=["bad-token", "not-utf-8", "leaf-cap"],
+)
+def test_subgraph_extending_line_fails_as_alone(capsys, monkeypatch, tmp_path, data, code, err, folds):
+    # a rest that does not parse is never folded; one that passes the
+    # leaf cap is, and then the line is built from scratch
+    path = tmp_path / "bad.words"
+    path.write_bytes(data)
+    result = _subgraph_both_ways(capsys, monkeypatch, path)
+    assert result == ((code, "", err.format(path=path)), None, folds)
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (3, 4), (6, 4), (8, 3), (5, 100)])
+def test_emit_words_are_the_normal_forms(capsys, n, m):
+    code, out, err = run(capsys, "gamma", "--n", str(n), "--m", str(m), "--emit-words")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [normal_form_text(d) for d in gamma_nm_concrete(n, m).origin]
+
+
+def test_emit_words_falls_back_to_the_normal_form(capsys, monkeypatch):
+    # a vertex sequence, each vertex with how it follows the one before:
+    # "append" is that vertex times x0^-1 with bottom trees 0 and 1 joined
+    # and nothing else changed, which the emit rule writes without
+    # normal_form_text; padding and a dipole are that product too, but
+    # change the top forest; "top" has the joined bottom under another top
+    words = [
+        ("", None),
+        ("x0^-1", "padding"),
+        ("x0^-1 x0^-1", "padding"),
+        ("x0", None),
+        ("", "dipole"),
+        ("x1^-1", None),
+        ("x1^-1 x0^-1", "append"),
+        ("x1^-1", None),
+        ("x0 x1^-1 x0^-1", "top"),
+        ("x2 x1^-1", None),
+        ("x2 x1^-1 x0^-1", "append"),
+        ("x2 x1^-1 x0^-1 x0^-1", "append"),
+    ]
+    origin = [from_word(parse_word(w)) for w, _ in words]
+    for before, d, (_, how) in zip(origin, origin[1:], words[1:]):
+        assert (d == mul_letter(before, 0, -1)) == (how in ("append", "padding", "dipole"))
+    assert origin[8].partition("|")[2] == origin[6].partition("|")[2]
+    assert origin[8].partition("|")[0] != origin[7].partition("|")[0]
+    written = []
+    monkeypatch.setattr(cli.gamma, "gamma_nm_concrete", lambda n, m: SimpleNamespace(origin=origin))
+    monkeypatch.setattr(cli, "normal_form_text", lambda d: written.append(d) or normal_form_text(d))
+    code, out, err = run(capsys, "gamma", "--n", "2", "--m", "1", "--emit-words")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [w for w, _ in words]
+    assert written == [d for d, (_, how) in zip(origin, words) if how != "append"]
+
+
+@pytest.mark.parametrize("k", [42, 2000])
+def test_norm_reads_the_length_formula(capsys, k):
+    # x_k has the k - 1 special vertices 2..k and norm 2k - 1
+    results = run_json(capsys, "norm", f"x{k}")["results"]
+    assert results["norm"] == metric.norm(from_word(((k, 1),))) == 2 * k - 1
+    assert len(results["special"]) == k - 1
+    assert results["norm"] == results["cells"] + 2 * len(results["special"])
 
 
 def test_closed_stdout_exits_quietly():

@@ -77,6 +77,22 @@ def test_sparse_generator_closed_form(k):
     assert special_vertices(d) == set(range(2, k + 1))
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 41, 42, 100, 2000])
+def test_norm_and_special_agree_on_generators(k):
+    # the norm command's one read; x_41 has 40 special vertices, x_42 41
+    for d in (atomic(k), invert(atomic(k))):
+        assert metric.norm_and_special(d) == (norm(d), special_vertices(d))
+    assert len(special_vertices(atomic(k))) == max(0, k - 1)
+
+
+def test_norm_and_special_agree_on_long_words():
+    rng = random.Random(4242)
+    for _ in range(40):
+        length, top = rng.randint(100, 1000), rng.choice((1, 5, 40))
+        d = from_word(tuple((rng.randint(0, top), rng.choice((1, -1))) for _ in range(length)))
+        assert metric.norm_and_special(d) == (norm(d), special_vertices(d)), d
+
+
 def _far_from_zero(g):
     # vertices at BFS distance >= 2 from vertex 0 over the arcs
     adjacent = {v: set() for v in range(g.vertex_count)}
