@@ -139,7 +139,7 @@ def dead_search(max_norm: int, cap: int = DEFAULT_CAP) -> List[str]:
     Dead means all four norm deltas are -1.  Let bottom tree 1 start at
     leaf s0 and tree 2 at w.  A bridge head is a top leaf tree that is
     not top-near (near vertex 0 in the top forest) with a caret starting
-    right of it.  By the cases of metric._norm_deltas, x0 and x1 are +1
+    right of it.  By the cases of metric._deltas, x0 and x1 are +1
     when bottom tree 0 or 1 is a leaf.  If both are carets, a caret
     starts at s0, so x0 is -1 iff s0 is top-near; x1^-1 is -1 iff tree 2
     is a leaf and w a bridge head, which makes w special and x0^-1 -1;
@@ -228,9 +228,10 @@ def _sphere_counts(radius: int) -> List[int]:
     # A digit at or below radius never overflows: it counts distinct
     # prefixes (a prefix and its mirror are two), and each prefix of norm
     # n < radius ends, through one more caret, in its own element of norm
-    # at most n + 3, where b_{n+3} < 2^width.  A half-step prefix with
-    # c_v > 0 is already a complete element (d_v = 0).  Digits above
-    # radius are dropped, and their carries only move up.
+    # at most radius + 2, and by _cap_cannot_bind's b_m <= 2 * 3^m - 1,
+    # b_{radius+2} < 2^(2 radius + 4) for radius >= 1: 4 spare bits.  A
+    # half-step prefix with c_v > 0 is already a complete element, d_v = 0.
+    # Digits above radius are dropped, and their carries only move up.
     width = 2 * radius + 8
     live = (1 << width * radius) - 1  # norms below radius can go on
     # x * rows[charge] shifts x by each cost 1 + charge..radius of c_v = 0, d_v > 0

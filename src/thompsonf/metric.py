@@ -128,23 +128,21 @@ def active_vertices(d: Diagram) -> Set[int]:
     return _read(d)[1]
 
 
+def norm_and_special(d: Diagram) -> Tuple[int, Set[int]]:
+    """The length formula, cells + 2 * #special, and the special vertices."""
+    cells, active, near = _read(d)
+    special = active - near
+    return cells + 2 * len(special), special
+
+
 def special_vertices(d: Diagram) -> Set[int]:
     """Active vertices at distance >= 2 from vertex 0 in the diagram graph."""
-    _, active, near = _read(d)
-    return active - near
+    return norm_and_special(d)[1]
 
 
 def norm(d: Diagram) -> int:
     """The x0,x1 word length of the element represented by d."""
-    cells, active, near = _read(d)
-    return cells + 2 * (len(active) - len(active & near))
-
-
-def norm_and_special(d: Diagram) -> Tuple[int, Set[int]]:
-    """norm(d) and special_vertices(d) from one read of the diagram."""
-    cells, active, near = _read(d)
-    special = active - near
-    return cells + 2 * len(special), special
+    return norm_and_special(d)[0]
 
 
 def _last_start(f: str) -> int:
@@ -230,11 +228,6 @@ def _deltas(top: str, trees: List[str]) -> Iterator[int]:
         yield 1 - 2 * (t2 == "L" and window.bridge(w))
 
 
-def _norm_deltas(d: Diagram) -> Iterator[int]:
-    # _deltas on the diagram string
-    return _deltas(*_unpack(d))
-
-
 def is_dead(d: Diagram) -> bool:
     """True when right multiplication by every generator letter lowers the norm.
 
@@ -244,7 +237,7 @@ def is_dead(d: Diagram) -> bool:
     """
     if d == EPSILON:
         raise ValueError("the identity diagram is not in the domain of is_dead")
-    return all(delta < 0 for delta in _norm_deltas(d))
+    return all(delta < 0 for delta in _deltas(*_unpack(d)))
 
 
 def greedy_descent(d: Diagram) -> GenWord:

@@ -244,10 +244,6 @@ def invert_pl(f: PLMap) -> PLMap:
     return plmap([(y, x) for x, y in f.points])
 
 
-def evaluate_inverse(f: PLMap, y: Dyadic) -> Dyadic:
-    return evaluate(invert_pl(f), y)
-
-
 def compose_pl(f: PLMap, g: PLMap) -> PLMap:
     """The map t -> g(f(t)): f applied first, matching word order."""
     finv = invert_pl(f)
@@ -330,28 +326,43 @@ def from_word_pl(w: GenWord) -> PLMap:
     return result
 
 
+def _forest_error(code: str) -> ValueError:
+    # the first rule of a forest code, tree codes joined by ",", that code
+    # breaks; a piece with no more leaves than carets is an unfinished tree
+    pieces = code.split(",")
+    unfinished = [p.count("(") >= p.count("L") for p in pieces]
+    return ValueError(
+        "a forest code has a character other than '(', 'L' or ','" if set(code) - set("(L,")
+        else "a forest code is empty" if not code
+        else "a forest code has an empty tree" if "" in pieces
+        else "a forest code has a ',' inside a tree" if any(unfinished[:-1])
+        else "a tree code runs past the end of its forest" if unfinished[-1]
+        else "a forest code has two trees not joined by ','"
+    )
+
+
 def _leaf_runs(f: str, pos: int, end: int) -> List[Tuple[int, int]]:
     # the leaf depths of the forest code f[pos:end], left to right, as
     # (depth, count) runs.  A bare leaf tree is a leaf at depth 0, and a
-    # stretch of them is counted in C; inside a tree with carets, one
-    # Python step per character, with the depths of the subtrees still to
-    # read on a stack.  A tree ends after the last "," before its first
-    # caret, or at pos
-    runs = []
+    # stretch of them, "L," repeated to the next caret or to the end as if
+    # a "," followed, is checked and counted in C; inside a tree with
+    # carets, one Python step per character, with the depths of the
+    # subtrees still to read on a stack, and then one count checks its leaves
+    runs, begin = [], pos
     depth = count = 0  # the open run: count leaves at depth
-    while True:
+    while pos <= end:
         c = f.find("(", pos, end)
-        start = max(f.rfind(",", pos, c) + 1, pos) if c >= 0 else end
-        bare = f.count("L", pos, start)
+        stop = c if c >= 0 else end + 1
+        bare = f.count("L,", pos, stop) + (c < 0 and f.endswith("L", pos, end))
+        if 2 * bare != stop - pos:
+            raise _forest_error(f[begin:end])
         if bare and depth:
             runs.append((depth, count))
             depth = count = 0
         count += bare
         if c < 0:
-            runs.append((depth, count))
-            return runs
-        stack = [0]
-        pos = start
+            break
+        stack, pos = [0], c
         while stack and pos < end:
             a = stack.pop()
             if f[pos] == "(":
@@ -363,9 +374,11 @@ def _leaf_runs(f: str, pos: int, end: int) -> List[Tuple[int, int]]:
                     runs.append((depth, count))
                 depth, count = a, 1
             pos += 1
-        if stack:
-            raise ValueError("a tree code runs past the end of its forest")
+        if stack or 2 * f.count("L", c, pos) != pos - c + 1 or pos < end and f[pos] != ",":
+            raise _forest_error(f[begin:end])
         pos += 1  # past the "," after the tree
+    runs.append((depth, count))
+    return runs
 
 
 def from_diagram(d: str) -> PLMap:

@@ -230,12 +230,13 @@ def test_fullness_error_names_the_vertex_by_word():
         fullness_check(tampered)
 
 
-def test_fullness_check_catches_an_edge_past_n():
-    # x3 joins the vertex set of Gamma_{2,2}; no edge labelled 0..2
-    # reaches it, but the identity reaches it by x3
+@pytest.mark.parametrize("k", [3, 4])
+def test_fullness_check_catches_an_edge_past_n(k):
+    # x_k, k = n+1 or n+2, joins the vertex set of Gamma_{2,2}; no edge
+    # is recorded above x2, but the identity reaches x_k by x_k
     g = gamma_nm_concrete(2, 2)
-    tampered = g._replace(origin={**g.origin, atomic(3): 0})
-    with pytest.raises(ConstructionError, match=r"^unexpected x3 edge inside the vertex set at ''$"):
+    tampered = g._replace(origin={**g.origin, atomic(k): 0})
+    with pytest.raises(ConstructionError, match=rf"^fullness violated at '' under x{k}$"):
         fullness_check(tampered)
 
 

@@ -12,6 +12,7 @@ from thompsonf.cayley import enumerate_ball, neighbors
 from thompsonf.diagrams import (
     EPSILON,
     GENERATOR_LETTERS,
+    _unpack,
     atomic,
     cell_count,
     compose,
@@ -313,7 +314,7 @@ def _deltas_by_norm(d):
 def test_norm_deltas_match_norm_on_ball_8():
     for d in enumerate_ball(8)._by_diagram:
         deltas = _deltas_by_norm(d)
-        assert tuple(metric._norm_deltas(d)) == deltas, d
+        assert tuple(metric._deltas(*_unpack(d))) == deltas, d
         if d != EPSILON:
             assert is_dead(d) == (deltas == (-1, -1, -1, -1)), d
 
@@ -329,7 +330,7 @@ def test_norm_deltas_match_norm_on_ball_8():
 def test_norm_deltas_match_norm_on_long_words(length, top_index, rng):
     d = from_word(tuple((rng.randint(0, top_index), rng.choice((1, -1))) for _ in range(length)))
     for _ in range(3):
-        assert tuple(metric._norm_deltas(d)) == _deltas_by_norm(d), d
+        assert tuple(metric._deltas(*_unpack(d))) == _deltas_by_norm(d), d
         d = mul_letter(d, rng.randint(0, 1), rng.choice((1, -1)))
 
 
@@ -393,7 +394,7 @@ def _branch(d, k, s):
 def test_norm_delta_branches(word, letter, branch, delta):
     d = from_word(parse_word(word))
     assert _branch(d, *letter) == branch
-    deltas = dict(zip(GENERATOR_LETTERS, metric._norm_deltas(d)))
+    deltas = dict(zip(GENERATOR_LETTERS, metric._deltas(*_unpack(d))))
     assert deltas[letter] == norm(mul_letter(d, *letter)) - norm(d) == delta
 
 

@@ -14,7 +14,6 @@ from thompsonf.plmaps import (
     compose_pl,
     dyadic,
     evaluate,
-    evaluate_inverse,
     from_diagram,
     from_word_pl,
     generator_map,
@@ -216,7 +215,7 @@ class TestGroupStructure:
         if x < ZERO:
             x = -x
         f = from_word_pl(w)
-        assert evaluate_inverse(f, evaluate(f, x)) == x
+        assert evaluate(invert_pl(f), evaluate(f, x)) == x
 
     @given(words)
     @settings(max_examples=60)
@@ -345,3 +344,26 @@ class TestDiagramReading:
         for d in ("(L|LL", "((L|LLL", "L,(L|L,LL", "L|(L", "(LL|L,(L"):
             with pytest.raises(ValueError, match=r"^a tree code runs past the end of its forest$"):
                 from_diagram(d)
+
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            ("|", "a forest code is empty"),
+            ("L|", "a forest code is empty"),
+            ("x|y", "a forest code has a character other than '(', 'L' or ','"),
+            ("L|L|L", "a forest code has a character other than '(', 'L' or ','"),
+            ("LL|LL", "a forest code has two trees not joined by ','"),
+            ("(LLL|L,L,L", "a forest code has two trees not joined by ','"),
+            ("L,,L|L,L", "a forest code has an empty tree"),
+            ("L|L,", "a forest code has an empty tree"),
+            (",L|L,", "a forest code has an empty tree"),
+            ("(LL,|L,L", "a forest code has an empty tree"),
+            ("(LL,,(LL|L,L,L,L", "a forest code has an empty tree"),
+            ("(L,L|L,L", "a forest code has a ',' inside a tree"),
+        ],
+    )
+    def test_rejects_a_string_that_is_not_two_forest_codes(self, d, message):
+        # each string breaks one rule of "tree codes joined by ','"
+        with pytest.raises(ValueError) as error:
+            from_diagram(d)
+        assert str(error.value) == message
