@@ -43,15 +43,15 @@ _EXPORTS = {
         "MatchingResult", "Subgraph", "boundary", "density", "doubling_check",
         "folner_inequalities", "full_subgraph", "min_degree", "q_value", "two_one_matching",
     ),
-    "growth": ("collision_check", "is_l_word", "rate_estimate", "run_automaton", "series"),
+    "growth": ("is_l_word", "run_automaton", "series"),
     "gamma": (
         "ConcreteGamma", "LabeledGraph", "SizeLimitError", "apply_A", "bar", "closed_a",
-        "closed_b", "closed_nu", "column_partition", "density_bar", "fullness_check", "gamma",
-        "gamma_nm_concrete", "psi", "rank_counts", "xi_path", "xi_single",
+        "closed_b", "closed_nu", "column_partition", "fullness_check", "gamma", "gamma_nm_concrete",
+        "psi", "rank_counts", "xi_path", "xi_single",
     ),
     "plmaps": (
         "Dyadic", "PLMap", "compose_pl", "dyadic", "from_diagram", "from_word_pl", "generator_map",
-        "invert_pl", "pl_equal", "pl_identity",
+        "invert_pl",
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -26,6 +26,7 @@ edge counts (the b numbers) count a loop once.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
@@ -210,22 +211,8 @@ def closed_b(n: int, k: int) -> int:
     return _exact(numerator, factorial(n - k) * factorial(n + 1))
 
 
-def closed_b_first_two(n: int) -> int:
-    """b_n0 = b_n1 = 3 (2n-2)! / ((n-2)! (n+1)!) for n >= 2."""
-    if n < 2:
-        raise ValueError("defined for n >= 2")
-    return _exact(3 * factorial(2 * n - 2), factorial(n - 2) * factorial(n + 1))
-
-
-def density_bar(n: int) -> Fraction:
-    """Measured density of bar(Gamma_n): 2 #edges / #vertices, exact."""
-    if n < 2:
-        raise ValueError("defined for n >= 2")
-    return bar(gamma(n)).density()
-
-
 def density_bar_closed(n: int) -> Fraction:
-    """6(n-1)/(2n-1), the closed form of density_bar."""
+    """6(n-1)/(2n-1), the closed form of bar(gamma(n)).density()."""
     if n < 2:
         raise ValueError("defined for n >= 2")
     return Fraction(6 * (n - 1), 2 * n - 1)
@@ -329,20 +316,21 @@ def gamma_nm_concrete(n: int, m: int) -> ConcreteGamma:
 def fullness_check(g: ConcreteGamma) -> bool:
     """Verify g is the full subgraph induced on its vertex set.
 
-    For every vertex u and every label k <= n + 2, the neighbour u * x_k
-    lies in the vertex set iff the edge was recorded.  No edge is
-    recorded above x_n, so labels n+1 and n+2 spot-check that none
-    escapes that range (the vertex normal forms only involve x_0..x_n).
+    For each vertex u, the triples (u, v, k) with v = u * x_k in the vertex
+    set and k <= n + 2 are exactly u's recorded edges; the first vertex,
+    then label, where they differ is named.  No edge is recorded above
+    x_n, so labels n+1 and n+2 check that no vertex leaves x_0..x_n.
     """
     index = {d: i for i, d in enumerate(g.origin)}
-    recorded = set(g.graph.edges)
+    edges = sorted(g.graph.edges)  # vertex u's edges are a slice
+    end = 0
     for d, i in index.items():
-        for k in range(g.n + 3):
-            j = index.get(mul_letter(d, k, 1))
-            if (j is not None) != ((i, j, k) in recorded):
-                raise ConstructionError(
-                    f"fullness violated at {normal_form_text(d)!r} under x{k}"
-                )
+        start, end = end, bisect_left(edges, (i + 1,), end)
+        products = [(i, index.get(mul_letter(d, k, 1)), k) for k in range(g.n + 3)]
+        wrong = {e for e in products if e[1] is not None}.symmetric_difference(edges[start:end])
+        if wrong:
+            k = min(e[2] for e in wrong)
+            raise ConstructionError(f"fullness violated at {normal_form_text(d)!r} under x{k}")
     return True
 
 

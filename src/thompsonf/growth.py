@@ -24,9 +24,9 @@ the same coefficients satisfy c_n = 4c_{n-1} - 4c_{n-2} + c_{n-3}.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .diagrams import GENERATOR_LETTERS, Diagram, LimitError, from_word, mul_letter
+from .diagrams import LimitError
 from .words import GenWord, Letter, format_word
 
 _CHAR = {(0, 1): "a", (0, -1): "A", (1, 1): "b", (1, -1): "B"}
@@ -46,7 +46,7 @@ TRANSITIONS: Dict[Tuple[int, Letter], int] = {
 
 
 class ResourceError(LimitError):
-    """Counting or enumeration request beyond the supported size."""
+    """Counting request beyond the supported size."""
 
 
 def _encode(w: GenWord) -> str:
@@ -108,91 +108,3 @@ def series(max_n: int) -> List[int]:
         out.append(sum(counts))
     return out
 
-
-def recurrence_check(max_n: int) -> bool:
-    """c_n = 4c_{n-1} - 4c_{n-2} + c_{n-3} for 4 <= n <= max_n."""
-    c = series(max_n)
-    return all(
-        c[n] == 4 * c[n - 1] - 4 * c[n - 2] + c[n - 3]
-        for n in range(4, max_n + 1)
-    )
-
-
-def _l_words(max_n: int) -> Iterator[GenWord]:
-    """Every nonempty L-word of length <= max_n, in depth-first preorder.
-
-    Walks the prefix tree, pruning at invalid prefixes: a forbidden
-    factor survives every extension, so no valid word sits below an
-    invalid prefix.
-    """
-    stack: List[Tuple[GenWord, str]] = [((), "")]
-    while stack:
-        word, encoded = stack.pop()
-        if word:
-            yield word
-        if len(word) < max_n:
-            for letter in reversed(GENERATOR_LETTERS):
-                candidate = encoded + _CHAR[letter]
-                if _FORBIDDEN.search(candidate) is None:
-                    stack.append((word + (letter,), candidate))
-
-
-_BRUTEFORCE_LIMIT = 16
-
-
-def bruteforce_series(max_n: int) -> List[int]:
-    """Counts c_0..c_max_n by exhaustive scan filtered with is_l_word."""
-    if max_n > _BRUTEFORCE_LIMIT:
-        raise ResourceError(
-            f"brute force capped at length {_BRUTEFORCE_LIMIT}, asked {max_n}"
-        )
-    counts = [0] * (max_n + 1)
-    counts[0] = 1
-    for word in _l_words(max_n):
-        counts[len(word)] += 1
-    return counts
-
-
-def rate_estimate(n: int) -> float:
-    """c_n / c_{n-1}; converges to (3 + sqrt 5)/2 = 2.6180339887..."""
-    if n < 4:
-        raise ValueError("rate estimate needs n >= 4")
-    c = series(n)
-    return c[n] / c[n - 1]
-
-
-class CollisionReport(NamedTuple):
-    words: int
-    distinct: int
-    collisions: List[Tuple[str, str]]  # pairs of words mapping to equal elements
-
-
-_COLLISION_LIMIT = 12
-
-
-def collision_check(max_n: int) -> CollisionReport:
-    """Map every L-word of length <= max_n to its canonical diagram.
-
-    All images must be distinct (L is a transversal of F); any collision
-    is reported as a pair of word strings and would mark an
-    implementation bug.
-    """
-    if max_n > _COLLISION_LIMIT:
-        raise ResourceError(
-            f"collision check capped at length {_COLLISION_LIMIT}, asked {max_n}"
-        )
-    root = from_word(())
-    seen: Dict[Diagram, GenWord] = {root: ()}
-    collisions: List[Tuple[str, str]] = []
-    path = [root]  # path[k]: the diagram of the current word's k-letter prefix
-    for word in _l_words(max_n):
-        del path[len(word):]
-        diagram = mul_letter(path[-1], *word[-1])
-        path.append(diagram)
-        if diagram in seen:
-            collisions.append((format_word(seen[diagram]), format_word(word)))
-        else:
-            seen[diagram] = word
-    return CollisionReport(
-        words=len(seen) + len(collisions), distinct=len(seen), collisions=collisions
-    )

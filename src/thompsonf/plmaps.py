@@ -212,10 +212,6 @@ def plmap(points: List[Point]) -> PLMap:
     )
 
 
-def pl_identity() -> PLMap:
-    return PLMap(points=((ZERO, ZERO),), tail_offset=0)
-
-
 def generator_map(i: int) -> PLMap:
     """f_i: slope 1 on [0, i], slope 2 on [i, i+1], then t + 1."""
     if i < 0:
@@ -418,8 +414,3 @@ def from_diagram(d: str) -> PLMap:
     if m or n:
         raise ValueError("the two forests have different leaf counts")
     return _canonical(xs, ys, e)
-
-
-def pl_equal(f: PLMap, g: PLMap) -> bool:
-    """Structural equality of canonical forms decides equality in F."""
-    return f == g

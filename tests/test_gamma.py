@@ -1,5 +1,6 @@
 import importlib
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -13,11 +14,9 @@ from thompsonf.gamma import (
     catalan,
     closed_a,
     closed_b,
-    closed_b_first_two,
     closed_nu,
     column_partition,
     degree_histogram,
-    density_bar,
     density_bar_closed,
     edge_label_counts,
     fullness_check,
@@ -95,8 +94,6 @@ def test_apply_A_rejects_a_low_edge():
         (closed_a, (3, 4)),
         (closed_b, (3, -1)),
         (closed_b, (3, 4)),
-        (closed_b_first_two, (1,)),
-        (density_bar, (1,)),
         (density_bar_closed, (1,)),
     ],
 )
@@ -124,7 +121,9 @@ def test_b_rows_match_closed_form():
 
 def test_b_first_two_agree():
     for n in range(2, 10):
-        assert closed_b(n, 0) == closed_b(n, 1) == closed_b_first_two(n)
+        # the paper's b_n0 = b_n1 = 3 (2n-2)! / ((n-2)! (n+1)!), a whole number
+        first_two = Fraction(3 * factorial(2 * n - 2), factorial(n - 2) * factorial(n + 1))
+        assert closed_b(n, 0) == closed_b(n, 1) == first_two
 
 
 def test_row_recursions():
@@ -140,7 +139,7 @@ def test_row_recursions():
 
 def test_density_measured_equals_closed():
     for n in range(2, 9):
-        assert density_bar(n) == density_bar_closed(n) == Fraction(
+        assert bar(gamma(n)).density() == density_bar_closed(n) == Fraction(
             6 * (n - 1), 2 * n - 1
         )
 
@@ -238,6 +237,14 @@ def test_fullness_check_catches_an_edge_past_n(k):
     tampered = g._replace(origin={**g.origin, atomic(k): 0})
     with pytest.raises(ConstructionError, match=rf"^fullness violated at '' under x{k}$"):
         fullness_check(tampered)
+
+
+def test_fullness_check_catches_a_recorded_edge_that_leaves_the_set():
+    # the identity times x0 is x0, which is not a vertex of Gamma_{2,2}
+    g = gamma_nm_concrete(2, 2)
+    bogus = LabeledGraph(g.graph.vertex_count, g.graph.edges + ((0, 0, 0),))
+    with pytest.raises(ConstructionError, match=r"^fullness violated at '' under x0$"):
+        fullness_check(g._replace(graph=bogus))
 
 
 @pytest.mark.parametrize("text", ["x0", "x1^-1", "x3^-1"])

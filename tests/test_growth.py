@@ -1,16 +1,11 @@
 import pytest
 
-from thompsonf import growth
+import language_oracle
+from language_oracle import CollisionReport, bruteforce_series, collision_check
 from thompsonf.growth import (
     START_STATE,
     TRANSITIONS,
-    CollisionReport,
-    ResourceError,
-    bruteforce_series,
-    collision_check,
     is_l_word,
-    rate_estimate,
-    recurrence_check,
     run_automaton,
     series,
     transition_matrix,
@@ -50,15 +45,7 @@ def test_series_matches_bruteforce():
     assert bruteforce_series(5)[5] == 244
 
 
-def test_bruteforce_cap():
-    from thompsonf.growth import ResourceError
-
-    with pytest.raises(ResourceError):
-        bruteforce_series(17)
-
-
 def test_recurrence():
-    assert recurrence_check(60)
     s = series(60)
     for n in range(4, 61):
         assert s[n] == 4 * s[n - 1] - 4 * s[n - 2] + s[n - 3]
@@ -66,9 +53,8 @@ def test_recurrence():
 
 def test_rate_estimate():
     golden = (3 + 5 ** 0.5) / 2
-    assert abs(rate_estimate(40) - golden) < 1e-6
-    with pytest.raises(ValueError):
-        rate_estimate(3)
+    c = series(40)
+    assert abs(c[40] / c[39] - golden) < 1e-6
 
 
 def test_transition_matrix_rows():
@@ -136,15 +122,10 @@ def test_collision_check_injective():
     assert report.collisions == []
 
 
-def test_collision_check_cap():
-    with pytest.raises(ResourceError, match=r"^collision check capped at length 12, asked 13$"):
-        collision_check(13)
-
-
 def test_collision_check_reports_collisions(monkeypatch):
     # with every letter acting as the identity, each word of length 1
     # collides with the empty word
-    monkeypatch.setattr(growth, "mul_letter", lambda d, k, s: d)
+    monkeypatch.setattr(language_oracle, "mul_letter", lambda d, k, s: d)
     assert collision_check(1) == CollisionReport(
         words=5, distinct=1, collisions=[("", "x0"), ("", "x0^-1"), ("", "x1"), ("", "x1^-1")]
     )

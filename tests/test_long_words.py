@@ -21,7 +21,7 @@ from thompsonf.diagrams import (
     to_normal_form,
 )
 from thompsonf.metric import greedy_descent, norm
-from thompsonf.plmaps import from_diagram, from_word_pl, pl_equal
+from thompsonf.plmaps import from_diagram, from_word_pl
 
 
 def _reduced_word(rng, length):
@@ -55,7 +55,7 @@ def test_long_word_properties(w):
     # x0 and x1 words: the norm bounds the length, and every relator of F
     # has even length
     assert n <= len(w) and (len(w) - n) % 2 == 0
-    assert pl_equal(from_word_pl(normal_form_word(nf)), from_word_pl(w))
+    assert from_word_pl(normal_form_word(nf)) == from_word_pl(w)
 
 
 _DESCENT_RNG = random.Random(2002)

@@ -1,7 +1,12 @@
 """The package's public names stay what they were when every module ran at
 import: each re-exported name is the defining module's object, the star
 import binds the same names, thompsonf.gamma stays the function, and the
-resource caps share one base class without changing their own names."""
+resource caps share one base class without changing their own names.
+
+Five names that only tests called are no longer public: collision_check
+moved to tests/language_oracle.py; rate_estimate is c_n / c_{n-1} on
+series; density_bar is bar(gamma(n)).density(); pl_equal is == on PLMap;
+and pl_identity is the literal PLMap(((ZERO, ZERO),), 0)."""
 
 import importlib
 import os
@@ -19,7 +24,7 @@ gamma_module = importlib.import_module("thompsonf.gamma")
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # the public names of the package, by defining module, as they were when
-# `import thompsonf` ran every module
+# `import thompsonf` ran every module, less the five above
 PUBLIC = {
     "words": "WordError format_word free_reduce inverse_word parse_word",
     "diagrams": (
@@ -39,15 +44,14 @@ PUBLIC = {
         "MatchingResult Subgraph boundary density doubling_check folner_inequalities "
         "full_subgraph min_degree q_value two_one_matching"
     ),
-    "growth": "collision_check is_l_word rate_estimate run_automaton series",
+    "growth": "is_l_word run_automaton series",
     "gamma": (
         "ConcreteGamma LabeledGraph SizeLimitError apply_A bar closed_a closed_b closed_nu "
-        "column_partition density_bar fullness_check gamma gamma_nm_concrete psi rank_counts "
+        "column_partition fullness_check gamma gamma_nm_concrete psi rank_counts "
         "xi_path xi_single"
     ),
     "plmaps": (
-        "Dyadic PLMap compose_pl dyadic from_diagram from_word_pl generator_map invert_pl "
-        "pl_equal pl_identity"
+        "Dyadic PLMap compose_pl dyadic from_diagram from_word_pl generator_map invert_pl"
     ),
 }
 MODULES = sorted(PUBLIC)

@@ -18,11 +18,12 @@ from thompsonf.plmaps import (
     from_word_pl,
     generator_map,
     invert_pl,
-    pl_equal,
-    pl_identity,
     plmap,
 )
 from thompsonf.words import inverse_word, parse_word
+
+# the identity map: one breakpoint at the origin, slope 1 throughout
+IDENTITY = PLMap(((ZERO, ZERO),), 0)
 
 letters = st.tuples(st.integers(min_value=0, max_value=3), st.sampled_from((1, -1)))
 words = st.lists(letters, max_size=8).map(tuple)
@@ -171,8 +172,7 @@ class TestNormalization:
 
 class TestGroupStructure:
     def test_identity(self):
-        assert from_word_pl(()) == pl_identity()
-        assert pl_identity().points == ((ZERO, ZERO),)
+        assert from_word_pl(()) == IDENTITY
 
     def test_rewriting_relation(self):
         assert compose_pl(generator_map(1), generator_map(0)) == compose_pl(
@@ -191,17 +191,17 @@ class TestGroupStructure:
                 + parse_word("x1")
                 + parse_word(conj_b)
             )
-            assert pl_equal(from_word_pl(lhs), from_word_pl(rhs))
-            assert from_word_pl(lhs + inverse_word(rhs)) == pl_identity()
+            assert from_word_pl(lhs) == from_word_pl(rhs)
+            assert from_word_pl(lhs + inverse_word(rhs)) == IDENTITY
 
     def test_generators_differ(self):
-        assert not pl_equal(generator_map(0), generator_map(1))
+        assert generator_map(0) != generator_map(1)
 
     @given(words)
     @settings(max_examples=60)
     def test_inverse_cancels(self, w):
         f = from_word_pl(w)
-        assert compose_pl(f, invert_pl(f)) == pl_identity()
+        assert compose_pl(f, invert_pl(f)) == IDENTITY
         assert invert_pl(invert_pl(f)) == f
 
     @given(words, words)
@@ -226,7 +226,7 @@ class TestGroupStructure:
 
 def fold_compose(w):
     """The definition from_word_pl must match: one compose_pl per letter."""
-    acc = pl_identity()
+    acc = IDENTITY
     for k, s in w:
         step = generator_map(k) if s == 1 else invert_pl(generator_map(k))
         acc = compose_pl(acc, step)
@@ -242,7 +242,7 @@ class TestLetterFold:
     @pytest.mark.parametrize("k", [0, 1])
     def test_long_power_cancels(self, k):
         w = ((k, 1),) * 2000 + ((k, -1),) * 2000
-        assert from_word_pl(w) == pl_identity()
+        assert from_word_pl(w) == IDENTITY
 
     def test_long_homomorphism(self):
         rng = random.Random(2002)
@@ -266,14 +266,14 @@ class TestCrossRepresentation:
     @given(words, words)
     @settings(max_examples=80)
     def test_equality_oracle_agreement(self, u, v):
-        pl_same = pl_equal(from_word_pl(u), from_word_pl(v))
+        pl_same = from_word_pl(u) == from_word_pl(v)
         diagram_same = from_word(u) == from_word(v)
         assert pl_same == diagram_same
 
     @given(words)
     @settings(max_examples=60)
     def test_triviality_agreement(self, w):
-        assert (from_word_pl(w) == pl_identity()) == (from_word(w) == EPSILON)
+        assert (from_word_pl(w) == IDENTITY) == (from_word(w) == EPSILON)
 
 
 def _reduced(rng, length):
@@ -326,7 +326,7 @@ class TestDiagramReading:
         assert from_diagram(from_word(((k, -1),))) == invert_pl(generator_map(k))
 
     def test_identity(self):
-        assert from_diagram(EPSILON) == pl_identity()
+        assert from_diagram(EPSILON) == IDENTITY
 
     def test_rejects_a_string_without_two_forests(self):
         with pytest.raises(ValueError, match=r"^a diagram string is top\|bottom$"):
