@@ -47,7 +47,7 @@ _EXPORTS = {
     "gamma": (
         "ConcreteGamma", "LabeledGraph", "SizeLimitError", "apply_A", "bar", "closed_a",
         "closed_b", "closed_nu", "column_partition", "fullness_check", "gamma", "gamma_nm_concrete",
-        "psi", "rank_counts", "xi_path", "xi_single",
+        "psi", "xi_path", "xi_single",
     ),
     "plmaps": (
         "Dyadic", "PLMap", "compose_pl", "dyadic", "from_diagram", "from_word_pl", "generator_map",

@@ -28,6 +28,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from itertools import accumulate
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -215,14 +216,14 @@ def _gamma_report(n: int, m: Optional[int]) -> tuple:
     # refuses before the abstract graph is built
     concrete = None if m is None else gamma.gamma_nm_concrete(n, m)
     g = gamma.gamma(n)
-    ranks = gamma.rank_counts(g)
+    ranks = Counter(g.ranks())
     a_row = [ranks.get(k, 0) for k in range(1, n + 1)]
-    labels = gamma.edge_label_counts(g)
+    labels = Counter(label for _, _, label in g.edges)
     b_row = [labels.get(k, 0) for k in range(0, n + 1)]
     cat = gamma.catalan(n)
     bar_g = gamma.bar(g)
     density = bar_g.density()
-    nu = gamma.degree_histogram(bar_g)
+    nu = Counter(bar_g.degrees())
     checks = {
         "a_row": a_row == [gamma.closed_a(n, k) for k in range(1, n + 1)],
         "b_row": b_row == [gamma.closed_b(n, k) for k in range(0, n + 1)],
@@ -271,20 +272,15 @@ def _cmd_gamma(args) -> Report:
         return _gamma_report(args.n, args.m)
     if args.m is None:
         raise _CLIError("--emit-words needs --m to fix the concrete family")
-    before = word = None
-    for d in gamma.gamma_nm_concrete(args.n, args.m).origin:
-        # d with the top forest of the vertex before and its bottom trees
-        # 0 and 1 joined under a caret is that vertex times x0^-1.  The
-        # new caret starts at leaf 0 and every other caret keeps its
-        # leftmost leaf, so neg gains one 0, which normal_form_text
-        # writes last.  The identity has one bottom tree, so the word
-        # before is never empty here
-        if before and d == f"{before[0]}|({before[2].replace(',', '', 1)}":
-            word += " x0^-1"
-        else:
-            word = normal_form_text(d)
+    concrete = gamma.gamma_nm_concrete(args.n, args.m)
+    # the chain records (u, u - 1, 0) when vertex u is vertex u - 1 times
+    # x0^-1.  A vertex has no positive part, so x0^-1 adds one 0 to its
+    # negative part, which normal_form_text writes last
+    steps = {u for u, v, label in concrete.graph.edges if (v, label) == (u - 1, 0)}
+    word = ""
+    for u, d in enumerate(concrete.origin):
+        word = f"{word} x0^-1" if word and u in steps else normal_form_text(d)
         print(word)
-        before = d.partition("|")
     return None
 
 

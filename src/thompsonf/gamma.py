@@ -15,10 +15,12 @@ element as the chain goes.  Seed vertex k is x_n^{-k}, and each column
 descends from its head by x_i^{-1}, so an edge (u, v, j) means
 v = u * x_j.  Every edge is then checked by one-letter multiplication
 and the names are checked to be distinct, which realizes Gamma_{n,m} as
-a full subgraph of the Cayley graph over x_0..x_n.  ConcreteGamma.origin
-maps each vertex diagram to its column on the seed path, which supports
-the per-column density averages rho_k, and ConcreteGamma.graph keeps
-the chain's integer graph, whose vertex i is the i-th key of origin.
+a full subgraph of the Cayley graph over x_0..x_n.  ConcreteGamma.graph
+keeps the chain's integer graph, whose vertex i is the i-th key of
+ConcreteGamma.origin.  apply_A numbers each column consecutively, in
+vertex order, so seed column k is the block of vertices k C .. (k+1) C - 1,
+C = Catalan(n): origin maps vertex i to i // C, and the per-column
+density averages rho_k sum the bar degrees block by block.
 
 Degrees count both endpoints, so a loop adds 2 to its vertex's degree;
 edge counts (the b numbers) count a loop once.
@@ -27,7 +29,6 @@ edge counts (the b numbers) count a loop once.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, List, NamedTuple, Tuple
@@ -171,11 +172,6 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def rank_counts(g: LabeledGraph) -> Dict[int, int]:
-    """Vertices per rank."""
-    return Counter(g.ranks())
-
-
 def _exact(numerator: int, denominator: int) -> int:
     # a closed count's quotient, which must come out whole
     quotient, remainder = divmod(numerator, denominator)
@@ -188,11 +184,6 @@ def closed_a(n: int, k: int) -> int:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     return _exact(k * factorial(2 * n - k - 1), factorial(n - k) * factorial(n))
-
-
-def edge_label_counts(g: LabeledGraph) -> Dict[int, int]:
-    """Edges per label, loops counted once."""
-    return Counter(label for _, _, label in g.edges)
 
 
 def closed_b(n: int, k: int) -> int:
@@ -218,11 +209,6 @@ def density_bar_closed(n: int) -> Fraction:
     return Fraction(6 * (n - 1), 2 * n - 1)
 
 
-def degree_histogram(g: LabeledGraph) -> Dict[int, int]:
-    """Vertices per degree, a loop contributing 2."""
-    return Counter(g.degrees())
-
-
 def closed_nu(n: int, d: int) -> int:
     """Degree-d vertex count of bar(Gamma_n) for d in {2,3,4}, n >= 5."""
     if n < 5:
@@ -245,7 +231,8 @@ class ConcreteGamma(NamedTuple):
 
     n: int
     m: int
-    # vertex -> seed-path column 0..m, in construction (--emit-words) order
+    # vertex -> seed-path column 0..m, in construction (--emit-words)
+    # order: vertex i is in column i // Catalan(n)
     origin: Dict[Diagram, int]
     # the chain's graph: vertex i is the i-th key of origin, and an edge
     # (u, v, j) means v = u * x_j
@@ -269,7 +256,8 @@ def gamma_nm_concrete(n: int, m: int) -> ConcreteGamma:
     Seed vertex k is x_n^{-k} for k = 0..m.  apply_A numbers the column
     of each vertex consecutively, head first and in vertex order, so a
     column is named by its head's diagram followed by repeated right
-    multiplication by x_i^{-1}, and it keeps its head's seed column.
+    multiplication by x_i^{-1}, and seed column k is the block of
+    vertices k Catalan(n) .. (k+1) Catalan(n) - 1.
     Every edge (u, v, j) is then checked as v = u * x_j, and the names
     as pairwise distinct.  The result has (m+1) Catalan(n) vertices, all
     reduced monomials in x_0..x_n with nonpositive exponents.  Above
@@ -283,33 +271,30 @@ def gamma_nm_concrete(n: int, m: int) -> ConcreteGamma:
     names = [from_word(())]
     for _ in range(m):
         names.append(mul_letter(names[-1], n, -1))
-    columns = list(range(m + 1))
     for i in range(n - 2, -1, -1):
         heights = [r - i for r in g.ranks()]
         g = apply_A(i, g)
         column_names: List[Diagram] = []
-        column_indices: List[int] = []
-        for d, column, height in zip(names, columns, heights):
+        for d, height in zip(names, heights):
             column_names.append(d)
             for _ in range(height - 1):
                 d = mul_letter(d, i, -1)
                 column_names.append(d)
-            column_indices += [column] * height
-        names, columns = column_names, column_indices
+        names = column_names
     for u, v, j in g.edges:
         if mul_letter(names[u], j, 1) != names[v]:
             u, v = normal_form_text(names[u]), normal_form_text(names[v])
             raise ConstructionError(f"edge {u!r} -x{j}-> {v!r} failed verification")
+    size = catalan(n)
+    if len(names) != (m + 1) * size:
+        raise ConstructionError(
+            f"vertex count {len(names)} differs from (m+1) Catalan(n) = {(m + 1) * size}"
+        )
     origin: Dict[Diagram, int] = {}
-    for d, column in zip(names, columns):
+    for v, d in enumerate(names):
         if d in origin:
             raise ConstructionError(f"vertex {normal_form_text(d)!r} is named twice")
-        origin[d] = column
-    expected = (m + 1) * catalan(n)
-    if len(origin) != expected:
-        raise ConstructionError(
-            f"vertex count {len(origin)} differs from (m+1) Catalan(n) = {expected}"
-        )
+        origin[d] = v // size
     return ConcreteGamma(n=n, m=m, origin=origin, graph=g)
 
 
@@ -318,11 +303,15 @@ def fullness_check(g: ConcreteGamma) -> bool:
 
     For each vertex u, the triples (u, v, k) with v = u * x_k in the vertex
     set and k <= n + 2 are exactly u's recorded edges; the first vertex,
-    then label, where they differ is named.  No edge is recorded above
+    then label, where they differ is named; a recorded edge from outside
+    the vertices 0..V-1 is named by its index.  No edge is recorded above
     x_n, so labels n+1 and n+2 check that no vertex leaves x_0..x_n.
     """
     index = {d: i for i, d in enumerate(g.origin)}
     edges = sorted(g.graph.edges)  # vertex u's edges are a slice
+    for u, _, k in edges[:1] + edges[-1:]:
+        if not 0 <= u < len(index):
+            raise ConstructionError(f"fullness violated at vertex {u} under x{k}")
     end = 0
     for d, i in index.items():
         start, end = end, bisect_left(edges, (i + 1,), end)
@@ -351,16 +340,13 @@ def monomial_shape_ok(g: ConcreteGamma) -> bool:
 def column_partition(g: ConcreteGamma) -> List[Tuple[int, Fraction]]:
     """Per seed-path column k = 0..m: (vertex count, average degree rho_k).
 
-    Degrees are taken in the bar graph bar(g.graph).  The column sizes
-    are all equal and the interior averages rho_1 = ... = rho_{m-1}
-    coincide; the size-weighted mean of the rho_k reproduces the density
-    of the bar graph.
+    Column k is the block of C = Catalan(n) vertices from k C, and
+    degrees are taken in the bar graph bar(g.graph).  The interior
+    averages rho_1 = ... = rho_{m-1} coincide; the mean of the rho_k
+    reproduces the density of the bar graph.
     """
-    sizes = [0] * (g.m + 1)
-    sums = [0] * (g.m + 1)
-    for column, degree in zip(g.origin.values(), bar(g.graph).degrees()):
-        sizes[column] += 1
-        sums[column] += degree
+    size = catalan(g.n)
+    degrees = bar(g.graph).degrees()
     return [
-        (sizes[k], Fraction(sums[k], sizes[k])) for k in range(g.m + 1)
+        (size, Fraction(sum(degrees[k * size:(k + 1) * size]), size)) for k in range(g.m + 1)
     ]

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +16,7 @@ from hypothesis import strategies as st
 from thompsonf import cli, growth, metric, plmaps, subgraphs
 from thompsonf.cayley import CountLimitError, ResourceCapError, enumerate_ball
 from thompsonf.cli import main
-from thompsonf.diagrams import MAX_LEAVES, LeafLimitError, from_word, mul_letter, normal_form_text
+from thompsonf.diagrams import MAX_LEAVES, LeafLimitError, from_word, normal_form_text
 from thompsonf.gamma import SizeLimitError, gamma_nm_concrete
 from thompsonf.growth import ResourceError
 from thompsonf.metric import DescentLimitError
@@ -476,45 +475,25 @@ def test_subgraph_extending_line_fails_as_alone(capsys, monkeypatch, tmp_path, d
     assert result == ((code, "", err.format(path=path)), None, folds)
 
 
-@pytest.mark.parametrize("n, m", [(2, 1), (3, 4), (6, 4), (8, 3), (5, 100)])
+@pytest.mark.parametrize("n, m", [(2, 1), (3, 4), (6, 4), (8, 3), (5, 100), (6, 40)])
 def test_emit_words_are_the_normal_forms(capsys, n, m):
     code, out, err = run(capsys, "gamma", "--n", str(n), "--m", str(m), "--emit-words")
     assert (code, err) == (0, "")
     assert out.splitlines() == [normal_form_text(d) for d in gamma_nm_concrete(n, m).origin]
 
 
-def test_emit_words_falls_back_to_the_normal_form(capsys, monkeypatch):
-    # a vertex sequence, each vertex with how it follows the one before:
-    # "append" is that vertex times x0^-1 with bottom trees 0 and 1 joined
-    # and nothing else changed, which the emit rule writes without
-    # normal_form_text; padding and a dipole are that product too, but
-    # change the top forest; "top" has the joined bottom under another top
-    words = [
-        ("", None),
-        ("x0^-1", "padding"),
-        ("x0^-1 x0^-1", "padding"),
-        ("x0", None),
-        ("", "dipole"),
-        ("x1^-1", None),
-        ("x1^-1 x0^-1", "append"),
-        ("x1^-1", None),
-        ("x0 x1^-1 x0^-1", "top"),
-        ("x2 x1^-1", None),
-        ("x2 x1^-1 x0^-1", "append"),
-        ("x2 x1^-1 x0^-1 x0^-1", "append"),
-    ]
-    origin = [from_word(parse_word(w)) for w, _ in words]
-    for before, d, (_, how) in zip(origin, origin[1:], words[1:]):
-        assert (d == mul_letter(before, 0, -1)) == (how in ("append", "padding", "dipole"))
-    assert origin[8].partition("|")[2] == origin[6].partition("|")[2]
-    assert origin[8].partition("|")[0] != origin[7].partition("|")[0]
+def test_emit_words_write_only_the_x0_steps_by_appending(capsys, monkeypatch):
+    # normal_form_text writes vertex u unless the chain records the edge
+    # (u, u - 1, 0); vertex 1 has that edge too, but follows the identity,
+    # whose word is empty
+    g = gamma_nm_concrete(6, 4)
+    edges = set(g.graph.edges)
     written = []
-    monkeypatch.setattr(cli.gamma, "gamma_nm_concrete", lambda n, m: SimpleNamespace(origin=origin))
     monkeypatch.setattr(cli, "normal_form_text", lambda d: written.append(d) or normal_form_text(d))
-    code, out, err = run(capsys, "gamma", "--n", "2", "--m", "1", "--emit-words")
+    code, out, err = run(capsys, "gamma", "--n", "6", "--m", "4", "--emit-words")
     assert (code, err) == (0, "")
-    assert out.splitlines() == [w for w, _ in words]
-    assert written == [d for d, (_, how) in zip(origin, words) if how != "append"]
+    assert written == [d for u, d in enumerate(g.origin) if (u, u - 1, 0) not in edges or u == 1]
+    assert (len(written), (1, 0, 0) in edges) == (211, True)
 
 
 @pytest.mark.parametrize("k", [42, 2000])

@@ -1,10 +1,11 @@
 import importlib
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from thompsonf.diagrams import atomic, from_word, mul_letter
+from thompsonf.diagrams import atomic, from_word, mul_letter, to_normal_form
 from thompsonf.gamma import (
     ConstructionError,
     LabeledGraph,
@@ -16,15 +17,12 @@ from thompsonf.gamma import (
     closed_b,
     closed_nu,
     column_partition,
-    degree_histogram,
     density_bar_closed,
-    edge_label_counts,
     fullness_check,
     gamma,
     gamma_nm_concrete,
     monomial_shape_ok,
     psi,
-    rank_counts,
     xi_path,
     xi_single,
 )
@@ -37,12 +35,12 @@ gamma_module = importlib.import_module("thompsonf.gamma")
 
 
 def a_row(n):
-    counts = rank_counts(gamma(n))
+    counts = Counter(gamma(n).ranks())
     return [counts.get(k, 0) for k in range(1, n + 1)]
 
 
 def b_row(n):
-    counts = edge_label_counts(gamma(n))
+    counts = Counter(label for _, _, label in gamma(n).edges)
     return [counts.get(k, 0) for k in range(0, n + 1)]
 
 
@@ -64,8 +62,8 @@ def test_gamma_two_structure():
     g = gamma(2)
     assert g.vertex_count == 2
     assert set(g.edges) == {(1, 0, 0), (0, 0, 2), (1, 1, 1)}
-    assert rank_counts(g) == {1: 1, 2: 1}
-    assert edge_label_counts(g) == {0: 1, 1: 1, 2: 1}
+    assert Counter(g.ranks()) == {1: 1, 2: 1}
+    assert Counter(label for _, _, label in g.edges) == {0: 1, 1: 1, 2: 1}
 
 
 def test_apply_A_needs_high_ranks():
@@ -145,10 +143,10 @@ def test_density_measured_equals_closed():
 
 
 def test_degree_histograms():
-    assert degree_histogram(bar(gamma(5))) == {2: 15, 3: 26, 4: 1}
-    assert degree_histogram(bar(gamma(6))) == {2: 42, 3: 84, 4: 6}
+    assert Counter(bar(gamma(5)).degrees()) == {2: 15, 3: 26, 4: 1}
+    assert Counter(bar(gamma(6)).degrees()) == {2: 42, 3: 84, 4: 6}
     for n in range(5, 9):
-        hist = degree_histogram(bar(gamma(n)))
+        hist = Counter(bar(gamma(n)).degrees())
         assert sorted(hist) == [2, 3, 4]
         assert hist == {d: closed_nu(n, d) for d in (2, 3, 4)}
         assert sum(hist.values()) == catalan(n)
@@ -183,6 +181,14 @@ def test_concrete_columns_and_density():
     assert Fraction(total, g.size) == density(g.subgraph())
     assert fullness_check(g)
     assert monomial_shape_ok(g)
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (3, 4), (6, 4), (5, 20)])
+def test_origin_counts_the_seed_letters(n, m):
+    # a vertex is its seed x_n^-k times letters x_i^-1, i <= n - 2, so
+    # its normal form holds n exactly k times (monomial_shape_ok)
+    g = gamma_nm_concrete(n, m)
+    assert all(to_normal_form(d).neg.count(n) == column for d, column in g.origin.items())
 
 
 def test_concrete_interior_matches_limit():
@@ -240,11 +246,13 @@ def test_fullness_check_catches_an_edge_past_n(k):
 
 
 def test_fullness_check_catches_a_recorded_edge_that_leaves_the_set():
-    # the identity times x0 is x0, which is not a vertex of Gamma_{2,2}
+    # the identity times x0 is x0, which is not a vertex of Gamma_{2,2};
+    # vertices 6 and -1 are past either end of its 6 vertices
     g = gamma_nm_concrete(2, 2)
-    bogus = LabeledGraph(g.graph.vertex_count, g.graph.edges + ((0, 0, 0),))
-    with pytest.raises(ConstructionError, match=r"^fullness violated at '' under x0$"):
-        fullness_check(g._replace(graph=bogus))
+    for edge, where in (((0, 0, 0), "''"), ((6, 0, 0), "vertex 6"), ((-1, 0, 0), "vertex -1")):
+        bogus = LabeledGraph(g.graph.vertex_count, g.graph.edges + (edge,))
+        with pytest.raises(ConstructionError, match=rf"^fullness violated at {where} under x0$"):
+            fullness_check(g._replace(graph=bogus))
 
 
 @pytest.mark.parametrize("text", ["x0", "x1^-1", "x3^-1"])

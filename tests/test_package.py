@@ -6,7 +6,8 @@ resource caps share one base class without changing their own names.
 Five names that only tests called are no longer public: collision_check
 moved to tests/language_oracle.py; rate_estimate is c_n / c_{n-1} on
 series; density_bar is bar(gamma(n)).density(); pl_equal is == on PLMap;
-and pl_identity is the literal PLMap(((ZERO, ZERO),), 0)."""
+and pl_identity is the literal PLMap(((ZERO, ZERO),), 0).  Nor is
+rank_counts, which is Counter(g.ranks()) on a LabeledGraph."""
 
 import importlib
 import os
@@ -24,7 +25,7 @@ gamma_module = importlib.import_module("thompsonf.gamma")
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # the public names of the package, by defining module, as they were when
-# `import thompsonf` ran every module, less the five above
+# `import thompsonf` ran every module, less the six above
 PUBLIC = {
     "words": "WordError format_word free_reduce inverse_word parse_word",
     "diagrams": (
@@ -47,7 +48,7 @@ PUBLIC = {
     "growth": "is_l_word run_automaton series",
     "gamma": (
         "ConcreteGamma LabeledGraph SizeLimitError apply_A bar closed_a closed_b closed_nu "
-        "column_partition fullness_check gamma gamma_nm_concrete psi rank_counts "
+        "column_partition fullness_check gamma gamma_nm_concrete psi "
         "xi_path xi_single"
     ),
     "plmaps": (

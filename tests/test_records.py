@@ -103,6 +103,8 @@ def test_fields_cannot_be_set(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, value)
     with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
         record.extra = 1
     assert getattr(record, field) is value
 
