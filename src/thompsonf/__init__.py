@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 # the names the package re-exports, by the module that defines them
 _EXPORTS = {
-    "words": ("WordError", "format_word", "free_reduce", "inverse_word", "parse_word"),
+    "words": ("WordError", "format_word", "inverse_word", "parse_word"),
     "diagrams": (
         "EPSILON", "GENERATOR_LETTERS", "MAX_LEAVES", "Diagram", "LeafLimitError", "NormalForm",
         "NormalFormError", "atomic", "canonical_key", "cell_count", "compose", "from_normal_form",

@@ -278,7 +278,7 @@ def _cmd_gamma(args) -> Report:
     # negative part, which normal_form_text writes last
     steps = {u for u, v, label in concrete.graph.edges if (v, label) == (u - 1, 0)}
     word = ""
-    for u, d in enumerate(concrete.origin):
+    for d, u in concrete.vertices.items():
         word = f"{word} x0^-1" if word and u in steps else normal_form_text(d)
         print(word)
     return None

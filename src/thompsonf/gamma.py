@@ -15,12 +15,14 @@ element as the chain goes.  Seed vertex k is x_n^{-k}, and each column
 descends from its head by x_i^{-1}, so an edge (u, v, j) means
 v = u * x_j.  Every edge is then checked by one-letter multiplication
 and the names are checked to be distinct, which realizes Gamma_{n,m} as
-a full subgraph of the Cayley graph over x_0..x_n.  ConcreteGamma.graph
-keeps the chain's integer graph, whose vertex i is the i-th key of
-ConcreteGamma.origin.  apply_A numbers each column consecutively, in
-vertex order, so seed column k is the block of vertices k C .. (k+1) C - 1,
-C = Catalan(n): origin maps vertex i to i // C, and the per-column
-density averages rho_k sum the bar degrees block by block.
+a subgraph of the Cayley graph over x_0..x_n; fullness_check shows it
+is the full subgraph on its vertices.  ConcreteGamma.graph keeps the
+chain's integer graph, and ConcreteGamma.vertices maps each vertex's
+diagram to its number i there.  apply_A numbers each column
+consecutively, in vertex order, so seed column k is the block of
+vertices k C .. (k+1) C - 1, C = Catalan(n): vertex i is in column
+i // C, and the per-column density averages rho_k sum the bar degrees
+block by block.
 
 Degrees count both endpoints, so a loop adds 2 to its vertex's degree;
 edge counts (the b numbers) count a loop once.
@@ -231,11 +233,10 @@ class ConcreteGamma(NamedTuple):
 
     n: int
     m: int
-    # vertex -> seed-path column 0..m, in construction (--emit-words)
-    # order: vertex i is in column i // Catalan(n)
-    origin: Dict[Diagram, int]
-    # the chain's graph: vertex i is the i-th key of origin, and an edge
-    # (u, v, j) means v = u * x_j
+    # vertex diagram -> its number i in graph, in construction
+    # (--emit-words) order: vertex i is in seed column i // Catalan(n)
+    vertices: Dict[Diagram, int]
+    # the chain's graph: an edge (u, v, j) means v = u * x_j
     graph: LabeledGraph
 
     def __repr__(self) -> str:
@@ -243,11 +244,11 @@ class ConcreteGamma(NamedTuple):
 
     @property
     def size(self) -> int:
-        return len(self.origin)
+        return len(self.vertices)
 
     def subgraph(self) -> Subgraph:
         """The bar graph, edges labelled 0 and 1, as a plain subgraph."""
-        return full_subgraph(self.origin)
+        return full_subgraph(self.vertices)
 
 
 def gamma_nm_concrete(n: int, m: int) -> ConcreteGamma:
@@ -290,12 +291,11 @@ def gamma_nm_concrete(n: int, m: int) -> ConcreteGamma:
         raise ConstructionError(
             f"vertex count {len(names)} differs from (m+1) Catalan(n) = {(m + 1) * size}"
         )
-    origin: Dict[Diagram, int] = {}
-    for v, d in enumerate(names):
-        if d in origin:
-            raise ConstructionError(f"vertex {normal_form_text(d)!r} is named twice")
-        origin[d] = v // size
-    return ConcreteGamma(n=n, m=m, origin=origin, graph=g)
+    vertices = dict(zip(names, range(len(names))))
+    if len(vertices) < len(names):
+        d = next(d for v, d in enumerate(names) if vertices[d] != v)
+        raise ConstructionError(f"vertex {normal_form_text(d)!r} is named twice")
+    return ConcreteGamma(n=n, m=m, vertices=vertices, graph=g)
 
 
 def fullness_check(g: ConcreteGamma) -> bool:
@@ -303,19 +303,24 @@ def fullness_check(g: ConcreteGamma) -> bool:
 
     For each vertex u, the triples (u, v, k) with v = u * x_k in the vertex
     set and k <= n + 2 are exactly u's recorded edges; the first vertex,
-    then label, where they differ is named; a recorded edge from outside
-    the vertices 0..V-1 is named by its index.  No edge is recorded above
-    x_n, so labels n+1 and n+2 check that no vertex leaves x_0..x_n.
+    then label, where they differ is named; a graph whose vertex count is
+    not the number of names, or a recorded edge from outside the vertices
+    0..V-1, is refused first.  No edge is recorded above x_n, so labels
+    n+1 and n+2 check that no vertex leaves x_0..x_n.
     """
-    index = {d: i for i, d in enumerate(g.origin)}
+    count = g.graph.vertex_count
+    if count != len(g.vertices):
+        raise ConstructionError(
+            f"fullness violated: the graph has {count} vertices for {len(g.vertices)} names"
+        )
     edges = sorted(g.graph.edges)  # vertex u's edges are a slice
     for u, _, k in edges[:1] + edges[-1:]:
-        if not 0 <= u < len(index):
+        if not 0 <= u < count:
             raise ConstructionError(f"fullness violated at vertex {u} under x{k}")
-    end = 0
-    for d, i in index.items():
-        start, end = end, bisect_left(edges, (i + 1,), end)
-        products = [(i, index.get(mul_letter(d, k, 1)), k) for k in range(g.n + 3)]
+    for d, i in g.vertices.items():
+        start = bisect_left(edges, (i,))
+        end = bisect_left(edges, (i + 1,), start)
+        products = [(i, g.vertices.get(mul_letter(d, k, 1)), k) for k in range(g.n + 3)]
         wrong = {e for e in products if e[1] is not None}.symmetric_difference(edges[start:end])
         if wrong:
             k = min(e[2] for e in wrong)
@@ -330,7 +335,7 @@ def monomial_shape_ok(g: ConcreteGamma) -> bool:
     empty positive part, and its nondecreasing negative part stays at or
     below n and misses n-1.
     """
-    for d in g.origin:
+    for d in g.vertices:
         pos, neg = to_normal_form(d)
         if pos or neg and neg[-1] > g.n or g.n - 1 in neg:
             return False

@@ -155,8 +155,8 @@ def _last_start(f: str) -> int:
 class _TopLeaves:
     # the top forest for _deltas, split only as far as a read reaches;
     # piece(v) is what precedes leaf v as in _read, "," past it
-    def __init__(self, top: str, trees: List[str], leaves: int):
-        self.top, self.trees, self.leaves = top, trees, leaves
+    def __init__(self, top: str, trees: List[str]):
+        self.top, self.trees, self.leaves = top, trees, (len(top) + 1) // 2
         self.pieces: List[str] = []
 
     def piece(self, v: int) -> str:
@@ -200,9 +200,7 @@ def _deltas(top: str, trees: List[str]) -> Iterator[int]:
     t2, t1, t0 = ["L", "L", *trees[-3:]][-3:]
     s0 = t0.count("L")
     w = s0 + t1.count("L")  # where bottom tree 2 starts
-    # the leaf count, or past w, where reads stop, when more trees follow
-    leaves = (s0, w, w + t2.count("L"), w + 1)[min(len(trees), 4) - 1]
-    window = _TopLeaves(top, trees, leaves)
+    window = _TopLeaves(top, trees)
     # x0: a leaf split is +1; a root removal takes s0 off the bottom spine
     if t0 == "L":
         yield 1

@@ -114,16 +114,8 @@ class Dyadic(_DyadicPair):
     def __rmul__(self, other):
         raise TypeError(f"cannot multiply {type(other).__name__} by Dyadic")
 
-    def __float__(self) -> float:
-        return self.num / (1 << self.exp)
-
     def __str__(self) -> str:
         return f"{self.num}/2^{self.exp}"
-
-    def as_integer(self) -> int:
-        if self.exp != 0:
-            raise ValueError(f"{self} is not an integer")
-        return self.num
 
 
 def _trailing_zeros(n: int) -> int:

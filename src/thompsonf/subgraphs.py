@@ -142,13 +142,12 @@ def boundary(y: Subgraph) -> FrozenSet[Diagram]:
 class DoublingReport(NamedTuple):
     holds: bool
     b1_size: int
-    doubled: int
 
 
 def doubling_check(y: Subgraph) -> DoublingReport:
     """Compare #B1(Y) = #Y + #dY against 2 #Y."""
     b1 = len(y._numbered[0])
-    return DoublingReport(b1 >= 2 * len(y.vertices), b1, 2 * len(y.vertices))
+    return DoublingReport(b1 >= 2 * len(y.vertices), b1)
 
 
 def folner_inequalities(y: Subgraph) -> Tuple[Fraction, Fraction, Fraction]:

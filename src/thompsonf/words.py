@@ -61,19 +61,5 @@ def format_word(w: GenWord) -> str:
     return " ".join(f"x{k}" if s == 1 else f"x{k}^-1" for k, s in w)
 
 
-def free_reduce(w: GenWord) -> GenWord:
-    """Cancel adjacent x_k^s x_k^-s pairs until none remain.
-
-    Only free cancellation: the group relations are never applied here.
-    """
-    out: list[Letter] = []
-    for letter in w:
-        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
 def inverse_word(w: GenWord) -> GenWord:
     return tuple((k, -s) for k, s in reversed(w))

@@ -479,7 +479,7 @@ def test_subgraph_extending_line_fails_as_alone(capsys, monkeypatch, tmp_path, d
 def test_emit_words_are_the_normal_forms(capsys, n, m):
     code, out, err = run(capsys, "gamma", "--n", str(n), "--m", str(m), "--emit-words")
     assert (code, err) == (0, "")
-    assert out.splitlines() == [normal_form_text(d) for d in gamma_nm_concrete(n, m).origin]
+    assert out.splitlines() == [normal_form_text(d) for d in gamma_nm_concrete(n, m).vertices]
 
 
 def test_emit_words_write_only_the_x0_steps_by_appending(capsys, monkeypatch):
@@ -492,7 +492,7 @@ def test_emit_words_write_only_the_x0_steps_by_appending(capsys, monkeypatch):
     monkeypatch.setattr(cli, "normal_form_text", lambda d: written.append(d) or normal_form_text(d))
     code, out, err = run(capsys, "gamma", "--n", "6", "--m", "4", "--emit-words")
     assert (code, err) == (0, "")
-    assert written == [d for u, d in enumerate(g.origin) if (u, u - 1, 0) not in edges or u == 1]
+    assert written == [d for d, u in g.vertices.items() if (u, u - 1, 0) not in edges or u == 1]
     assert (len(written), (1, 0, 0) in edges) == (211, True)
 
 

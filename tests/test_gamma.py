@@ -164,7 +164,7 @@ def test_concrete_small():
     assert g.size == 3 * catalan(2) == 6
     assert fullness_check(g)
     assert monomial_shape_ok(g)
-    assert sorted(set(g.origin.values())) == [0, 1, 2]
+    assert sorted({v // catalan(2) for v in g.vertices.values()}) == [0, 1, 2]
     columns = column_partition(g)
     assert [size for size, _ in columns] == [catalan(2)] * 3
 
@@ -186,9 +186,11 @@ def test_concrete_columns_and_density():
 @pytest.mark.parametrize("n, m", [(2, 1), (3, 4), (6, 4), (5, 20)])
 def test_origin_counts_the_seed_letters(n, m):
     # a vertex is its seed x_n^-k times letters x_i^-1, i <= n - 2, so
-    # its normal form holds n exactly k times (monomial_shape_ok)
+    # its normal form holds n exactly k times (monomial_shape_ok), and
+    # seed column k is the block of vertex numbers from k Catalan(n)
     g = gamma_nm_concrete(n, m)
-    assert all(to_normal_form(d).neg.count(n) == column for d, column in g.origin.items())
+    assert list(g.vertices.values()) == list(range(g.size))
+    assert all(to_normal_form(d).neg.count(n) == v // catalan(n) for d, v in g.vertices.items())
 
 
 def test_concrete_interior_matches_limit():
@@ -207,7 +209,7 @@ def test_concrete_validates():
 
 def test_concrete_edges_have_recorded_direction():
     g = gamma_nm_concrete(2, 2)
-    names = list(g.origin)
+    names = list(g.vertices)
     assert g.graph.vertex_count == g.size
     for u, v, label in g.graph.edges:
         assert 0 <= label <= 2
@@ -228,7 +230,7 @@ def test_fullness_check_catches_missing_edge():
 
 def test_fullness_error_names_the_vertex_by_word():
     g = gamma_nm_concrete(2, 2)
-    names = list(g.origin)
+    names = list(g.vertices)
     u, v = names.index(from_word(parse_word("x2^-1"))), names.index(from_word(()))
     tampered = _without_edge(g, (u, v, 2))
     with pytest.raises(ConstructionError, match=r"^fullness violated at 'x2\^-1' under x2$"):
@@ -240,7 +242,8 @@ def test_fullness_check_catches_an_edge_past_n(k):
     # x_k, k = n+1 or n+2, joins the vertex set of Gamma_{2,2}; no edge
     # is recorded above x2, but the identity reaches x_k by x_k
     g = gamma_nm_concrete(2, 2)
-    tampered = g._replace(origin={**g.origin, atomic(k): 0})
+    graph = LabeledGraph(g.graph.vertex_count + 1, g.graph.edges)
+    tampered = g._replace(vertices={**g.vertices, atomic(k): len(g.vertices)}, graph=graph)
     with pytest.raises(ConstructionError, match=rf"^fullness violated at '' under x{k}$"):
         fullness_check(tampered)
 
@@ -255,11 +258,33 @@ def test_fullness_check_catches_a_recorded_edge_that_leaves_the_set():
             fullness_check(g._replace(graph=bogus))
 
 
+def test_fullness_check_reads_the_numbering_of_the_vertex_map():
+    # renumbered v -> V - 1 - v in both the map and the graph, with the
+    # map's keys left in their order, Gamma_{3,4} is still full: each
+    # vertex's edges are found by its number, not by its place in the map
+    g = gamma_nm_concrete(3, 4)
+    last = g.size - 1
+    vertices = {d: last - v for d, v in g.vertices.items()}
+    edges = tuple((last - u, last - v, j) for u, v, j in g.graph.edges)
+    assert fullness_check(g._replace(vertices=vertices, graph=LabeledGraph(g.size, edges)))
+
+
+@pytest.mark.parametrize("count", [5, 7])
+def test_fullness_check_refuses_a_graph_with_another_vertex_count(count):
+    # Gamma_{2,2} names 6 vertices; its edges alone do not show that
+    # vertex 6 is missing or vertex 5 unnamed
+    g = gamma_nm_concrete(2, 2)
+    graph = g.graph._replace(vertex_count=count)
+    message = rf"^fullness violated: the graph has {count} vertices for 6 names$"
+    with pytest.raises(ConstructionError, match=message):
+        fullness_check(g._replace(graph=graph))
+
+
 @pytest.mark.parametrize("text", ["x0", "x1^-1", "x3^-1"])
 def test_monomial_shape_rejects(text):
     # a positive part, the absent subscript n - 1, a subscript past n
     g = gamma_nm_concrete(2, 2)
-    assert not monomial_shape_ok(g._replace(origin={from_word(parse_word(text)): 0}))
+    assert not monomial_shape_ok(g._replace(vertices={from_word(parse_word(text)): 0}))
 
 
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 4), (5, 3)])
@@ -272,7 +297,7 @@ def test_concrete_matches_abstract_chain(n, m):
     assert g.graph == abstract
     # the bar graph read off the diagrams is the chain's bar graph
     y = g.subgraph()
-    names = list(g.origin)
+    names = list(g.vertices)
     assert y.edges == {(names[u], names[v], j) for u, v, j in bar(abstract).edges}
 
 

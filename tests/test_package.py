@@ -7,7 +7,9 @@ Five names that only tests called are no longer public: collision_check
 moved to tests/language_oracle.py; rate_estimate is c_n / c_{n-1} on
 series; density_bar is bar(gamma(n)).density(); pl_equal is == on PLMap;
 and pl_identity is the literal PLMap(((ZERO, ZERO),), 0).  Nor is
-rank_counts, which is Counter(g.ranks()) on a LabeledGraph."""
+rank_counts, which is Counter(g.ranks()) on a LabeledGraph.  free_reduce
+is gone: no command or module called it, and whether a word is trivial
+in F is a question for its diagram, not for free cancellation."""
 
 import importlib
 import os
@@ -25,9 +27,9 @@ gamma_module = importlib.import_module("thompsonf.gamma")
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # the public names of the package, by defining module, as they were when
-# `import thompsonf` ran every module, less the six above
+# `import thompsonf` ran every module, less the seven above
 PUBLIC = {
-    "words": "WordError format_word free_reduce inverse_word parse_word",
+    "words": "WordError format_word inverse_word parse_word",
     "diagrams": (
         "EPSILON GENERATOR_LETTERS MAX_LEAVES Diagram LeafLimitError NormalForm NormalFormError "
         "atomic canonical_key cell_count compose from_normal_form from_word invert leaf_count "

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -77,15 +78,11 @@ class TestDyadic:
 
     def test_str_and_float(self):
         assert str(dyadic(3, 1)) == "3/2^1"
-        assert float(dyadic(3, 1)) == 1.5
-        assert dyadic(4, 1).as_integer() == 2
-        with pytest.raises(ValueError):
-            dyadic(1, 1).as_integer()
 
     @given(dyadics, dyadics)
     def test_add_commutes_and_orders(self, a, b):
         assert a + b == b + a
-        assert (a < b) == (float(a) < float(b))
+        assert (a < b) == (Fraction(a.num, 1 << a.exp) < Fraction(b.num, 1 << b.exp))
 
 
 class TestGeneratorMaps:

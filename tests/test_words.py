@@ -6,7 +6,6 @@ from thompsonf import words as words_module
 from thompsonf.words import (
     WordError,
     format_word,
-    free_reduce,
     inverse_word,
     parse_word,
 )
@@ -43,24 +42,8 @@ def test_round_trip(w):
     assert parse_word(format_word(w)) == w
 
 
-def test_free_reduce():
-    assert free_reduce(parse_word("x0 x0^-1")) == ()
-    assert free_reduce(parse_word("x0 x1 x1^-1 x0")) == ((0, 1), (0, 1))
-    # no group relations: x1 x0 is already freely reduced
-    assert free_reduce(parse_word("x1 x0")) == ((1, 1), (0, 1))
-
-
-@given(words)
-def test_free_reduce_fixpoint(w):
-    r = free_reduce(w)
-    assert free_reduce(r) == r
-    assert all(r[i][0] != r[i + 1][0] or r[i][1] != -r[i + 1][1]
-               for i in range(len(r) - 1))
-
-
 @given(words)
 def test_inverse_word_cancels(w):
-    assert free_reduce(w + inverse_word(w)) == ()
     assert inverse_word(inverse_word(w)) == w
 
 
