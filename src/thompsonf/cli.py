@@ -247,15 +247,16 @@ def _gamma_report(n: int, m: Optional[int]) -> tuple:
         "checks": checks,
     }
     if concrete is not None:
-        concrete_bar = gamma.bar(concrete.graph)
+        columns = gamma.column_partition(concrete)
+        rhos = [rho for _, rho in columns]
         results["concrete"] = {
             "m": m,
             "vertices": concrete.size,
-            "bar_edges": len(concrete_bar.edges),
-            "bar_density": _rational(concrete_bar.density(), exact, "concrete.bar_density"),
+            "bar_edges": int(sum(size * rho for size, rho in columns) / 2),
+            "bar_density": _rational(sum(rhos) / len(rhos), exact, "concrete.bar_density"),
             "columns": [
                 {"size": size, "rho": _rational(rho, exact, f"concrete.rho[{k}]")}
-                for k, (size, rho) in enumerate(gamma.column_partition(concrete))
+                for k, (size, rho) in enumerate(columns)
             ],
             "fullness": gamma.fullness_check(concrete),
             "monomial_shape": gamma.monomial_shape_ok(concrete),
@@ -273,14 +274,12 @@ def _cmd_gamma(args) -> Report:
     if args.m is None:
         raise _CLIError("--emit-words needs --m to fix the concrete family")
     concrete = gamma.gamma_nm_concrete(args.n, args.m)
-    # the chain records (u, u - 1, 0) when vertex u is vertex u - 1 times
-    # x0^-1.  A vertex has no positive part, so x0^-1 adds one 0 to its
-    # negative part, which normal_form_text writes last
-    steps = {u for u, v, label in concrete.graph.edges if (v, label) == (u - 1, 0)}
-    word = ""
-    for d, u in concrete.vertices.items():
-        word = f"{word} x0^-1" if word and u in steps else normal_form_text(d)
-        print(word)
+    # vertex k C + t is x_n^-k w_t: k letters x_n^-1, then the word of w_t
+    words = [normal_form_text(w) for w in concrete.column]
+    for k in range(args.m + 1):
+        head = f"x{args.n}^-1 " * k
+        for word in words:
+            print(head + word if word else head[:-1])
     return None
 
 

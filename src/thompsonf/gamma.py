@@ -9,20 +9,19 @@ labels j, j-1, ..., i+1.  Gamma_n, the chain apply_A(0) ... apply_A(n-2)
 run on one x_n loop (see gamma), has Catalan(n) vertices, and its
 label-0/1 subgraph ("bar" graph) has density 6(n-1)/(2n-1), approaching 3.
 
-Concrete side: Gamma_{n,m} is the same chain apply_A(0) ... apply_A(n-2)
-run on the path xi_path(n, m), with every vertex named by a group
-element as the chain goes.  Seed vertex k is x_n^{-k}, and each column
-descends from its head by x_i^{-1}, so an edge (u, v, j) means
-v = u * x_j.  Every edge is then checked by one-letter multiplication
-and the names are checked to be distinct, which realizes Gamma_{n,m} as
-a subgraph of the Cayley graph over x_0..x_n; fullness_check shows it
-is the full subgraph on its vertices.  ConcreteGamma.graph keeps the
-chain's integer graph, and ConcreteGamma.vertices maps each vertex's
-diagram to its number i there.  apply_A numbers each column
-consecutively, in vertex order, so seed column k is the block of
-vertices k C .. (k+1) C - 1, C = Catalan(n): vertex i is in column
-i // C, and the per-column density averages rho_k sum the bar degrees
-block by block.
+Concrete side: Gamma_{n,m} is the same chain run on xi_path(n, m), seed
+k named x_n^{-k} and each column named down from its head by x_i^{-1},
+so an edge (u, v, j) means v = u * x_j.  By induction over apply_A,
+every seed has rank n, a new vertex (v, kappa) has rank rank(v) - kappa,
+column chains stay within a block, and a spawned edge (v, kappa) -
+(w, kappa) keeps its block offset.  So the seeds' blocks have equal
+sizes and rank sequences, block k is named from x_n^{-k} by block 0's
+right multiplications, and its edges are block 0's, or those from block
+1 to block 0, shifted by k C, C = Catalan(n): vertex k C + t is x_n^{-k}
+times vertex t, and left multiplication carries the edge checks on
+xi_path(n, 1) to every block.  Column 0 has no positive part and no
+letter n, so the names are distinct; fullness_check shows Gamma_{n,m} is
+the full subgraph of the Cayley graph over x_0..x_n on them.
 
 Degrees count both endpoints, so a loop adds 2 to its vertex's degree;
 edge counts (the b numbers) count a loop once.
@@ -33,18 +32,19 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import comb, factorial
-from typing import Dict, List, NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
-from .diagrams import Diagram, LimitError, from_word, mul_letter, normal_form_text, to_normal_form
+from .diagrams import (
+    EPSILON, Diagram, LimitError, NormalForm, from_normal_form, mul_letter, normal_form_text,
+    to_normal_form,
+)
 from .subgraphs import Subgraph, full_subgraph
 
 LabeledEdge = Tuple[int, int, int]  # (u, v, label); u == v is a loop
 
-# the most vertices gamma and gamma_nm_concrete build.  On a 2-vCPU VM
-# (Python 3.11) the `gamma` report peaks at 406 MB for Gamma_13 (742,900
-# vertices), 646 MB for Gamma_{12,3} (832,048) and 714 MB for
-# Gamma_{11,16} (999,362); Gamma_14 would pass 1 GB.  A concrete
-# vertex's string grows with m, so a large m costs more per vertex.
+# the most vertices of gamma and of a concrete family (gamma_nm_concrete
+# builds 2 Catalan(n); --emit-words and subgraph() the rest).  The `gamma`
+# report peaks at 406 MB for Gamma_13 (742,900), on a 2-vCPU VM (Python 3.11).
 MAX_GAMMA_VERTICES = 1_000_000
 
 
@@ -229,49 +229,47 @@ class ConstructionError(RuntimeError):
 
 
 class ConcreteGamma(NamedTuple):
-    """Gamma_{n,m} realized inside the Cayley graph over x_0..x_n."""
+    """Gamma_{n,m} in the Cayley graph over x_0..x_n, kept as column 0.
+
+    Vertex k C + t is x_n^-k column[t], C = Catalan(n).  The edges are
+    inner shifted by k C, k = 0..m, and across shifted by k C, k < m,
+    numbered as in Gamma_{n,1}: (u, v, j) means v = u * x_j."""
 
     n: int
     m: int
-    # vertex diagram -> its number i in graph, in construction
-    # (--emit-words) order: vertex i is in seed column i // Catalan(n)
-    vertices: Dict[Diagram, int]
-    # the chain's graph: an edge (u, v, j) means v = u * x_j
-    graph: LabeledGraph
+    column: Tuple[Diagram, ...]
+    inner: Tuple[LabeledEdge, ...]  # within column 0
+    across: Tuple[LabeledEdge, ...]  # from column 1 to column 0
 
     def __repr__(self) -> str:
         return f"ConcreteGamma(n={self.n}, m={self.m})"
 
     @property
     def size(self) -> int:
-        return len(self.vertices)
+        return (self.m + 1) * len(self.column)
+
+    def vertex(self, i: int) -> Diagram:
+        """Vertex i = k C + t (a range(size) index): column[t]'s negative part, then k letters n."""
+        k, t = divmod(range(self.size)[i], len(self.column))
+        return from_normal_form(NormalForm((), to_normal_form(self.column[t]).neg + (self.n,) * k))
 
     def subgraph(self) -> Subgraph:
         """The bar graph, edges labelled 0 and 1, as a plain subgraph."""
-        return full_subgraph(self.vertices)
+        return full_subgraph(map(self.vertex, range(self.size)))
 
 
 def gamma_nm_concrete(n: int, m: int) -> ConcreteGamma:
-    """Gamma_{n,m} = apply_A(0) ... apply_A(n-2) of xi_path(n, m), named.
+    """Gamma_{n,m}, read off apply_A(0) ... apply_A(n-2) of xi_path(n, 1).
 
-    Seed vertex k is x_n^{-k} for k = 0..m.  apply_A numbers the column
-    of each vertex consecutively, head first and in vertex order, so a
-    column is named by its head's diagram followed by repeated right
-    multiplication by x_i^{-1}, and seed column k is the block of
-    vertices k Catalan(n) .. (k+1) Catalan(n) - 1.
-    Every edge (u, v, j) is then checked as v = u * x_j, and the names
-    as pairwise distinct.  The result has (m+1) Catalan(n) vertices, all
-    reduced monomials in x_0..x_n with nonpositive exponents.  Above
-    MAX_GAMMA_VERTICES vertices it raises SizeLimitError before building
-    anything.
-    """
+    Every edge is checked by one-letter multiplication, the names as
+    distinct, and column 0 as words in x_i^{-1}, i < n: the module
+    docstring shows why that settles every m.  Above MAX_GAMMA_VERTICES
+    vertices it raises SizeLimitError first."""
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
     _refuse_above_limit(f"Gamma_{{{n},{m}}}", n, m + 1)
-    g = xi_path(n, m)
-    names = [from_word(())]
-    for _ in range(m):
-        names.append(mul_letter(names[-1], n, -1))
+    g = xi_path(n, 1)
+    names = [EPSILON, mul_letter(EPSILON, n, -1)]
     for i in range(n - 2, -1, -1):
         heights = [r - i for r in g.ranks()]
         g = apply_A(i, g)
@@ -287,55 +285,57 @@ def gamma_nm_concrete(n: int, m: int) -> ConcreteGamma:
             u, v = normal_form_text(names[u]), normal_form_text(names[v])
             raise ConstructionError(f"edge {u!r} -x{j}-> {v!r} failed verification")
     size = catalan(n)
-    if len(names) != (m + 1) * size:
-        raise ConstructionError(
-            f"vertex count {len(names)} differs from (m+1) Catalan(n) = {(m + 1) * size}"
-        )
-    vertices = dict(zip(names, range(len(names))))
-    if len(vertices) < len(names):
-        d = next(d for v, d in enumerate(names) if vertices[d] != v)
+    if len(names) != 2 * size:
+        raise ConstructionError(f"vertex count {len(names)} differs from 2 Catalan(n) = {2 * size}")
+    if len(set(names)) < len(names):
+        d = next(d for v, d in enumerate(names) if names.index(d) < v)
         raise ConstructionError(f"vertex {normal_form_text(d)!r} is named twice")
-    return ConcreteGamma(n=n, m=m, vertices=vertices, graph=g)
+    for d in names[:size]:
+        pos, neg = to_normal_form(d)
+        if pos or neg and neg[-1] >= n:
+            raise ConstructionError(f"{normal_form_text(d)!r} is not a word in x_i^-1, i < {n}")
+    inner = tuple(e for e in g.edges if e[0] < size and e[1] < size)
+    # column 1 holds inner's copy, and no edge runs from column 0 to column 1
+    shifted = [(u + size, v + size, j) for u, v, j in sorted(inner)]
+    assert sorted(e for e in g.edges if e[1] >= size) == shifted
+    across = tuple(e for e in g.edges if e[1] < size <= e[0])
+    return ConcreteGamma(n, m, tuple(names[:size]), inner, across)
 
 
 def fullness_check(g: ConcreteGamma) -> bool:
     """Verify g is the full subgraph induced on its vertex set.
 
-    For each vertex u, the triples (u, v, k) with v = u * x_k in the vertex
-    set and k <= n + 2 are exactly u's recorded edges; the first vertex,
-    then label, where they differ is named; a graph whose vertex count is
-    not the number of names, or a recorded edge from outside the vertices
-    0..V-1, is refused first.  No edge is recorded above x_n, so labels
-    n+1 and n+2 check that no vertex leaves x_0..x_n.
-    """
-    count = g.graph.vertex_count
-    if count != len(g.vertices):
-        raise ConstructionError(
-            f"fullness violated: the graph has {count} vertices for {len(g.vertices)} names"
-        )
-    edges = sorted(g.graph.edges)  # vertex u's edges are a slice
-    for u, _, k in edges[:1] + edges[-1:]:
-        if not 0 <= u < count:
-            raise ConstructionError(f"fullness violated at vertex {u} under x{k}")
-    for d, i in g.vertices.items():
-        start = bisect_left(edges, (i,))
-        end = bisect_left(edges, (i + 1,), start)
-        products = [(i, g.vertices.get(mul_letter(d, k, 1)), k) for k in range(g.n + 3)]
-        wrong = {e for e in products if e[1] is not None}.symmetric_difference(edges[start:end])
-        if wrong:
-            k = min(e[2] for e in wrong)
-            raise ConstructionError(f"fullness violated at {normal_form_text(d)!r} under x{k}")
+    Column 0 has no positive part and no letter n, so w_t x_j, j <= n + 2,
+    is x_n^e w_t' when stripping e letters n off its positive part, or -e
+    off its negative part, leaves the negative part of w_t'.  Then
+    x_n^-k w_t x_j is vertex (k - e) C + t' for 0 <= k - e <= m: g is full
+    when the products with |e| <= m are inner (e = 0) and across (e = 1).
+    Where they differ, the least vertex, then label, is named."""
+    size = len(g.column)
+    index = {to_normal_form(w).neg: t for t, w in enumerate(g.column)}
+    found = set()  # (u, v, j, e): vertex u in column max(e, 0) times x_j is vertex v
+    for t, w in enumerate(g.column):
+        for j in range(g.n + 3):
+            pos, neg = to_normal_form(mul_letter(w, j, 1))
+            cut = bisect_left(neg, g.n)
+            e = len(pos) - len(neg) + cut
+            if set(pos + neg[cut:]) <= {g.n} and abs(e) <= g.m and neg[:cut] in index:
+                found.add((max(e, 0) * size + t, max(-e, 0) * size + index[neg[:cut]], j, e))
+    wrong = found ^ {(*edge, 0) for edge in g.inner} ^ {(*edge, 1) for edge in g.across}
+    if wrong:
+        u, _, k, _ = min(wrong, key=lambda edge: (edge[0], edge[2]))
+        where = repr(normal_form_text(g.vertex(u))) if 0 <= u < g.size else f"vertex {u}"
+        raise ConstructionError(f"fullness violated at {where} under x{k}")
     return True
 
 
 def monomial_shape_ok(g: ConcreteGamma) -> bool:
     """Every vertex is a monomial x_n^-s x_{n-2}^-t ... with exponents <= 0.
 
-    Checked as a property of the construction: the normal form has an
-    empty positive part, and its nondecreasing negative part stays at or
-    below n and misses n-1.
-    """
-    for d in g.vertices:
+    The normal form has no positive part, and its negative part stays at
+    or below n and misses n-1; vertex k C + t adds k letters n to that of
+    column[t], so column 0 decides it."""
+    for d in g.column:
         pos, neg = to_normal_form(d)
         if pos or neg and neg[-1] > g.n or g.n - 1 in neg:
             return False
@@ -345,13 +345,13 @@ def monomial_shape_ok(g: ConcreteGamma) -> bool:
 def column_partition(g: ConcreteGamma) -> List[Tuple[int, Fraction]]:
     """Per seed-path column k = 0..m: (vertex count, average degree rho_k).
 
-    Column k is the block of C = Catalan(n) vertices from k C, and
-    degrees are taken in the bar graph bar(g.graph).  The interior
-    averages rho_1 = ... = rho_{m-1} coincide; the mean of the rho_k
-    reproduces the density of the bar graph.
-    """
-    size = catalan(g.n)
-    degrees = bar(g.graph).degrees()
+    In the bar graph, column k's degree sum is 2 per bar edge of inner,
+    plus 1 per bar edge of across for each of columns k - 1 and k + 1
+    that it has.  The interior averages rho_1 = ... = rho_{m-1} coincide;
+    the mean of the rho_k is the density of the bar graph."""
+    inner = sum(j <= 1 for _, _, j in g.inner)
+    across = sum(j <= 1 for _, _, j in g.across)
+    size = len(g.column)
     return [
-        (size, Fraction(sum(degrees[k * size:(k + 1) * size]), size)) for k in range(g.m + 1)
+        (size, Fraction(2 * inner + across * ((k > 0) + (k < g.m)), size)) for k in range(g.m + 1)
     ]

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gamma_oracle
 from thompsonf import cli, growth, metric, plmaps, subgraphs
 from thompsonf.cayley import CountLimitError, ResourceCapError, enumerate_ball
 from thompsonf.cli import main
@@ -479,21 +480,24 @@ def test_subgraph_extending_line_fails_as_alone(capsys, monkeypatch, tmp_path, d
 def test_emit_words_are_the_normal_forms(capsys, n, m):
     code, out, err = run(capsys, "gamma", "--n", str(n), "--m", str(m), "--emit-words")
     assert (code, err) == (0, "")
-    assert out.splitlines() == [normal_form_text(d) for d in gamma_nm_concrete(n, m).vertices]
+    vertices = gamma_oracle.named_chain(n, m).vertices
+    assert out.splitlines() == [normal_form_text(d) for d in vertices]
 
 
 def test_emit_words_write_only_the_x0_steps_by_appending(capsys, monkeypatch):
-    # normal_form_text writes vertex u unless the chain records the edge
-    # (u, u - 1, 0); vertex 1 has that edge too, but follows the identity,
-    # whose word is empty
-    g = gamma_nm_concrete(6, 4)
-    edges = set(g.graph.edges)
+    # normal_form_text writes each vertex of column 0 once, whatever m
+    # is; every later line puts its column's x6^-1 letters before one of
+    # those words
     written = []
     monkeypatch.setattr(cli, "normal_form_text", lambda d: written.append(d) or normal_form_text(d))
-    code, out, err = run(capsys, "gamma", "--n", "6", "--m", "4", "--emit-words")
-    assert (code, err) == (0, "")
-    assert written == [d for d, u in g.vertices.items() if (u, u - 1, 0) not in edges or u == 1]
-    assert (len(written), (1, 0, 0) in edges) == (211, True)
+    counts = []
+    for m in ("4", "40"):
+        code, out, err = run(capsys, "gamma", "--n", "6", "--m", m, "--emit-words")
+        assert (code, err) == (0, "")
+        assert written == list(gamma_nm_concrete(6, 4).column)
+        counts.append(len(written))
+        written.clear()
+    assert counts == [132, 132]
 
 
 @pytest.mark.parametrize("k", [42, 2000])

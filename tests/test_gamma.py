@@ -5,7 +5,9 @@ from math import factorial
 
 import pytest
 
-from thompsonf.diagrams import atomic, from_word, mul_letter, to_normal_form
+import gamma_oracle
+from thompsonf import cli
+from thompsonf.diagrams import atomic, from_word, invert, mul_letter, to_normal_form
 from thompsonf.gamma import (
     ConstructionError,
     LabeledGraph,
@@ -164,7 +166,7 @@ def test_concrete_small():
     assert g.size == 3 * catalan(2) == 6
     assert fullness_check(g)
     assert monomial_shape_ok(g)
-    assert sorted({v // catalan(2) for v in g.vertices.values()}) == [0, 1, 2]
+    assert [to_normal_form(g.vertex(v)).neg.count(2) for v in range(g.size)] == [0, 0, 1, 1, 2, 2]
     columns = column_partition(g)
     assert [size for size, _ in columns] == [catalan(2)] * 3
 
@@ -187,10 +189,19 @@ def test_concrete_columns_and_density():
 def test_origin_counts_the_seed_letters(n, m):
     # a vertex is its seed x_n^-k times letters x_i^-1, i <= n - 2, so
     # its normal form holds n exactly k times (monomial_shape_ok), and
-    # seed column k is the block of vertex numbers from k Catalan(n)
+    # seed column k is the block of vertex numbers from k Catalan(n);
+    # vertex(i) names them as the full chain does
     g = gamma_nm_concrete(n, m)
-    assert list(g.vertices.values()) == list(range(g.size))
-    assert all(to_normal_form(d).neg.count(n) == v // catalan(n) for d, v in g.vertices.items())
+    assert [g.vertex(v) for v in range(g.size)] == list(gamma_oracle.named_chain(n, m).vertices)
+    assert all(to_normal_form(g.vertex(v)).neg.count(n) == v // catalan(n) for v in range(g.size))
+
+
+def test_vertex_indexes_as_range_does():
+    g = gamma_nm_concrete(2, 2)
+    assert g.vertex(-1) == g.vertex(5) == from_word(parse_word("x2^-1 x2^-1 x0^-1"))
+    for i in (6, -7):
+        with pytest.raises(IndexError):
+            g.vertex(i)
 
 
 def test_concrete_interior_matches_limit():
@@ -209,42 +220,47 @@ def test_concrete_validates():
 
 def test_concrete_edges_have_recorded_direction():
     g = gamma_nm_concrete(2, 2)
-    names = list(g.vertices)
-    assert g.graph.vertex_count == g.size
-    for u, v, label in g.graph.edges:
+    assert len(g.column) == catalan(2)
+    assert all(u < 2 and v < 2 for u, v, _ in g.inner)
+    assert all(2 <= u < 4 and v < 2 for u, v, _ in g.across)
+    for u, v, label in g.inner + g.across:
         assert 0 <= label <= 2
-        assert mul_letter(names[u], label, 1) == names[v]
+        assert mul_letter(g.vertex(u), label, 1) == g.vertex(v)
 
 
 def _without_edge(g, edge):
-    assert edge in g.graph.edges
-    edges = tuple(e for e in g.graph.edges if e != edge)
-    return g._replace(graph=LabeledGraph(g.graph.vertex_count, edges))
+    # g with edge taken out of inner, or out of across
+    if edge in g.inner:
+        return g._replace(inner=tuple(e for e in g.inner if e != edge))
+    assert edge in g.across
+    return g._replace(across=tuple(e for e in g.across if e != edge))
 
 
 def test_fullness_check_catches_missing_edge():
     g = gamma_nm_concrete(2, 2)
-    with pytest.raises(ConstructionError):
-        fullness_check(_without_edge(g, g.graph.edges[0]))
+    for edge in g.inner + g.across:
+        with pytest.raises(ConstructionError):
+            fullness_check(_without_edge(g, edge))
 
 
 def test_fullness_error_names_the_vertex_by_word():
+    # x2^-1 times x2 is the identity: an edge from column 1 to column 0
     g = gamma_nm_concrete(2, 2)
-    names = list(g.vertices)
-    u, v = names.index(from_word(parse_word("x2^-1"))), names.index(from_word(()))
-    tampered = _without_edge(g, (u, v, 2))
+    tampered = _without_edge(g, (2, 0, 2))
+    assert g.vertex(2) == from_word(parse_word("x2^-1"))
     with pytest.raises(ConstructionError, match=r"^fullness violated at 'x2\^-1' under x2$"):
         fullness_check(tampered)
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_fullness_check_catches_an_edge_past_n(k):
-    # x_k, k = n+1 or n+2, joins the vertex set of Gamma_{2,2}; no edge
-    # is recorded above x2, but the identity reaches x_k by x_k
+    # with x_k^-1, k = n+1 or n+2, in place of x0^-1 and its one inner
+    # edge taken out, the vertex set of Gamma_{2,2} holds x_k^-1 x_k = 1;
+    # no edge is recorded above x2, and x_k^-1 x_j, j < k, is x_j x_{k+1}^-1
     g = gamma_nm_concrete(2, 2)
-    graph = LabeledGraph(g.graph.vertex_count + 1, g.graph.edges)
-    tampered = g._replace(vertices={**g.vertices, atomic(k): len(g.vertices)}, graph=graph)
-    with pytest.raises(ConstructionError, match=rf"^fullness violated at '' under x{k}$"):
+    assert g.column[1] == from_word(parse_word("x0^-1")) and g.inner == ((1, 0, 0),)
+    tampered = g._replace(column=(g.column[0], invert(atomic(k))), inner=())
+    with pytest.raises(ConstructionError, match=rf"^fullness violated at 'x{k}\^-1' under x{k}$"):
         fullness_check(tampered)
 
 
@@ -253,38 +269,42 @@ def test_fullness_check_catches_a_recorded_edge_that_leaves_the_set():
     # vertices 6 and -1 are past either end of its 6 vertices
     g = gamma_nm_concrete(2, 2)
     for edge, where in (((0, 0, 0), "''"), ((6, 0, 0), "vertex 6"), ((-1, 0, 0), "vertex -1")):
-        bogus = LabeledGraph(g.graph.vertex_count, g.graph.edges + (edge,))
         with pytest.raises(ConstructionError, match=rf"^fullness violated at {where} under x0$"):
-            fullness_check(g._replace(graph=bogus))
+            fullness_check(g._replace(inner=g.inner + (edge,)))
+
+
+@pytest.mark.parametrize("inner", [((1, 0, 0),), ()], ids=["kept", "dropped"])
+def test_fullness_check_catches_an_edge_up_a_column(inner):
+    # with x2^-1 x0^-1 in place of x0^-1, vertex 1 times x0 is x2^-1, the
+    # first vertex of column 1; no edge is recorded up a column, and the
+    # recorded x0 edge from vertex 1 to 0 no longer holds
+    g = gamma_nm_concrete(2, 2)
+    tampered = g._replace(column=(g.column[0], from_word(parse_word("x2^-1 x0^-1"))), inner=inner)
+    with pytest.raises(ConstructionError, match=r"^fullness violated at 'x2\^-1 x0\^-1' under x0$"):
+        fullness_check(tampered)
 
 
 def test_fullness_check_reads_the_numbering_of_the_vertex_map():
-    # renumbered v -> V - 1 - v in both the map and the graph, with the
-    # map's keys left in their order, Gamma_{3,4} is still full: each
-    # vertex's edges are found by its number, not by its place in the map
+    # renumbered t -> C - 1 - t in column 0 and in both edge sets,
+    # Gamma_{3,4} is still full: each product is looked up by its
+    # negative part, not by its place in the column
     g = gamma_nm_concrete(3, 4)
-    last = g.size - 1
-    vertices = {d: last - v for d, v in g.vertices.items()}
-    edges = tuple((last - u, last - v, j) for u, v, j in g.graph.edges)
-    assert fullness_check(g._replace(vertices=vertices, graph=LabeledGraph(g.size, edges)))
+    last = len(g.column) - 1
 
+    def flip(u):
+        return u + last - 2 * (u % (last + 1))
 
-@pytest.mark.parametrize("count", [5, 7])
-def test_fullness_check_refuses_a_graph_with_another_vertex_count(count):
-    # Gamma_{2,2} names 6 vertices; its edges alone do not show that
-    # vertex 6 is missing or vertex 5 unnamed
-    g = gamma_nm_concrete(2, 2)
-    graph = g.graph._replace(vertex_count=count)
-    message = rf"^fullness violated: the graph has {count} vertices for 6 names$"
-    with pytest.raises(ConstructionError, match=message):
-        fullness_check(g._replace(graph=graph))
+    inner = tuple((flip(u), flip(v), j) for u, v, j in g.inner)
+    across = tuple((flip(u), flip(v), j) for u, v, j in g.across)
+    flipped = g._replace(column=g.column[::-1], inner=inner, across=across)
+    assert fullness_check(flipped)
 
 
 @pytest.mark.parametrize("text", ["x0", "x1^-1", "x3^-1"])
 def test_monomial_shape_rejects(text):
     # a positive part, the absent subscript n - 1, a subscript past n
     g = gamma_nm_concrete(2, 2)
-    assert not monomial_shape_ok(g._replace(vertices={from_word(parse_word(text)): 0}))
+    assert not monomial_shape_ok(g._replace(column=(from_word(parse_word(text)),)))
 
 
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 4), (5, 3)])
@@ -294,11 +314,59 @@ def test_concrete_matches_abstract_chain(n, m):
         abstract = apply_A(i, abstract)
     g = gamma_nm_concrete(n, m)
     assert g.size == abstract.vertex_count
-    assert g.graph == abstract
     # the bar graph read off the diagrams is the chain's bar graph
-    y = g.subgraph()
-    names = list(g.vertices)
-    assert y.edges == {(names[u], names[v], j) for u, v, j in bar(abstract).edges}
+    assert g.subgraph().edges == {
+        (g.vertex(u), g.vertex(v), j) for u, v, j in bar(abstract).edges
+    }
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("n", range(2, 9))
+def test_inner_and_across_repeat_to_the_chain(n, m):
+    # inner in each of the m + 1 columns and across between each two
+    # neighbours give the chain run on xi_path(n, m), edge for edge
+    abstract = xi_path(n, m)
+    for i in range(n - 2, -1, -1):
+        abstract = apply_A(i, abstract)
+    g = gamma_nm_concrete(n, m)
+    size = len(g.column)
+    repeated = [(u + k * size, v + k * size, j) for k in range(m + 1) for u, v, j in g.inner]
+    repeated += [(u + k * size, v + k * size, j) for k in range(m) for u, v, j in g.across]
+    assert abstract.vertex_count == g.size
+    assert sorted(repeated) == sorted(abstract.edges)
+
+
+# every (n, m) whose report or concrete family the tests build, and two more
+@pytest.mark.parametrize(
+    "n, m",
+    [(2, 1), (2, 2), (2, 6), (2, 12), (3, 1), (3, 2), (3, 4), (3, 5), (3, 6), (3, 12), (3, 40),
+     (4, 2), (4, 6), (4, 12), (4, 100), (5, 3), (5, 20), (5, 100), (6, 4), (6, 40), (8, 3),
+     (6, 200), (7, 20)],
+)
+def test_report_block_equals_the_vertex_by_vertex_oracle(n, m):
+    results, _ = cli._gamma_report(n, m)
+    assert results["concrete"] == gamma_oracle.concrete_block(n, m)
+
+
+def test_work_does_not_grow_with_m(monkeypatch):
+    # the construction and the fullness check multiply only in column 0
+    # and its translate by x_n^-1, whatever m is
+    calls = []
+
+    def counted(d, k, s):
+        calls.append(k)
+        return mul_letter(d, k, s)
+
+    monkeypatch.setattr(gamma_module, "mul_letter", counted)
+    counts = []
+    for m in (1, 4, 200):
+        assert fullness_check(gamma_nm_concrete(6, m))
+        counts.append(len(calls))
+        calls.clear()
+    # 1 seed, 2 (C - 1) column steps and the 2 * 165 inner and 132 across
+    # edges of Gamma_{6,1}; then n + 3 = 9 products per vertex of column
+    # 0, C = 132
+    assert counts == [1 + 2 * 131 + 2 * 165 + 132 + 9 * 132] * 3
 
 
 def recursive_gamma(n):
@@ -366,8 +434,17 @@ def test_construction_error_names_repeated_vertex(monkeypatch):
 def test_construction_error_names_vertex_count(monkeypatch):
     monkeypatch.setattr(gamma_module, "catalan", lambda n: 3)
     with pytest.raises(
-        ConstructionError, match=r"^vertex count 6 differs from \(m\+1\) Catalan\(n\) = 9$"
+        ConstructionError, match=r"^vertex count 4 differs from 2 Catalan\(n\) = 6$"
     ):
+        gamma_nm_concrete(2, 2)
+
+
+def test_construction_error_names_a_vertex_outside_the_letters(monkeypatch):
+    # x_k -> x_{k+3} is an injective endomorphism of F, so every edge
+    # still checks and the names stay distinct, but column 0 of
+    # Gamma_{2,2} then holds x3^-1, which the translates by x2^-1 need below x2
+    monkeypatch.setattr(gamma_module, "mul_letter", lambda d, k, s: mul_letter(d, k + 3, s))
+    with pytest.raises(ConstructionError, match=r"^'x3\^-1' is not a word in x_i\^-1, i < 2$"):
         gamma_nm_concrete(2, 2)
 
 

@@ -90,7 +90,7 @@ def _records():
         (dyadic(3, 2), "num"),
         (from_word_pl(((0, 1), (1, -1))), "tail_offset"),
         (xi_path(2, 3), "edges"),
-        (g, "vertices"),
+        (g, "column"),
         (g.subgraph(), "vertices"),
     ]
 
