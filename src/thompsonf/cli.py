@@ -15,9 +15,10 @@ subcommands (spheres, series) switch to plain CSV under --format csv,
 and gamma --emit-words prints one word per line; both print no envelope.
 
 Exit codes: 0 success, 1 validation error, 2 resource cap exceeded
-(including recursion depth or memory exhausted), 64 unknown subcommand,
-141 (128 + SIGPIPE) when the reader closes stdout early, as `| head`
-does; that case prints nothing more.
+(including recursion depth or memory exhausted, and a write to stdout
+that fails, as on a full disk), 64 unknown subcommand, 141 (128 +
+SIGPIPE) when the reader closes stdout early, as `| head` does; that
+case prints nothing more.
 """
 
 from __future__ import annotations
@@ -416,12 +417,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         code = _main(argv)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout, as `| head` does; point stdout at
-        # devnull so that the flush at exit stays quiet (the "Note on
-        # SIGPIPE" in the documentation of the signal module)
+    except OSError as exc:
+        # the reader closed stdout, as `| head` does, or a write failed
+        # otherwise, as on a full disk; point stdout at devnull so that
+        # the flush at exit stays quiet (the "Note on SIGPIPE" in the
+        # documentation of the signal module)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        if isinstance(exc, BrokenPipeError):
+            return 141
+        print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -24,12 +24,23 @@ graph walk, is a local edit (mul_letter): it adds or removes one caret
 in the first bottom trees or at one top leaf, and cancels at most one
 dipole (J. Belk and K. Brown, "Forest diagrams for elements of
 Thompson's group F", IJAC 2005).  One private fold, _fold, makes that
-edit for each letter of a word on its state, the top forest code and
-the list of bottom tree codes with tree 0 last; mul_letter is its
-one-letter call, from_word folds a word from EPSILON, compose folds
-the normal form of its right factor, and metric.greedy_descent steps
-on the same state.  Whole trees with their commas spend two characters
-per leaf, so the top leaf a letter touches is found by counting in C.
+edit for each letter of a word on its state: the bottom tree codes in a
+list, tree 0 last, and the top forest as its leaf pieces in a deque,
+leaf 0 last.  Piece v is what precedes leaf v in the top code (the
+carets whose leftmost leaf is v, after a "," if leaf v > 0 starts a
+tree), so top leaf p is pieces[-1 - p]: a leaf split or a dipole edits
+a piece or two near that end, and padding and stripping work at the
+other.  from_word, compose and metric.greedy_descent fold on this
+state.  A word of one letter, in mul_letter and _times, is the one
+deliberate second shape of the edit: the fold splices the top forest
+code itself, where whole trees with their commas spend two characters
+per leaf, so leaf p is found by counting in C.  Building the pieces
+for one edit costs more than it saves: a one-letter product through
+them ran at 0.71x the splice's speed on the vertices of Gamma_{6,4} and
+at 0.46x on 300-letter elements (2-vCPU VM, Python 3.11, in-process),
+and in a prototype the pipeline benchmark ran 3-5% slower with
+subgraph's one-letter suffix folds on pieces.
+
 A caret sits in preorder just before its leftmost leaf, so the normal
 form is read off the runs of ``(``, and from_normal_form writes the
 string directly.  No reader recurses, so trees far deeper than the
@@ -42,8 +53,9 @@ word such as x10000000 cannot exhaust memory.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import deque
 from itertools import chain, repeat
-from typing import List, NamedTuple, Tuple
+from typing import Deque, List, NamedTuple, Tuple
 
 from .words import GenWord
 
@@ -148,17 +160,21 @@ def _tree_end(d: str, q: int) -> int:
         q = j
 
 
-def _unpack(d: Diagram) -> Tuple[str, List[str]]:
-    # the fold's state: the top forest code and the bottom tree codes, tree 0 last
+def _unpack(d: Diagram) -> Tuple[Deque[str], List[str]]:
+    # the fold's state of d: the top leaf pieces and the bottom tree
+    # codes, leaf 0 and tree 0 last (see _fold)
     top, _, bottom = d.partition("|")
     trees = bottom.split(",")
     trees.reverse()
-    return top, trees
+    return deque(top.split("L")[-2::-1]), trees
 
 
-def _fold(top: str, trees: List[str], w: GenWord) -> str:
-    # the state times w by the letter edit of mul_letter; edits trees in
-    # place and returns the new top code, whose length gives the leaves
+def _fold(top: str | Deque[str], trees: List[str], w: GenWord) -> str | Deque[str]:
+    # the state times w by the letter edit of mul_letter, in place on the
+    # bottom trees.  top is the deque of top leaf pieces, edited in place
+    # (leaf p is top[-1 - p]), or for one letter the top forest code,
+    # spliced (see the module docstring); returns it
+    code = type(top) is str
     for k, s in w:
         if k < 0:
             raise ValueError(f"generator subscript must be nonnegative, got {k}")
@@ -167,54 +183,76 @@ def _fold(top: str, trees: List[str], w: GenWord) -> str:
         # the bottom forest needs trees up to k for s = 1, up to k + 1 for s = -1
         missing = (k + 1 if s == 1 else k + 2) - len(trees)
         if missing > 0:
-            if (len(top) + 1) // 2 + missing > MAX_LEAVES:
+            if ((len(top) + 1) // 2 if code else len(top)) + missing > MAX_LEAVES:
                 raise LeafLimitError()
-            top += ",L" * missing
+            if code:
+                top += ",L" * missing
+            else:
+                top.extendleft("," * missing)  # one "," piece per character
             trees[:0] = ["L"] * missing
         i = len(trees) - 1 - k  # bottom tree k, tree k + 1 at i - 1
         t = trees[i]
         if t == "L":
             # p, the leaves before tree k: trees 0 .. k-1 joined spend 2p - k
-            p = (len("".join(trees[i + 1:])) + k) // 2
+            p = k and (len("".join(trees[i + 1:])) + k) // 2
         if s == 1:
             if t[0] == "(":
                 q = _tree_end(t, 1)  # the end of the root's left subtree
                 trees[i:i + 1] = t[q:], t[1:q]
             else:
-                if (len(top) + 1) // 2 >= MAX_LEAVES:
+                if ((len(top) + 1) // 2 if code else len(top)) >= MAX_LEAVES:
                     raise LeafLimitError()
-                j = _top_leaf(top, p)
-                top = top[:j] + "(LL" + top[j + 1:]
+                if code:
+                    j = _top_leaf(top, p)
+                    top = top[:j] + "(LL" + top[j + 1:]
+                else:
+                    top[-1 - p] += "("
+                    top.insert(-1 - p, "")
                 trees[i:i + 1] = "L", "L"
         else:
             u = trees[i - 1]
             # trees k and k + 1 are leaves, and a top caret is over leaves p, p+1
-            j = _top_leaf(top, p) if t == "L" == u else 0
-            if j and top[j - 1] == "(" and top[j + 1] == "L":
-                # dipole: it meets the new root caret; the bottom side is a
-                # root, so no cascade
-                top = top[:j - 1] + "L" + top[j + 2:]
+            if t != "L" or u != "L":
+                dipole = False
+            elif code:
+                j = _top_leaf(top, p)
+                dipole = j > 0 and top[j - 1] == "(" and top[j + 1] == "L"
+            else:
+                dipole = top[-2 - p] == "" and top[-1 - p][-1:] == "("
+            if dipole:
+                # it meets the new root caret; the bottom side is a root,
+                # so no cascade
+                if code:
+                    top = top[:j - 1] + "L" + top[j + 2:]
+                else:
+                    top[-1 - p] = top[-1 - p][:-1]
+                    del top[-2 - p]
                 trees[i - 1:i + 1] = ["L"]
             else:
                 trees[i - 1:i + 1] = ["(" + t + u]
-        if trees[0] == "L" and top.endswith(",L"):
+        if trees[0] == "L" and (top.endswith(",L") if code else top[0] == ","):
             # strip trailing leaf pairs in one cut; equal leaf counts keep a tree
             n = 1
-            while trees[n] == "L" and top.endswith(",L", 0, -2 * n):
+            while trees[n] == "L" and (top.endswith(",L", 0, -2 * n) if code else top[n] == ","):
                 n += 1
-            top = top[:-2 * n]
             del trees[:n]
+            if code:
+                top = top[:-2 * n]
+            else:
+                for _ in range(n):
+                    top.popleft()
     return top
 
 
 def _times(d: Diagram, w: GenWord) -> Diagram:
-    # d * w by the fold; _unpack inlined, a call less per one-letter product
-    top, _, bottom = d.partition("|")
-    trees = bottom.split(",")
+    # d * w by the fold: one letter on the top forest code (mul_letter),
+    # a longer word on its leaf pieces
+    if len(w) == 1:
+        return mul_letter(d, *w[0])
+    pieces, trees = _unpack(d)
+    _fold(pieces, trees, w)
     trees.reverse()
-    top = _fold(top, trees, w)
-    trees.reverse()
-    return f"{top}|{','.join(trees)}"
+    return f"{'L'.join(reversed(pieces))}L|{','.join(trees)}"
 
 
 def mul_letter(d: Diagram, k: int, s: int) -> Diagram:
@@ -230,11 +268,17 @@ def mul_letter(d: Diagram, k: int, s: int) -> Diagram:
     the top forest has a caret over leaves p, p+1, a dipole that
     cancels.  Missing bottom trees are padded as leaf trees on both
     sides first, and trailing leaf pairs are stripped last.  This is the
-    one-letter call of the fold behind from_word and compose; it raises
+    fold's letter edit behind from_word and compose, spliced into the
+    top forest code (see the module docstring); it raises
     LeafLimitError, before anything grows, if the product would have
     more than MAX_LEAVES leaves.
     """
-    return _times(d, ((k, s),))
+    top, _, bottom = d.partition("|")
+    trees = bottom.split(",")
+    trees.reverse()
+    top = _fold(top, trees, ((k, s),))
+    trees.reverse()
+    return f"{top}|{','.join(trees)}"
 
 
 def from_word(w: GenWord) -> Diagram:
@@ -244,11 +288,11 @@ def from_word(w: GenWord) -> Diagram:
     then letters x_j^-1 with nonincreasing j, whose (pos, neg) passes
     validate_normal_form, is built by from_normal_form in linear time.
     Any other word is folded from EPSILON with the letter edit of
-    mul_letter on the fold's state, written out once at the end.  A root
-    removal or a join copies only the bottom trees it edits, plus a
-    Python step per caret run where it removes a root; a leaf split or
-    a dipole copies the top forest code once.  Raises LeafLimitError if
-    the diagram would have more than MAX_LEAVES leaves.
+    mul_letter on the fold's state, written out once at the end.  A leaf
+    split or a dipole edits the pieces of one or two top leaves, and a
+    root removal or a join copies only the bottom trees it edits, plus a
+    Python step per caret run where it removes a root.  Raises
+    LeafLimitError if the diagram would have more than MAX_LEAVES leaves.
     """
     ks, signs = tuple(zip(*w)) or ((), ())
     p = signs.count(1)

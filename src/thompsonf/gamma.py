@@ -35,8 +35,8 @@ from math import comb, factorial
 from typing import List, NamedTuple, Tuple
 
 from .diagrams import (
-    EPSILON, Diagram, LimitError, NormalForm, from_normal_form, mul_letter, normal_form_text,
-    to_normal_form,
+    EPSILON, Diagram, LimitError, NormalForm, _caret_starts, from_normal_form, mul_letter,
+    normal_form_text, to_normal_form,
 )
 from .subgraphs import Subgraph, full_subgraph
 
@@ -310,16 +310,22 @@ def fullness_check(g: ConcreteGamma) -> bool:
     off its negative part, leaves the negative part of w_t'.  Then
     x_n^-k w_t x_j is vertex (k - e) C + t' for 0 <= k - e <= m: g is full
     when the products with |e| <= m are inner (e = 0) and across (e = 1).
-    Where they differ, the least vertex, then label, is named."""
+    A product with a top caret starting anywhere but at n is none of
+    these, so its bottom forest is not read.  Where they differ, the
+    least vertex, then label, is named."""
     size = len(g.column)
     index = {to_normal_form(w).neg: t for t, w in enumerate(g.column)}
     found = set()  # (u, v, j, e): vertex u in column max(e, 0) times x_j is vertex v
     for t, w in enumerate(g.column):
         for j in range(g.n + 3):
-            pos, neg = to_normal_form(mul_letter(w, j, 1))
+            top, _, bottom = mul_letter(w, j, 1).partition("|")
+            pos = _caret_starts(top)
+            if pos.count(g.n) < len(pos):
+                continue  # most products: their bottom forest is not read
+            neg = _caret_starts(bottom)
             cut = bisect_left(neg, g.n)
             e = len(pos) - len(neg) + cut
-            if set(pos + neg[cut:]) <= {g.n} and abs(e) <= g.m and neg[:cut] in index:
+            if set(neg[cut:]) <= {g.n} and abs(e) <= g.m and neg[:cut] in index:
                 found.add((max(e, 0) * size + t, max(-e, 0) * size + index[neg[:cut]], j, e))
     wrong = found ^ {(*edge, 0) for edge in g.inner} ^ {(*edge, 1) for edge in g.across}
     if wrong:

@@ -65,20 +65,42 @@ bottom tree 2 is a leaf and w was such a bridge head.  The tests hold
 this against the norm difference on the radius-8 ball and on long
 words, CI on the radius-10 ball, and greedy_descent certifies every
 word it returns.
+
+What the deltas read.  _deltas reads the window off the fold's state
+(diagrams._unpack): bottom trees 0, 1 and 2 are the last three codes of
+the tree list, and top piece v, what precedes leaf v, is pieces[-1 - v].
+A tree of s leaves spends 2s - 1 characters, and the carets of a forest
+are its leaves less its trees, so s0, w and whether a bottom tree from
+2 on has a caret are counts.  Two reads need the whole top forest: the
+first top tree's leaf count (no vertex past it is near vertex 0, and
+of the vertices that start a top tree only it is) and the rightmost
+top caret start (a bridge needs a caret right of it).  greedy_descent
+keeps both as its state changes.  A descent takes no leaf split (its
+delta is +1), so only a dipole at the top leaf p moves them, by one;
+it is told from a join, the other x_k^-1 edit, by the bottom caret
+count (leaves less trees), which a join raises.  A dipole that takes
+away the rightmost caret start searches down from p, and since a
+descent adds no top caret, the searches of one descent pass each leaf
+once.  A near test inside the first top tree sums the pieces before v
+in C.  Beyond that search no step loops over the leaves in Python; a
+root removal still walks a bottom tree (diagrams._tree_end).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Set, Tuple
+from itertools import accumulate, compress, count, islice, repeat
+from operator import sub
+from typing import Deque, Iterator, List, Optional, Set, Tuple
 
 from .diagrams import (
     EPSILON, GENERATOR_LETTERS, Diagram, LimitError, _fold, _tree_end, _unpack, leaf_count,
 )
 from .words import GenWord
 
-# greedy_descent takes norm(d) steps, each reading a top forest code
-# about as long as d, so its work is about norm(d) * len(d); geodesic
-# x8000 (5.1e8) takes about 0.7 s.  Past this bound it refuses.
+# greedy_descent takes norm(d) steps on a diagram of len(d) characters.
+# A step reads a window of the fold's state, but a root removal still
+# walks a bottom tree, so norm(d) * len(d) bounds its work; geodesic
+# x8000 (5.1e8) takes about 0.1 s.  Past this bound it refuses.
 MAX_DESCENT_WORK = 2**30
 
 
@@ -145,85 +167,97 @@ def norm(d: Diagram) -> int:
     return norm_and_special(d)[0]
 
 
-def _last_start(f: str) -> int:
-    # the leftmost leaf of the last caret in preorder, the forest's
-    # rightmost caret start, or -1; counted from the end (n leaves, 2n - 1 chars)
-    c = f.rfind("(")
-    return (len(f) + 1) // 2 - f.count("L", c) if c >= 0 else -1
+def _first_tree(pieces: Deque[str]) -> int:
+    # the leaf count of the first top tree: the first leaf after 0 whose
+    # piece starts with ",", or all of them
+    ends = compress(count(1), map(str.startswith, islice(reversed(pieces), 1, None), repeat(",")))
+    return next(ends, len(pieces))
 
 
-class _TopLeaves:
-    # the top forest for _deltas, split only as far as a read reaches;
-    # piece(v) is what precedes leaf v as in _read, "," past it
-    def __init__(self, top: str, trees: List[str]):
-        self.top, self.trees, self.leaves = top, trees, (len(top) + 1) // 2
-        self.pieces: List[str] = []
-
-    def piece(self, v: int) -> str:
-        if len(self.pieces) <= v < self.leaves:
-            self.pieces = ("," + self.top).split("L", v + 1)[:-1]
-        return self.pieces[v] if v < self.leaves else ","
-
-    def near(self, v: int) -> bool:
-        # {0, v} is a top arc; only the first tree holds such arcs
-        if v > self.top.partition(",")[0].count("L"):
-            return False
-        self.piece(v - 1)
-        return v in _spine(self.pieces[:v])
-
-    def bridge(self, v: int) -> bool:
-        # top leaf v is a tree, a caret of either forest starts right of
-        # it, and v is not near vertex 0.  v ends bottom tree 1 or is tree
-        # 2, so a bottom caret starts right of v if trees 2 on are not leaves
-        later = self.trees[:-2]
-        return (
-            (_last_start(self.top) > v or later.count("L") < len(later))
-            and self.piece(v) == ","
-            and not self.near(v)
-        )
-
-    def special(self, v: int, start: bool, whole: bool) -> bool:
-        # vertex v is active and not near in the top forest, where `start`
-        # says a bottom caret starts at v and `whole` that bottom leaf v
-        # is a tree; the bottom spine is the caller's part
-        if start or self.piece(v)[-1:] == "(":
-            return not self.near(v)
-        return whole and self.bridge(v)
+def _last_start(pieces: Deque[str], below: int) -> int:
+    # the rightmost caret start among top leaves 0 .. below-1, or -1.  A
+    # greedy descent adds no top caret, so the searches of one descent
+    # pass each leaf once
+    v = min(below, len(pieces)) - 1
+    while v >= 0 and "(" not in pieces[-1 - v]:
+        v -= 1
+    return v
 
 
-def _deltas(top: str, trees: List[str]) -> Iterator[int]:
+def _near(pieces: Deque[str], v: int, first: int) -> bool:
+    # {0, v} is a top arc (v > 0).  Past the first tree only its root
+    # ends at v.  Within it, leaf v - 1 > 0 must be a right child, with
+    # no caret before it, and counting leaves less carets over pieces
+    # 0 .. v-1, as _spine does, v - 1 must end a new high
+    if v >= first or v == 1:
+        return v <= first
+    if pieces[-v]:
+        return False
+    *h, last = accumulate(map(sub, repeat(1), map(len, islice(reversed(pieces), v))))
+    return max(h) < last
+
+
+def _bridge(pieces: Deque[str], v: int, first: int, right: bool) -> bool:
+    # top leaf v > 0 is a tree, a caret of either forest starts right of
+    # it (`right`), and v does not end the first top tree, so is not near
+    # vertex 0; a top leaf past the last is a padded tree
+    return right and v != first and (v >= len(pieces) or pieces[-1 - v] == ",")
+
+
+def _special(pieces: Deque[str], v: int, start: bool, whole: bool, first: int, right: bool) -> bool:
+    # vertex v is active and not near in the top forest, where `start`
+    # says a bottom caret starts at v and `whole` that bottom leaf v is a
+    # tree; the bottom spine is the caller's part
+    if start or v < len(pieces) and pieces[-1 - v][-1:] == "(":
+        return not _near(pieces, v, first)
+    return whole and _bridge(pieces, v, first, right)
+
+
+def _deltas(
+    pieces: Deque[str], trees: List[str], first: Optional[int] = None, last: int = -1
+) -> Iterator[int]:
     # norm(mul_letter(d, k, s)) - norm(d) for each letter of
     # GENERATOR_LETTERS in turn, read off the window of the module
     # docstring in the fold's state of d; lazily, so a caller can stop
-    # at the first it needs.  Bottom trees 0, 1 and 2 are the last three;
-    # a missing tree is a padded leaf
-    t2, t1, t0 = ["L", "L", *trees[-3:]][-3:]
-    s0 = t0.count("L")
-    w = s0 + t1.count("L")  # where bottom tree 2 starts
-    window = _TopLeaves(top, trees)
+    # at the first it needs.  first is the first top tree's leaf count
+    # and last the rightmost top caret start; greedy_descent keeps them,
+    # and they are read off the pieces otherwise.  Bottom trees 0, 1 and
+    # 2 are the last three; a missing tree is a padded leaf
+    if first is None:
+        first, last = _first_tree(pieces), _last_start(pieces, len(pieces))
+    leaves = len(pieces)
+    t0 = trees[-1]
+    t1 = trees[-2] if len(trees) > 1 else "L"
+    t2 = trees[-3] if len(trees) > 2 else "L"
+    s0 = (len(t0) + 1) // 2  # a tree of s leaves spends 2s - 1 characters
+    w = s0 + (len(t1) + 1) // 2  # where bottom tree 2 starts
+    # a bottom tree from 2 on has a caret, so one starts right of w - 1
+    # and of w: the carets of a forest are its leaves less its trees, and
+    # trees 0 and 1 hold w - 2
+    later = leaves - len(trees) > w - 2
+
     # x0: a leaf split is +1; a root removal takes s0 off the bottom spine
     if t0 == "L":
         yield 1
     else:
-        yield 2 * window.special(s0, t1[0] == "(", t1 == "L") - 1
+        yield 2 * _special(pieces, s0, t1[0] == "(", t1 == "L", first, later or last > s0) - 1
     # x0^-1: a dipole at leaf 0 is -1; a join puts w on the bottom spine
-    if t0 == t1 == "L" and window.piece(1) == "" and window.piece(0)[-1] == "(":
+    if t0 == t1 == "L" and leaves > 1 and pieces[-2] == "" and pieces[-1][-1:] == "(":
         yield -1
     else:
-        yield 1 - 2 * window.special(w, t2[0] == "(", t2 == "L")
+        yield 1 - 2 * _special(pieces, w, t2[0] == "(", t2 == "L", first, later or last > w)
     # x1: a leaf split is +1; a root removal over a leaf right subtree
-    # makes bottom leaf s0 + a a tree, a the left subtree's leaf count
+    # makes bottom leaf w - 1 a tree
     if t1 == "L":
         yield 1
     else:
-        q = _tree_end(t1, 1)
-        yield 2 * (t1[q:] == "L" and window.bridge(s0 + t1.count("L", 1, q))) - 1
+        yield 2 * (t1[_tree_end(t1, 1):] == "L" and _bridge(pieces, w - 1, first, later or last >= w)) - 1
     # x1^-1: a dipole at leaf s0 is -1; a join over a leaf tree 2 makes
     # bottom leaf w part of a tree
-    if t1 == t2 == "L" and window.piece(w) == "" and window.piece(s0)[-1:] == "(":
+    if t1 == t2 == "L" and w < leaves and pieces[-1 - w] == "" and pieces[-1 - s0][-1:] == "(":
         yield -1
     else:
-        yield 1 - 2 * (t2 == "L" and window.bridge(w))
+        yield 1 - 2 * (t2 == "L" and _bridge(pieces, w, first, later or last > w))
 
 
 def is_dead(d: Diagram) -> bool:
@@ -241,10 +275,12 @@ def is_dead(d: Diagram) -> bool:
 def greedy_descent(d: Diagram) -> GenWord:
     """A word for d found by always stepping to a lower-norm neighbour.
 
-    The norm is read once and d is split once into the fold's state.
-    Each step reads the norm deltas off that state in GENERATOR_LETTERS
-    order, takes the first letter whose delta is -1, and applies it with
-    the fold's letter edit.  A descent direction always exists: the last
+    The norm is read once and d is split once into the fold's state,
+    with the two top forest reads the deltas need (see the module
+    docstring), kept up to date step by step.  Each step reads the norm
+    deltas off that state in GENERATOR_LETTERS order, takes the first
+    letter whose delta is -1, and applies it with one fold of that
+    letter.  A descent direction always exists: the last
     letter of any minimal word provides one.  The letter that undoes the
     previous step has delta +1, so it is never taken.  The descent
     certifies itself: its state must be the identity after exactly
@@ -264,15 +300,30 @@ def greedy_descent(d: Diagram) -> GenWord:
     if n * len(d) > MAX_DESCENT_WORK:
         raise DescentLimitError(len(d))
     steps = []
-    top, trees = _unpack(d)
+    pieces, trees = _unpack(d)
+    first, last = _first_tree(pieces), _last_start(pieces, len(pieces))
     for _ in range(n):
-        for letter, delta in zip(GENERATOR_LETTERS, _deltas(top, trees)):
+        for letter, delta in zip(GENERATOR_LETTERS, _deltas(pieces, trees, first, last)):
             if delta < 0:
                 break
         else:
             raise AssertionError(f"no descent direction at norm {n - len(steps)}")
         steps.append(letter)
-        top = _fold(top, trees, (letter,))
-    if top != "L" or trees != ["L"]:
+        k, s = letter
+        carets = len(pieces) - len(trees)  # of the bottom forest
+        _fold(pieces, trees, (letter,))
+        if s < 0 and len(pieces) - len(trees) == carets:
+            # a dipole took the top caret at leaf p off, p being 0 or the
+            # leaves of bottom tree 0, which the letter keeps, and the
+            # leaves past p moved down by one.  A descent takes no leaf
+            # split (delta +1), so this is the one top edit
+            p = k and (len(trees[-1]) + 1) // 2
+            if p < first:
+                first -= 1
+            if last > p:
+                last -= 1
+            elif p >= len(pieces) or "(" not in pieces[-1 - p]:
+                last = _last_start(pieces, p)
+    if list(pieces) != [""] or trees != ["L"]:
         raise AssertionError(f"{n} descent steps did not reach the identity")
     return tuple((k, -s) for k, s in reversed(steps))

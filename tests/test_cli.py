@@ -543,6 +543,21 @@ def test_stdout_closed_before_any_output(argv):
     assert proc.stderr == ""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv", [["nf", "x0"], ["gamma", "--n", "6", "--m", "40", "--emit-words"]]
+)
+def test_failed_write_is_one_error_line(argv):
+    # every write to /dev/full fails with ENOSPC, as on a full disk
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "thompsonf.cli", *argv], stdout=full, stderr=subprocess.PIPE, text=True
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_unknown_subcommand(capsys):
     code, out, err = run(capsys, "frobnicate")
     assert code == 64

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tuple_oracle as oracle
+from thompsonf import diagrams
 from thompsonf.cayley import enumerate_ball
 from thompsonf.diagrams import (
     EPSILON,
@@ -118,6 +121,27 @@ def test_mul_letter_matches_compose_along_words(w):
     assert from_word(w) == d
 
 
+def _fold_on_pieces(d, w):
+    # d * w through the fold's state, as a word of two letters or more goes
+    pieces, trees = diagrams._unpack(d)
+    diagrams._fold(pieces, trees, w)
+    trees.reverse()
+    return "L".join(reversed(pieces)) + "L|" + ",".join(trees)
+
+
+def test_splice_matches_the_fold_on_pieces():
+    # the two shapes of the letter edit: mul_letter splices the top forest
+    # code, _fold edits its leaf pieces; on the radius-7 ball and on seeded
+    # 300-letter words, whose leaves run far past those the letters touch
+    rng = random.Random(37)
+    long = [from_word(tuple((rng.randint(0, 5), rng.choice((1, -1))) for _ in range(300))) for _ in range(20)]
+    for d in list(enumerate_ball(7)._by_diagram) + long:
+        assert _fold_on_pieces(d, ()) == d
+        for k in range(6):
+            for s in (1, -1):
+                assert mul_letter(d, k, s) == _fold_on_pieces(d, ((k, s),)), (d, k, s)
+
+
 def _oracle_fold(t, w):
     for k, s in w:
         t = oracle.compose(t, oracle.letter(k, s))
@@ -165,6 +189,8 @@ def test_mul_letter_rejects_bad_letters():
     # a bad letter deep in a word is refused as it is alone
     with pytest.raises(ValueError, match="exponent must be 1 or -1, got 0"):
         from_word(((1, 1), (0, 1), (1, 0)))
+    with pytest.raises(ValueError, match="subscript must be nonnegative, got -1"):
+        from_word(((1, 1), (-1, 1)))
 
 
 def test_leaf_cap():

@@ -258,23 +258,32 @@ def test_greedy_descent_skips_the_undoing_letter(monkeypatch):
         assert calls == [d]
 
 
-def test_descent_splits_the_top_only_as_far_as_it_reads(monkeypatch):
-    # x0^-n and x1^-n read past the last top leaf, or test a bridge with
-    # no caret to its right: no step splits the top forest.  x0^n reads
-    # top leaves 0 and 1 (a dipole at leaf 0)
-    longest = [0]
+def test_descent_builds_one_state_and_folds_once_per_step(monkeypatch):
+    # the descent splits d into the fold's state once and keeps its top
+    # reads up to date; each step is one fold of one letter on that state
+    states, folds = [], []
+    unpack, fold = metric._unpack, metric._fold
 
-    class Recorded(metric._TopLeaves):
-        def piece(self, v):
-            found = super().piece(v)
-            longest[0] = max(longest[0], len(self.pieces))
-            return found
+    def counted_unpack(d):
+        states.append(d)
+        return unpack(d)
 
-    monkeypatch.setattr(metric, "_TopLeaves", Recorded)
-    for letter, split in (((0, -1), 0), ((1, -1), 0), ((0, 1), 2)):
-        longest[0] = 0
-        assert greedy_descent(from_word((letter,) * 500)) == (letter,) * 500
-        assert longest[0] == split, letter
+    def counted_fold(pieces, trees, w):
+        folds.append(w)
+        return fold(pieces, trees, w)
+
+    monkeypatch.setattr(metric, "_unpack", counted_unpack)
+    monkeypatch.setattr(metric, "_fold", counted_fold)
+    rng = random.Random(41)
+    words = [((1, 1),) * 300, ((0, -1), (1, 1)) * 100, ((0, 1),) * 200, ((40, 1),)]
+    words += [tuple((rng.randint(0, 3), rng.choice((1, -1))) for _ in range(90)) for _ in range(10)]
+    for w in words:
+        del states[:], folds[:]
+        d = from_word(w)
+        g = greedy_descent(d)
+        assert states == [d]
+        assert folds == [((k, -s),) for k, s in reversed(g)]
+        assert len(g) == norm(d)
 
 
 def _golden_words():
@@ -402,7 +411,7 @@ def test_norm_delta_branches(word, letter, branch, delta):
 def test_corrupted_delta_prints_no_word(monkeypatch, capsys, wrong):
     # every letter claimed to descend walks off the geodesics; none
     # claimed leaves no step: either way no word comes out
-    monkeypatch.setattr(metric, "_deltas", lambda top, trees: iter((wrong,) * 4))
+    monkeypatch.setattr(metric, "_deltas", lambda *state: iter((wrong,) * 4))
     with pytest.raises(AssertionError):
         cli.main(["geodesic", "x0 x1 x3^-1"])
     assert capsys.readouterr().out == ""
