@@ -37,8 +37,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 # sys.modules to run when a subcommand first reads from it.
 from . import cayley, growth, metric, plmaps, subgraphs
 from .diagrams import (
-    DEFAULT_CAP, LeafLimitError, LimitError, _times, cell_count, from_word, normal_form_text,
-    to_normal_form,
+    DEFAULT_CAP, LeafLimitError, LimitError, cell_count, from_word, normal_form_text, to_normal_form,
 )
 from .words import WordError, format_word, parse_word
 
@@ -290,38 +289,39 @@ def _cmd_subgraph(args) -> Report:
     # ends them, so a form feed also starts a new line.  A leading BOM
     # is dropped; an undecodable byte becomes a lone surrogate, which no
     # token matches, so it is found only on a line that fails to parse.
-    # A line that is the nonempty line before it, then whitespace and
-    # more tokens, folds only those onto the diagram before it; if they
-    # do not parse or pass the leaf cap, the line is built from scratch,
-    # so that it fails exactly as it would alone
+    # Each line is read into its element's run form (subgraphs); no
+    # diagram is built for a line of normal-form shape, and none for a
+    # product.  A line that is the nonempty line before it, then
+    # whitespace and more tokens, folds only those onto the run form
+    # before it; if they do not parse or pass the leaf cap, the line is
+    # read from scratch, so that it fails exactly as it would alone
     elems = []
-    before = d = None
+    before = r = None
     try:
         with open(args.input, encoding="utf-8-sig", errors="surrogateescape") as handle:
             lines = (part for text in handle for part in text.splitlines())
             for number, line in enumerate(lines, start=1):
                 rest = line[len(before):] if before and line.startswith(before) else ""
                 try:
-                    d = _times(d, parse_word(rest)) if rest[:1].isspace() else None
+                    r = subgraphs.fold_runs(r, parse_word(rest), len(line)) if rest[:1].isspace() else None
                 except (WordError, LeafLimitError):
-                    d = None
+                    r = None
                 try:
-                    if d is None:
-                        d = from_word(parse_word(line))
+                    if r is None:
+                        r = subgraphs.word_runs(parse_word(line))
                 except WordError as exc:
                     escaped = [ord(c) - 0xDC00 for c in line if "\udc80" <= c <= "\udcff"]
                     if escaped:
                         exc = f"byte 0x{escaped[0]:02x} of {args.input} is not UTF-8"
                     raise _CLIError(f"line {number}: {exc}") from None
-                elems.append(d)
+                elems.append(r)
                 before = line
     except OSError as exc:
         raise _CLIError(f"cannot read {args.input}: {exc}") from exc
     if not elems:
         raise _CLIError(f"no words in {args.input}")
-    y = subgraphs.full_subgraph(elems)
+    y = subgraphs.Subgraph(elems)
     doubling = subgraphs.doubling_check(y)
-    matching = subgraphs.two_one_matching(y)
     lower, middle, upper = subgraphs.folner_inequalities(y)
     exact: Dict[str, str] = {}
     results = {
@@ -332,7 +332,7 @@ def _cmd_subgraph(args) -> Report:
         "boundary_size": doubling.b1_size - y.size,
         "doubling": doubling.holds,
         "b1_size": doubling.b1_size,
-        "matching_found": matching.assignment is not None,
+        "matching_found": subgraphs.matching_found(y),
         "min_degree": subgraphs.min_degree(y),
         "folner": {
             "boundary_ratio": _rational(lower, exact, "folner.boundary_ratio"),

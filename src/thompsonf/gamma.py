@@ -23,22 +23,26 @@ xi_path(n, 1) to every block.  Column 0 has no positive part and no
 letter n, so the names are distinct; fullness_check shows Gamma_{n,m} is
 the full subgraph of the Cayley graph over x_0..x_n on them.
 
+The names are run forms (see subgraphs): the chain names, checks and
+multiplies on them with subgraphs.mul_runs, and only column 0's C
+names are written out as diagrams, once.  ConcreteGamma.subgraph()
+hands the vertices' run forms to the Subgraph, so it builds no vertex
+diagram either.
+
 Degrees count both endpoints, so a loop adds 2 to its vertex's degree;
 edge counts (the b numbers) count a loop once.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from math import comb, factorial
 from typing import List, NamedTuple, Tuple
 
 from .diagrams import (
-    EPSILON, Diagram, LimitError, NormalForm, _caret_starts, from_normal_form, mul_letter,
-    normal_form_text, to_normal_form,
+    Diagram, LimitError, NormalForm, from_normal_form, normal_form_text, to_normal_form,
 )
-from .subgraphs import Subgraph, full_subgraph
+from .subgraphs import Runs, Subgraph, diagram_of, mul_runs, runs_of
 
 LabeledEdge = Tuple[int, int, int]  # (u, v, label); u == v is a loop
 
@@ -254,8 +258,14 @@ class ConcreteGamma(NamedTuple):
         return from_normal_form(NormalForm((), to_normal_form(self.column[t]).neg + (self.n,) * k))
 
     def subgraph(self) -> Subgraph:
-        """The bar graph, edges labelled 0 and 1, as a plain subgraph."""
-        return full_subgraph(map(self.vertex, range(self.size)))
+        """The bar graph, edges labelled 0 and 1, as a plain subgraph.
+
+        Handed the vertices' run forms: x_n^-k w_t is column[t]'s
+        negative runs, all below n, then a run of k letters n."""
+        column = [runs_of(w)[1] for w in self.column]
+        return Subgraph(
+            ((), neg + (self.n, k) if k else neg) for k in range(self.m + 1) for neg in column
+        )
 
 
 def gamma_nm_concrete(n: int, m: int) -> ConcreteGamma:
@@ -269,37 +279,42 @@ def gamma_nm_concrete(n: int, m: int) -> ConcreteGamma:
         raise ValueError("need n >= 2 and m >= 1")
     _refuse_above_limit(f"Gamma_{{{n},{m}}}", n, m + 1)
     g = xi_path(n, 1)
-    names = [EPSILON, mul_letter(EPSILON, n, -1)]
+    names = [((), ()), mul_runs((), (), n, -1)]
     for i in range(n - 2, -1, -1):
         heights = [r - i for r in g.ranks()]
         g = apply_A(i, g)
-        column_names: List[Diagram] = []
-        for d, height in zip(names, heights):
-            column_names.append(d)
+        column_names: List[Runs] = []
+        for (pos, neg), height in zip(names, heights):
+            column_names.append((pos, neg))
             for _ in range(height - 1):
-                d = mul_letter(d, i, -1)
-                column_names.append(d)
+                pos, neg = mul_runs(pos, neg, i, -1)
+                column_names.append((pos, neg))
         names = column_names
     for u, v, j in g.edges:
-        if mul_letter(names[u], j, 1) != names[v]:
-            u, v = normal_form_text(names[u]), normal_form_text(names[v])
+        if mul_runs(*names[u], j, 1) != names[v]:
+            u, v = _text(names[u]), _text(names[v])
             raise ConstructionError(f"edge {u!r} -x{j}-> {v!r} failed verification")
     size = catalan(n)
     if len(names) != 2 * size:
         raise ConstructionError(f"vertex count {len(names)} differs from 2 Catalan(n) = {2 * size}")
     if len(set(names)) < len(names):
-        d = next(d for v, d in enumerate(names) if names.index(d) < v)
-        raise ConstructionError(f"vertex {normal_form_text(d)!r} is named twice")
-    for d in names[:size]:
-        pos, neg = to_normal_form(d)
-        if pos or neg and neg[-1] >= n:
-            raise ConstructionError(f"{normal_form_text(d)!r} is not a word in x_i^-1, i < {n}")
+        r = next(r for v, r in enumerate(names) if names.index(r) < v)
+        raise ConstructionError(f"vertex {_text(r)!r} is named twice")
+    for pos, neg in names[:size]:
+        # neg's last run holds its largest index
+        if pos or neg and neg[-2] >= n:
+            raise ConstructionError(f"{_text((pos, neg))!r} is not a word in x_i^-1, i < {n}")
     inner = tuple(e for e in g.edges if e[0] < size and e[1] < size)
     # column 1 holds inner's copy, and no edge runs from column 0 to column 1
     shifted = [(u + size, v + size, j) for u, v, j in sorted(inner)]
     assert sorted(e for e in g.edges if e[1] >= size) == shifted
     across = tuple(e for e in g.edges if e[1] < size <= e[0])
-    return ConcreteGamma(n, m, tuple(names[:size]), inner, across)
+    return ConcreteGamma(n, m, tuple(map(diagram_of, names[:size])), inner, across)
+
+
+def _text(r: Runs) -> str:
+    # the normal-form word of a run form, for an error message
+    return normal_form_text(diagram_of(r))
 
 
 def fullness_check(g: ConcreteGamma) -> bool:
@@ -310,23 +325,25 @@ def fullness_check(g: ConcreteGamma) -> bool:
     off its negative part, leaves the negative part of w_t'.  Then
     x_n^-k w_t x_j is vertex (k - e) C + t' for 0 <= k - e <= m: g is full
     when the products with |e| <= m are inner (e = 0) and across (e = 1).
-    A product with a top caret starting anywhere but at n is none of
-    these, so its bottom forest is not read.  Where they differ, the
-    least vertex, then label, is named."""
+    Each product is read off its run form (subgraphs.mul_runs): a
+    positive run other than n, or a negative run above n, puts it
+    outside x_n^Z W.  Where they differ, the least vertex, then label,
+    is named."""
     size = len(g.column)
-    index = {to_normal_form(w).neg: t for t, w in enumerate(g.column)}
+    column = [runs_of(w)[1] for w in g.column]
+    index = {neg: t for t, neg in enumerate(column)}
     found = set()  # (u, v, j, e): vertex u in column max(e, 0) times x_j is vertex v
-    for t, w in enumerate(g.column):
+    for t, neg in enumerate(column):
         for j in range(g.n + 3):
-            top, _, bottom = mul_letter(w, j, 1).partition("|")
-            pos = _caret_starts(top)
-            if pos.count(g.n) < len(pos):
-                continue  # most products: their bottom forest is not read
-            neg = _caret_starts(bottom)
-            cut = bisect_left(neg, g.n)
-            e = len(pos) - len(neg) + cut
-            if set(neg[cut:]) <= {g.n} and abs(e) <= g.m and neg[:cut] in index:
-                found.add((max(e, 0) * size + t, max(-e, 0) * size + index[neg[:cut]], j, e))
+            pos, neg_j = mul_runs((), neg, j, 1)
+            if len(pos) > 2 or pos and pos[0] != g.n or neg_j and neg_j[-2] > g.n:
+                continue  # most products
+            e = pos[1] if pos else 0
+            if neg_j and neg_j[-2] == g.n:
+                e -= neg_j[-1]
+                neg_j = neg_j[:-2]
+            if abs(e) <= g.m and neg_j in index:
+                found.add((max(e, 0) * size + t, max(-e, 0) * size + index[neg_j], j, e))
     wrong = found ^ {(*edge, 0) for edge in g.inner} ^ {(*edge, 1) for edge in g.across}
     if wrong:
         u, _, k, _ = min(wrong, key=lambda edge: (edge[0], edge[2]))

@@ -22,6 +22,7 @@ from thompsonf.gamma import SizeLimitError, gamma_nm_concrete
 from thompsonf.growth import ResourceError
 from thompsonf.metric import DescentLimitError
 from thompsonf.plmaps import dyadic, plmap
+from thompsonf.subgraphs import runs_of
 from thompsonf.words import format_word, parse_word
 
 WORKED = "x0 x0 x1 x6 x3^-1 x0^-1 x0^-1"
@@ -378,24 +379,24 @@ def test_subgraph_undecodable_byte_names_file_and_line(capsys, tmp_path):
 
 def _subgraph_both_ways(capsys, monkeypatch, path):
     """Run subgraph on path as it reads, then with every suffix fold
-    hitting the leaf cap, so that each line is built from scratch.  Both
-    runs must print the same.  Returns (code, out, err), the diagrams
-    handed to full_subgraph (None if none were) and the number of suffix
-    folds tried."""
+    hitting the leaf cap, so that each line is read from scratch.  Both
+    runs must print the same.  Returns (code, out, err), the run forms
+    of the lines, handed to Subgraph (None if none were), and the number
+    of suffix folds tried."""
     seen, folds = [], []
-    full, times = subgraphs.full_subgraph, cli._times
+    subgraph, times = subgraphs.Subgraph, subgraphs.fold_runs
 
-    def counted(d, w):
+    def counted(r, w, letters):
         folds.append(w)
-        return times(d, w)
+        return times(r, w, letters)
 
-    def capped(d, w):
+    def capped(r, w, letters):
         raise LeafLimitError()
 
-    monkeypatch.setattr(subgraphs, "full_subgraph", lambda elems: seen.append(elems) or full(elems))
+    monkeypatch.setattr(subgraphs, "Subgraph", lambda elems: seen.append(elems) or subgraph(elems))
     outputs = []
     for fold in (counted, capped):
-        monkeypatch.setattr(cli, "_times", fold)
+        monkeypatch.setattr(subgraphs, "fold_runs", fold)
         outputs.append(run(capsys, "subgraph", "--input", str(path)))
     assert outputs[0] == outputs[1]
     assert seen[1:] == seen[:1]
@@ -415,7 +416,7 @@ def test_subgraph_reads_gamma_words_as_from_scratch(capsys, monkeypatch, tmp_pat
     (code, out, err), elems, folds = _subgraph_both_ways(capsys, monkeypatch, path)
     lines = words.splitlines()
     assert (code, err) == (0, "")
-    assert elems == [from_word(parse_word(line)) for line in lines]
+    assert elems == [runs_of(from_word(parse_word(line))) for line in lines]
     assert folds == _extensions(lines) > len(lines) // 2
 
 
@@ -428,7 +429,7 @@ def test_subgraph_reads_ball_words_as_from_scratch(capsys, monkeypatch, tmp_path
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     (code, out, err), elems, folds = _subgraph_both_ways(capsys, monkeypatch, path)
     assert (code, err) == (0, "")
-    assert elems == [from_word(parse_word(line)) for line in lines]
+    assert elems == [runs_of(from_word(parse_word(line))) for line in lines]
     assert folds == _extensions(lines)
     assert json.loads(out)["results"]["size"] == 161
 
@@ -449,7 +450,7 @@ def test_subgraph_read_rule_corner_cases(capsys, monkeypatch, tmp_path, text, fo
     path.write_text(text, encoding="utf-8")
     (code, out, err), elems, counted = _subgraph_both_ways(capsys, monkeypatch, path)
     assert (code, err) == (0, "")
-    assert elems == [from_word(parse_word(line)) for line in text.splitlines()]
+    assert elems == [runs_of(from_word(parse_word(line))) for line in text.splitlines()]
     assert counted == folds
 
 
@@ -680,6 +681,24 @@ def test_leaf_cap_exit(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 2, argv
         assert (code, out) == (2, ""), argv
+        assert err == f"error: a diagram would have more than {MAX_LEAVES} leaves (memory)\n"
+
+
+def test_subgraph_multiplies_past_the_leaf_cap(capsys, tmp_path):
+    # the cap bounds the elements the lines name, not their products:
+    # x2097150 has MAX_LEAVES leaves and answers, though its x0 product
+    # would pass the cap, because a product is a run form and never a
+    # diagram.  A line past the cap still exits 2, read by runs (normal
+    # form shape) or folded by from_word (the rest)
+    words = tmp_path / "words.txt"
+    words.write_text(f"x{MAX_LEAVES - 2}\n")
+    results = run_json(capsys, "subgraph", "--input", str(words))["results"]
+    assert (results["size"], results["edges"], results["boundary_size"]) == (1, 0, 4)
+    assert results["matching_found"] is True
+    for line in (f"x0 x{MAX_LEAVES - 1}", f"x{MAX_LEAVES - 1} x0^-1", f"x0^-1 x{MAX_LEAVES - 2}"):
+        words.write_text(f"x0\n{line}\n")
+        code, out, err = run(capsys, "subgraph", "--input", str(words))
+        assert (code, out) == (2, ""), line
         assert err == f"error: a diagram would have more than {MAX_LEAVES} leaves (memory)\n"
 
 

@@ -29,7 +29,7 @@ from thompsonf.gamma import (
     xi_single,
 )
 from thompsonf.cli import main
-from thompsonf.subgraphs import density
+from thompsonf.subgraphs import density, mul_runs, runs_of
 from thompsonf.words import parse_word
 
 # the package exports the function gamma under the module's name
@@ -183,6 +183,16 @@ def test_concrete_columns_and_density():
     assert Fraction(total, g.size) == density(g.subgraph())
     assert fullness_check(g)
     assert monomial_shape_ok(g)
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (3, 4), (6, 4), (5, 20)])
+def test_subgraph_is_handed_the_vertex_runs(n, m):
+    # subgraph() builds no vertex diagram: vertex k C + t is column[t]'s
+    # negative runs and then a run of k letters n
+    g = gamma_nm_concrete(n, m)
+    y = g.subgraph()
+    assert list(y.runs) == [runs_of(g.vertex(v)) for v in range(g.size)]
+    assert "vertices" not in vars(y)
 
 
 @pytest.mark.parametrize("n, m", [(2, 1), (3, 4), (6, 4), (5, 20)])
@@ -353,11 +363,11 @@ def test_work_does_not_grow_with_m(monkeypatch):
     # and its translate by x_n^-1, whatever m is
     calls = []
 
-    def counted(d, k, s):
+    def counted(pos, neg, k, s):
         calls.append(k)
-        return mul_letter(d, k, s)
+        return mul_runs(pos, neg, k, s)
 
-    monkeypatch.setattr(gamma_module, "mul_letter", counted)
+    monkeypatch.setattr(gamma_module, "mul_runs", counted)
     counts = []
     for m in (1, 4, 200):
         assert fullness_check(gamma_nm_concrete(6, m))
@@ -412,10 +422,10 @@ def test_gamma_is_the_chain_run_on_one_loop(n):
 
 def test_construction_error_names_failed_edge(monkeypatch):
     # x1 edges are checked against u * x1^-1, so the first one fails
-    def wrong_x1(d, k, s):
-        return mul_letter(d, k, -1 if k == 1 else s)
+    def wrong_x1(pos, neg, k, s):
+        return mul_runs(pos, neg, k, -1 if k == 1 else s)
 
-    monkeypatch.setattr(gamma_module, "mul_letter", wrong_x1)
+    monkeypatch.setattr(gamma_module, "mul_runs", wrong_x1)
     with pytest.raises(
         ConstructionError,
         match=r"^edge 'x2\^-1 x0\^-1' -x1-> 'x0\^-1' failed verification$",
@@ -426,7 +436,7 @@ def test_construction_error_names_failed_edge(monkeypatch):
 def test_construction_error_names_repeated_vertex(monkeypatch):
     # every x_k acting as x0 is a homomorphism of F onto Z, so every
     # edge still checks while x0^-1 and x2^-1 get the same name
-    monkeypatch.setattr(gamma_module, "mul_letter", lambda d, k, s: mul_letter(d, 0, s))
+    monkeypatch.setattr(gamma_module, "mul_runs", lambda pos, neg, k, s: mul_runs(pos, neg, 0, s))
     with pytest.raises(ConstructionError, match=r"^vertex 'x0\^-1' is named twice$"):
         gamma_nm_concrete(2, 2)
 
@@ -443,7 +453,7 @@ def test_construction_error_names_a_vertex_outside_the_letters(monkeypatch):
     # x_k -> x_{k+3} is an injective endomorphism of F, so every edge
     # still checks and the names stay distinct, but column 0 of
     # Gamma_{2,2} then holds x3^-1, which the translates by x2^-1 need below x2
-    monkeypatch.setattr(gamma_module, "mul_letter", lambda d, k, s: mul_letter(d, k + 3, s))
+    monkeypatch.setattr(gamma_module, "mul_runs", lambda pos, neg, k, s: mul_runs(pos, neg, k + 3, s))
     with pytest.raises(ConstructionError, match=r"^'x3\^-1' is not a word in x_i\^-1, i < 2$"):
         gamma_nm_concrete(2, 2)
 

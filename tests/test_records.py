@@ -91,12 +91,15 @@ def _records():
         (from_word_pl(((0, 1), (1, -1))), "tail_offset"),
         (xi_path(2, 3), "edges"),
         (g, "column"),
-        (g.subgraph(), "vertices"),
+        (g.subgraph(), "runs"),
+        (g.subgraph(), "vertices"),  # built on first read, then kept
     ]
 
 
 @pytest.mark.parametrize(
-    "record, field", _records(), ids=["Dyadic", "PLMap", "LabeledGraph", "ConcreteGamma", "Subgraph"]
+    "record, field",
+    _records(),
+    ids=["Dyadic", "PLMap", "LabeledGraph", "ConcreteGamma", "Subgraph", "Subgraph-vertices"],
 )
 def test_fields_cannot_be_set(record, field):
     value = getattr(record, field)

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flow_oracle
+import subgraph_oracle
 import thompsonf.subgraphs as sg
 from thompsonf.cayley import enumerate_ball, neighbors
 from thompsonf.diagrams import EPSILON, GENERATOR_LETTERS, atomic, from_word, mul_letter
+from thompsonf.gamma import gamma_nm_concrete
 from thompsonf.words import parse_word
 
 
@@ -21,8 +23,14 @@ def b1_adjacency(y):
     # per vertex, the B1-vertices at distance <= 1 that it claims, as
     # diagrams: its four neighbours in letter order, then itself last
     b1, table = y._numbered
-    names = list(b1)
+    names = list(map(sg.diagram_of, b1))
     return {d: [names[u] for u in (*near, v)] for v, (d, near) in enumerate(zip(y.vertices, table))}
+
+
+def diagram_table(y):
+    # the run-keyed table with its numbering translated to diagrams
+    b1, table = y._numbered
+    return {sg.diagram_of(r): u for r, u in b1.items()}, table
 
 
 def test_single_vertex():
@@ -136,7 +144,7 @@ def test_matching_witness_names_the_short_vertices():
     # seeded, so every vertex is reachable from the one left short
     five = elems("", "x0", "x1", "x0 x0", "x0 x1")
     y = sg.full_subgraph(five)
-    b1 = {**dict(zip(five, range(5))), **{f"b{j}": 5 + j for j in range(4)}}
+    b1 = {**dict(zip(y.runs, range(5))), **{f"b{j}": 5 + j for j in range(4)}}
     vars(y)["_numbered"] = (b1, [(5, 6, 7, 8)] * 5)
     result = sg.two_one_matching(y)
     assert result.assignment is None
@@ -199,7 +207,7 @@ def test_subgraph_ignores_vertex_order():
 
 def test_empty_subgraph_rejected():
     y = sg.full_subgraph([EPSILON])
-    object.__setattr__(y, "vertices", {})
+    object.__setattr__(y, "runs", {})
     for check in (sg.density, sg.folner_inequalities, sg.min_degree):
         with pytest.raises(ValueError):
             check(y)
@@ -212,8 +220,9 @@ def test_neighbour_table_stores_each_element_once():
     y = sg.full_subgraph(enumerate_ball(2)._by_diagram)
     b1, table = y._numbered
     assert list(b1.values()) == list(range(len(b1)))
-    assert all(u is d for u, d in zip(b1, y.vertices))
-    names = list(b1)
+    assert all(u is r for u, r in zip(b1, y.runs))
+    assert list(map(sg.diagram_of, y.runs)) == list(enumerate_ball(2)._by_diagram)
+    names = list(map(sg.diagram_of, b1))
     for d, near in zip(y.vertices, table):
         assert [names[u] for u in near] == [mul_letter(d, k, s) for k, s in GENERATOR_LETTERS]
     assert set(names[y.size:]) == sg.boundary(y)
@@ -224,11 +233,11 @@ def test_neighbour_table_multiplies_each_inner_edge_once(monkeypatch):
     # x0 and x1 for every vertex v; x_k^-1 only where no vertex u of the
     # set has u * x_k = v, so each edge inside the set is one product
     calls = [0]
-    real = sg.mul_letter
+    real = sg.mul_runs
 
-    def counted(d, k, s):
+    def counted(pos, neg, k, s):
         calls[0] += 1
-        return real(d, k, s)
+        return real(pos, neg, k, s)
 
     rng = random.Random(47)
     for size in (1, 2, 10, 60, len(BALL4)):
@@ -237,9 +246,41 @@ def test_neighbour_table_multiplies_each_inner_edge_once(monkeypatch):
         missing = sum(near[i] not in expected for near in expected.values() for i in (1, 3))
         calls[0] = 0
         with monkeypatch.context() as patch:
-            patch.setattr(sg, "mul_letter", counted)
+            patch.setattr(sg, "mul_runs", counted)
             y = sg.full_subgraph(chosen)
             b1, table = y._numbered
-        names = list(b1)
+        names = list(map(sg.diagram_of, b1))
         assert {d: tuple(names[u] for u in near) for d, near in zip(y.vertices, table)} == expected
         assert calls[0] == 2 * size + missing
+
+
+def assert_table_agrees(chosen):
+    # the table keyed by run form numbers B1(Y) as the one keyed by
+    # diagram string does, entry for entry, and the results read off it agree
+    y = sg.full_subgraph(chosen)
+    assert diagram_table(y) == subgraph_oracle.numbered(chosen)
+    assert y.edges == subgraph_oracle.edges(chosen)
+    assert sg.boundary(y) == subgraph_oracle.boundary(chosen)
+    assert tuple(sg.two_one_matching(y)) == subgraph_oracle.two_one_matching(chosen)
+    assert sg.matching_found(y) == (sg.two_one_matching(y).assignment is not None)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_run_table_is_the_diagram_table_on_the_ball(seed):
+    rng = random.Random(seed)
+    for _ in range(5):
+        assert_table_agrees(rng.sample(BALL4, rng.randint(1, 80)))
+
+
+def test_run_table_is_the_diagram_table_on_gamma_6_4():
+    assert_table_agrees(list(gamma_nm_concrete(6, 4).subgraph().vertices))
+
+
+def test_vertices_are_built_only_when_read():
+    # a subgraph stores run forms; the diagrams of the vertices are
+    # built on first read and kept
+    y = sg.full_subgraph(elems("", "x0", "x1"))
+    assert "vertices" not in vars(y)
+    assert sg.density(y) == Fraction(4, 3) and sg.doubling_check(y).holds and sg.matching_found(y)
+    assert "vertices" not in vars(y)
+    assert list(y.vertices) == elems("", "x0", "x1") and y.vertices is y.vertices
